@@ -1,0 +1,125 @@
+"""Rate resolution per rate_source, pinned one point per temperature regime."""
+
+import warnings
+
+import pytest
+
+from phonodec.bec import beta_of
+from phonodec.config import validate_config
+from phonodec.damping import (
+    RegimeWarning,
+    gamma_beliaev_asymptotic,
+    gamma_integral,
+    gamma_landau_high_temperature,
+    gamma_landau_low_temperature,
+    split_rates,
+)
+from phonodec.runs import resolve_rate
+
+FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
+
+# (temperature K, mode frequency rad/s) -> (auto regime, asymptotic regime)
+POINTS = {
+    "quantum": ((0.5e-9, 1.0e4), "quantum", "quantum"),
+    "thermal_high": ((4e-6, 1.0e3), "thermal_high", "thermal_high"),
+    "thermal_low": ((3e-9, 50.0), "thermal_low", "thermal_low"),
+    # k_B T / hbar w = 0.65: no closed form is strictly valid
+    "intermediate": ((5e-9, 1.0e3), "integral", "thermal_low"),
+}
+
+CLOSED_FORMS = {
+    "quantum": (gamma_beliaev_asymptotic, "gamma_beliaev"),
+    "thermal_high": (gamma_landau_high_temperature, "gamma_landau"),
+    "thermal_low": (gamma_landau_low_temperature, "gamma_landau"),
+}
+
+
+def scenario(temperature, omega, source, **extra):
+    raw = {
+        "species": "rb87",
+        "speed_of_sound_m_per_s": 3.4e-3,
+        "temperature_K": temperature,
+        "mode_frequency_rad_per_s": omega,
+        "rate_source": source,
+        **extra,
+    }
+    return validate_config(raw)
+
+
+def resolve_quietly(config, omega=None):
+    """resolve_rate plus whether it emitted a RegimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = resolve_rate(config, config.condensate(), omega)
+    warned = any(issubclass(w.category, RegimeWarning) for w in caught)
+    return res, warned
+
+
+def expected_gammas(regime, omega, params):
+    """(gamma_beliaev, gamma_landau) from the formula the regime names."""
+    if regime == "integral":
+        rates = gamma_integral(omega, params)
+        return rates.gamma_beliaev, rates.gamma_landau
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        fn, channel = CLOSED_FORMS[regime]
+        value = fn(omega, params)
+    return (value, 0.0) if channel == "gamma_beliaev" else (0.0, value)
+
+
+def assert_split(res, omega, temperature):
+    g1, g2, gt, n_th = split_rates(res.gamma, omega, temperature)
+    assert (res.gamma_1, res.gamma_2, res.gamma_total, res.n_thermal) == (
+        g1, g2, gt, n_th
+    )
+    assert res.beta_q == beta_of(omega, temperature)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+@pytest.mark.parametrize("source", ["auto", "asymptotic", "integral"])
+def test_resolve_rate_per_source(point, source):
+    (temperature, omega), auto_regime, asym_regime = POINTS[point]
+    config = scenario(temperature, omega, source)
+    params = config.condensate()
+    res, warned = resolve_quietly(config)
+
+    regime = {"auto": auto_regime, "asymptotic": asym_regime, "integral": "integral"}[
+        source
+    ]
+    assert res.regime == regime
+    gamma_b, gamma_l = expected_gammas(regime, omega, params)
+    assert (res.gamma_beliaev, res.gamma_landau) == (gamma_b, gamma_l)
+    assert res.gamma == gamma_b + gamma_l
+    assert_split(res, omega, temperature)
+
+    fallback = source == "auto" and regime == "integral"
+    assert res.flags == ((FALLBACK_FLAG,) if fallback else ())
+    # only the nearest-closed-form rule evaluates a formula outside its region
+    assert warned == (source == "asymptotic" and point == "intermediate")
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_resolve_rate_explicit(point):
+    (temperature, omega), _, _ = POINTS[point]
+    config = scenario(temperature, omega, "explicit", gamma_explicit_per_s=0.25)
+    res, warned = resolve_quietly(config)
+    assert res.regime == "explicit"
+    assert (res.gamma, res.gamma_beliaev, res.gamma_landau) == (0.25, 0.0, 0.0)
+    assert res.flags == ()
+    assert not warned
+    assert_split(res, omega, temperature)
+
+
+def test_resolve_rate_frequency_override_matches_config_frequency():
+    # the sweep passes each frequency explicitly; that must equal a config at it
+    for source in ("auto", "asymptotic"):
+        base = scenario(3e-9, 1.0e4, source)
+        at_50 = scenario(3e-9, 50.0, source)
+        assert resolve_quietly(base, 50.0)[0] == resolve_quietly(at_50)[0]
+
+
+def test_asymptotic_outside_region_warns():
+    config = scenario(5e-9, 1.0e3, "asymptotic")
+    with pytest.warns(RegimeWarning):
+        res = resolve_rate(config, config.condensate())
+    assert res.regime == "thermal_low"
