@@ -7,7 +7,6 @@ and a truncated-number-basis validator.
 """
 
 from .bec import (
-    BogoliubovMode,
     CondensateParams,
     beta_of,
     bogoliubov_uv,
@@ -43,7 +42,6 @@ from .decoherence import (
 )
 from .fock import (
     FockTrajectory,
-    TruncatedDensityMatrix,
     lindblad_step_integrate,
     squeezed_vacuum_fock,
     third_order_quadrature_moments,
@@ -61,13 +59,12 @@ from .gaussian import (
 )
 from .lyapunov import (
     LindbladChannel,
-    QuadraticHamiltonian,
     channel_from_lindblad_ops,
     evolve_closed_form,
     evolve_numeric,
     fixed_point_residual,
     thermal_channel,
 )
-from .three_body import ThreeBodyParams, decay_rate, density_decay, half_life
+from .three_body import decay_rate, density_decay, half_life
 
 __version__ = "0.1.0"

@@ -32,10 +32,6 @@ class CondensateParams:
         Speed of sound in m/s.
     density:
         Number density in m^-3.
-    volume:
-        Optional quantization volume in m^3.  Not needed for any of the
-        damping rates (it cancels against the continuum density of states);
-        kept for completeness.
     """
 
     mass: float
@@ -43,7 +39,6 @@ class CondensateParams:
     temperature: float
     speed_of_sound: float = field(default=0.0)
     density: float = field(default=0.0)
-    volume: float | None = None
     species: str | None = None
 
     def __post_init__(self):
@@ -66,8 +61,6 @@ class CondensateParams:
             object.__setattr__(
                 self, "speed_of_sound", math.sqrt(g * self.density / self.mass)
             )
-        if self.volume is not None and self.volume <= 0:
-            raise ValueError("volume must be positive when given")
 
     @property
     def coupling(self) -> float:
@@ -88,7 +81,6 @@ class CondensateParams:
         speed_of_sound: float = 0.0,
         density: float = 0.0,
         scattering_length: float | None = None,
-        volume: float | None = None,
     ) -> "CondensateParams":
         """Build from a named preset ('rb87', 'yb174').
 
@@ -108,19 +100,8 @@ class CondensateParams:
             temperature=temperature,
             speed_of_sound=speed_of_sound,
             density=density,
-            volume=volume,
             species=preset.name,
         )
-
-
-@dataclass(frozen=True)
-class BogoliubovMode:
-    """A single quasi-particle mode: wavenumber, frequency, u/v coefficients."""
-
-    k: float  # m^-1
-    omega: float  # rad/s
-    u: float
-    v: float
 
 
 def dispersion(k: float, params: CondensateParams) -> float:
@@ -161,12 +142,6 @@ def bogoliubov_uv(k: float, params: CondensateParams) -> tuple[float, float]:
     u = math.sqrt((free + mu + e) / (2.0 * e))
     v = -math.sqrt((free + mu - e) / (2.0 * e))
     return u, v
-
-
-def mode(k: float, params: CondensateParams) -> BogoliubovMode:
-    omega = dispersion(k, params)
-    u, v = bogoliubov_uv(k, params)
-    return BogoliubovMode(k=k, omega=omega, u=u, v=v)
 
 
 def beta_of(omega: float, temperature: float) -> float:

@@ -18,19 +18,22 @@ from pathlib import Path
 
 import yaml
 
-from .config import ConfigError, PRESETS, ScenarioConfig, preset_config, validate_config
-from .runs import resolve_rate, run_sweep, run_trajectory, write_csv
-from .three_body import decay_rate, half_life
+from .config import (
+    ConfigError,
+    PRESETS,
+    ScenarioConfig,
+    preset_config,
+    read_config_file,
+    validate_config,
+)
+from .runs import rates_report, run_sweep, run_trajectory, write_csv
 from .verify import format_report, run_verification
 
 
 def _scenario(args) -> ScenarioConfig:
     if args.preset is None and args.config is None:
         raise ConfigError("a scenario is required: give --preset and/or --config")
-    overrides = None
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = yaml.safe_load(fh) or {}
+    overrides = None if args.config is None else read_config_file(args.config)
     if args.preset is not None:
         return preset_config(args.preset, overrides)
     return validate_config(overrides)
@@ -61,30 +64,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    config = _scenario(args)
-    params = config.condensate()
-    rate = resolve_rate(config, params)
-    gamma3 = decay_rate(params.density, config.three_body_l3_m6_per_s)
-    lines = [
-        f"species                  {params.species or 'custom'}",
-        f"speed_of_sound_m_per_s   {params.speed_of_sound!r}",
-        f"density_per_m3           {params.density!r}",
-        f"temperature_K            {params.temperature!r}",
-        f"mode_frequency_rad_per_s {config.mode_frequency_rad_per_s!r}",
-        f"beta_q                   {rate.beta_q!r}",
-        f"n_thermal                {rate.n_thermal!r}",
-        f"regime                   {rate.regime}",
-        f"gamma_per_s              {rate.gamma!r}",
-        f"gamma_beliaev_per_s      {rate.gamma_beliaev!r}",
-        f"gamma_landau_per_s       {rate.gamma_landau!r}",
-        f"gamma_1_per_s            {rate.gamma_1!r}",
-        f"gamma_2_per_s            {rate.gamma_2!r}",
-        f"gamma_total_per_s        {rate.gamma_total!r}",
-        f"mu_inf                   {1.0 / (1.0 + 2.0 * rate.n_thermal)!r}",
-        f"three_body_gamma0_per_s  {gamma3!r}",
-        f"three_body_half_life_s   {half_life(params.density, config.three_body_l3_m6_per_s)!r}",
-    ]
-    print("\n".join(lines))
+    print(rates_report(_scenario(args)))
     return 0
 
 
@@ -207,8 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         ConfigError,
-        FileNotFoundError,
+        OSError,
         ValueError,
+        ArithmeticError,
         RuntimeError,
         yaml.YAMLError,
     ) as exc:

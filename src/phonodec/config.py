@@ -94,29 +94,29 @@ class ScenarioConfig:
         return self.sweep_omega_min_rad_per_s is not None
 
 
-_SCALAR_KEYS = {
-    "species": str,
-    "mass_kg": float,
-    "scattering_length_m": float,
-    "speed_of_sound_m_per_s": float,
-    "density_per_m3": float,
-    "temperature_K": float,
-    "mode_frequency_rad_per_s": float,
-    "initial_squeezing": float,
-    "initial_purity": float,
-    "initial_thermal_occupation": float,
-    "initial_displacement": list,
-    "time_max_s": float,
-    "time_points": int,
-    "rate_source": str,
-    "gamma_explicit_per_s": float,
-    "quadrature_rel_tol": float,
-    "quadrature_max_subdivisions": int,
-    "three_body_l3_m6_per_s": float,
-    "sweep_omega_min_rad_per_s": float,
-    "sweep_omega_max_rad_per_s": float,
-    "sweep_points": int,
-    "sweep_speeds_of_sound_m_per_s": list,
+_KNOWN_KEYS = {
+    "species",
+    "mass_kg",
+    "scattering_length_m",
+    "speed_of_sound_m_per_s",
+    "density_per_m3",
+    "temperature_K",
+    "mode_frequency_rad_per_s",
+    "initial_squeezing",
+    "initial_purity",
+    "initial_thermal_occupation",
+    "initial_displacement",
+    "time_max_s",
+    "time_points",
+    "rate_source",
+    "gamma_explicit_per_s",
+    "quadrature_rel_tol",
+    "quadrature_max_subdivisions",
+    "three_body_l3_m6_per_s",
+    "sweep_omega_min_rad_per_s",
+    "sweep_omega_max_rad_per_s",
+    "sweep_points",
+    "sweep_speeds_of_sound_m_per_s",
 }
 
 
@@ -124,7 +124,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a raw mapping, rejecting anything off-schema."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
-    unknown = sorted(set(raw) - set(_SCALAR_KEYS))
+    unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -280,12 +280,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def read_config_file(path: str | Path) -> dict:
+    """The raw mapping of a YAML scenario file; an empty file is an empty mapping."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if raw is None:
-        raw = {}
-    return validate_config(raw)
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a mapping of keys to values")
+    return raw
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return validate_config(read_config_file(path))
 
 
 # Worked-example presets: an 87Rb condensate at 0.5 nK with c_s = 3.4 mm/s.

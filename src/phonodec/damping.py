@@ -38,6 +38,8 @@ from .constants import HBAR, K_B
 
 QUANTUM_RATIO = 0.3  # k_B T / (hbar w_q) below this: spontaneous decay dominates
 THERMAL_RATIO = 3.0  # ">>" threshold for the collisional closed forms
+THERMAL_CUTOFF = 45.0  # collision integrals run to hbar w = cutoff * k_B T
+_SOURCES = ("auto", "asymptotic", "integral")  # an explicit rate needs no regime
 
 
 class RegimeWarning(UserWarning):
@@ -48,12 +50,10 @@ class RegimeWarning(UserWarning):
 class InteractionCoefficients:
     """Dimensionless three-mode vertex factors for a probe mode q.
 
-    ``a`` couples q to pair creation/annihilation with both partners on the
-    same side, ``b`` to the decay q -> k + k', and ``l`` to the collision
+    ``b`` couples q to the decay q -> k + k', and ``l`` to the collision
     q + k -> k' (``l`` carries its conventional factor of two).
     """
 
-    a: float
     b: float
     l: float
 
@@ -67,12 +67,11 @@ def vertex_coefficients(
     uq, vq = bogoliubov_uv(q, params)
     uk, vk = bogoliubov_uv(k, params)
     up, vp = bogoliubov_uv(kp, params)
-    a = uq * (vk * vp + uk * vp + vk * up) + vq * (uk * vp + vk * up + uk * up)
     b = uq * (uk * up + vk * up + uk * vp) + vq * (vk * vp + vk * up + uk * vp)
     l = 2.0 * (
         uq * (vk * up + uk * up + vk * vp) + vq * (uk * vp + uk * up + vk * vp)
     )
-    return InteractionCoefficients(a=a, b=b, l=l)
+    return InteractionCoefficients(b=b, l=l)
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-6
     max_subdivisions: int = 200
-    thermal_cutoff: float = 45.0  # integrate to hbar w = cutoff * k_B T
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -115,6 +113,19 @@ class DampingResult:
     n_thermal: float
     regime: str
     flags: tuple[str, ...] = field(default=())
+
+    @property
+    def mu_inf(self) -> float:
+        """Purity of the asymptotic thermal state, 1 / (1 + 2 N_th)."""
+        return 1.0 / (1.0 + 2.0 * self.n_thermal)
+
+
+def _high_temperature_region(kt: float, mu: float, e_q: float) -> bool:
+    return kt > THERMAL_RATIO * mu and mu > THERMAL_RATIO * e_q
+
+
+def _low_temperature_region(kt: float, mu: float, e_q: float) -> bool:
+    return mu > THERMAL_RATIO * kt and kt > THERMAL_RATIO * e_q
 
 
 def _warn_regime(message: str) -> None:
@@ -151,7 +162,7 @@ def gamma_landau_high_temperature(omega_q: float, params: CondensateParams) -> f
         raise ValueError("frequency must be positive")
     kt = K_B * params.temperature
     mu = params.chemical_potential
-    if not (kt > THERMAL_RATIO * mu and mu > THERMAL_RATIO * HBAR * omega_q):
+    if not _high_temperature_region(kt, mu, HBAR * omega_q):
         _warn_regime(
             "high-temperature collisional formula outside its validity region "
             f"(k_B T/mu = {kt / mu:.3g}, mu/hbar w_q = {mu / (HBAR * omega_q):.3g})"
@@ -173,7 +184,7 @@ def gamma_landau_low_temperature(omega_q: float, params: CondensateParams) -> fl
         raise ValueError("frequency must be positive")
     kt = K_B * params.temperature
     mu = params.chemical_potential
-    if not (mu > THERMAL_RATIO * kt and kt > THERMAL_RATIO * HBAR * omega_q):
+    if not _low_temperature_region(kt, mu, HBAR * omega_q):
         _warn_regime(
             "low-temperature collisional formula outside its validity region "
             f"(mu/k_B T = {mu / kt if kt else math.inf:.3g}, "
@@ -259,7 +270,7 @@ def gamma_integral(
     # Collision channel: q + k -> l, w_l = w_q + w_k; vanishes at T = 0.
     gl_down = gl_up = 0.0
     if temperature > 0.0:
-        omega_max = cfg.thermal_cutoff * K_B * temperature / HBAR
+        omega_max = THERMAL_CUTOFF * K_B * temperature / HBAR
         k_max = invert_dispersion(omega_max, params)
 
         def landau_integrand(k: float, up: bool) -> float:
@@ -295,57 +306,82 @@ def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float
     return gamma * (1.0 + n_th), gamma * n_th, gamma * (1.0 + 2.0 * n_th), n_th
 
 
+def damping_result(
+    gamma: float,
+    gamma_beliaev: float,
+    gamma_landau: float,
+    omega_q: float,
+    temperature: float,
+    regime: str,
+    flags: tuple[str, ...] = (),
+) -> DampingResult:
+    """A net rate with its channel parts, completed by the detailed-balance split."""
+    gamma_1, gamma_2, gamma_total, n_th = split_rates(gamma, omega_q, temperature)
+    return DampingResult(
+        gamma=gamma,
+        gamma_beliaev=gamma_beliaev,
+        gamma_landau=gamma_landau,
+        gamma_1=gamma_1,
+        gamma_2=gamma_2,
+        gamma_total=gamma_total,
+        beta_q=beta_of(omega_q, temperature),
+        n_thermal=n_th,
+        regime=regime,
+        flags=flags,
+    )
+
+
 def select_regime(
     omega_q: float,
     params: CondensateParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    source: str = "auto",
 ) -> DampingResult:
-    """Pick the applicable rate formula, falling back to the integrals.
+    """Damping rate from the formula that ``source`` picks for this mode.
 
     Regimes (thresholds are this implementation's reading of "<<"/">>"):
-    ``quantum`` for k_B T / hbar w_q < 0.3; ``thermal_high`` for
-    k_B T / mu > 3 with mu / hbar w_q > 3; ``thermal_low`` for mu / k_B T > 3
-    with k_B T / hbar w_q > 3; ``integral`` otherwise.
+    ``quantum`` for k_B T / hbar w_q < 0.3; otherwise ``thermal_high`` on the
+    k_B T > mu side and ``thermal_low`` on the other.  ``auto`` takes a
+    collisional closed form only inside its strict region (k_B T / mu > 3
+    with mu / hbar w_q > 3, or mu / k_B T > 3 with k_B T / hbar w_q > 3) and
+    falls back to the collision integrals, with a flag, elsewhere.
+    ``asymptotic`` always takes the nearest closed form, which warns with a
+    RegimeWarning outside its region.  ``integral`` always integrates.
     """
     if omega_q <= 0:
         raise ValueError("frequency must be positive")
+    if source not in _SOURCES:
+        raise ValueError(f"unknown rate source {source!r}")
     kt = K_B * params.temperature
     mu = params.chemical_potential
     e_q = HBAR * omega_q
-    flags: tuple[str, ...] = ()
+    nearest = source == "asymptotic"
 
-    if kt < QUANTUM_RATIO * e_q:
+    if source == "integral":
+        regime = "integral"
+    elif kt < QUANTUM_RATIO * e_q:
         regime = "quantum"
+    elif kt > mu:
+        strict = _high_temperature_region(kt, mu, e_q)
+        regime = "thermal_high" if nearest or strict else "integral"
+    else:
+        strict = _low_temperature_region(kt, mu, e_q)
+        regime = "thermal_low" if nearest or strict else "integral"
+
+    flags: tuple[str, ...] = ()
+    gamma_b = gamma_l = 0.0
+    if regime == "quantum":
         gamma_b = gamma_beliaev_asymptotic(omega_q, params)
-        gamma_l = 0.0
-    elif kt > THERMAL_RATIO * mu and mu > THERMAL_RATIO * e_q:
-        regime = "thermal_high"
-        gamma_b = 0.0
+    elif regime == "thermal_high":
         gamma_l = gamma_landau_high_temperature(omega_q, params)
-    elif mu > THERMAL_RATIO * kt and kt > THERMAL_RATIO * e_q:
-        regime = "thermal_low"
-        gamma_b = 0.0
+    elif regime == "thermal_low":
         gamma_l = gamma_landau_low_temperature(omega_q, params)
     else:
-        regime = "integral"
         rates = gamma_integral(omega_q, params, cfg)
-        gamma_b = rates.gamma_beliaev
-        gamma_l = rates.gamma_landau
-        flags = ("no closed form applies; rates from collision integrals",)
+        gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
+        if source == "auto":
+            flags = ("no closed form applies; rates from collision integrals",)
 
-    gamma = gamma_b + gamma_l
-    gamma_1, gamma_2, gamma_total, n_th = split_rates(
-        gamma, omega_q, params.temperature
-    )
-    return DampingResult(
-        gamma=gamma,
-        gamma_beliaev=gamma_b,
-        gamma_landau=gamma_l,
-        gamma_1=gamma_1,
-        gamma_2=gamma_2,
-        gamma_total=gamma_total,
-        beta_q=beta_of(omega_q, params.temperature),
-        n_thermal=n_th,
-        regime=regime,
-        flags=flags,
+    return damping_result(
+        gamma_b + gamma_l, gamma_b, gamma_l, omega_q, params.temperature, regime, flags
     )

@@ -20,26 +20,6 @@ from numpy.typing import NDArray
 from .gaussian import DEFAULT_CONVENTION, SymplecticConvention
 
 
-@dataclass(frozen=True)
-class TruncatedDensityMatrix:
-    """Density matrix in the number basis 0..n_cut, validated on construction."""
-
-    rho: NDArray[np.complex128]
-    n_cut: int
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (self.n_cut + 1, self.n_cut + 1):
-            raise ValueError("rho shape does not match cutoff")
-        if abs(np.trace(rho) - 1.0) > 1e-9:
-            raise ValueError("trace must be 1 within 1e-9")
-        if np.abs(rho - rho.conj().T).max() > 1e-12:
-            raise ValueError("rho must be Hermitian")
-        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-10:
-            raise ValueError("rho must be positive semidefinite")
-        object.__setattr__(self, "rho", rho)
-
-
 def squeezed_vacuum_fock(r: float, n_cut: int) -> NDArray[np.float64]:
     """Number-basis amplitudes of the squeezed vacuum S(r)|0>.
 
@@ -96,31 +76,26 @@ def _moments(rho: NDArray, kappa: float):
 
 
 def lindblad_step_integrate(
-    rho0: TruncatedDensityMatrix | NDArray,
+    rho0: NDArray,
     omega: float,
     gamma1: float,
     gamma2: float,
     t_grid,
-    n_cut: int | None = None,
-    dt: float | None = None,
     convention: SymplecticConvention = DEFAULT_CONVENTION,
 ) -> FockTrajectory:
     """Integrate d rho/dt = -i w [n, rho] + gamma1 D[b] rho + gamma2 D[b^dag] rho.
 
-    Fixed-step fourth-order integration; the step is chosen from the fastest
+    ``rho0`` is a square matrix on the number basis 0..n_cut.  Fixed-step
+    fourth-order integration; the step is chosen from the fastest
     Liouvillian scale (coherences up to w * n_cut, dissipation up to
-    ~gamma_T * n_cut) unless given.  Raises on truncation leaks: the initial
+    ~gamma_T * n_cut).  Raises on truncation leaks: the initial
     state must keep the population beyond 0.9 n_cut below 1e-8, and the
     top-level population must stay below 1e-6 throughout.
     """
-    if isinstance(rho0, TruncatedDensityMatrix):
-        rho = np.array(rho0.rho, dtype=complex)
-    else:
-        rho = np.array(rho0, dtype=complex)
-    if n_cut is None:
-        n_cut = rho.shape[0] - 1
-    if rho.shape != (n_cut + 1, n_cut + 1):
-        raise ValueError("rho shape does not match cutoff")
+    rho = np.array(rho0, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("rho must be a square matrix")
+    n_cut = rho.shape[0] - 1
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("rates must be >= 0")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -142,8 +117,7 @@ def lindblad_step_integrate(
     w_down = np.outer(sq[1:], sq[1:])  # b rho b^dag weights
     gamma_scale = (gamma1 + gamma2) * (n_cut + 1)
     fast = abs(omega) * n_cut + gamma_scale
-    if dt is None:
-        dt = 0.05 / fast if fast > 0 else (t_grid[-1] - t_grid[0]) / 100.0
+    dt = 0.05 / fast if fast > 0 else (t_grid[-1] - t_grid[0]) / 100.0
 
     def rhs(r):
         out = phase * r

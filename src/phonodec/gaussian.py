@@ -28,13 +28,9 @@ class SymplecticConvention:
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise ValueError("kappa must be positive and finite")
 
-    def omega(self, modes: int = 1) -> NDArray[np.float64]:
-        """Block-diagonal symplectic form, [[0, 1], [-1, 0]] per mode."""
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = np.zeros((2 * modes, 2 * modes))
-        for m in range(modes):
-            out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
-        return out
+    def omega(self) -> NDArray[np.float64]:
+        """Single-mode symplectic form [[0, 1], [-1, 0]]."""
+        return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     @property
     def vacuum_variance(self) -> float:
@@ -44,27 +40,20 @@ class SymplecticConvention:
 DEFAULT_CONVENTION = SymplecticConvention()
 
 
-def symplectic_eigenvalues(
-    sigma: NDArray[np.float64], convention: SymplecticConvention = DEFAULT_CONVENTION
-) -> NDArray[np.float64]:
-    """Symplectic spectrum of a covariance matrix (eigenvalues of |i Omega sigma|)."""
-    sigma = np.asarray(sigma, dtype=float)
-    modes = sigma.shape[0] // 2
-    if modes == 1:
-        # det is the squared symplectic eigenvalue; avoids the eig round trip
-        return np.array([math.sqrt(max(np.linalg.det(sigma), 0.0))])
-    eig = np.linalg.eigvals(convention.omega(modes) @ sigma)
-    s = np.sort(np.abs(eig))
-    return s[::2]  # eigenvalues come in +-i s pairs
+def symplectic_eigenvalues(sigma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Symplectic spectrum of a single-mode covariance matrix: sqrt(det sigma)."""
+    # det is the squared symplectic eigenvalue; avoids the eig round trip
+    det = np.linalg.det(np.asarray(sigma, dtype=float))
+    return np.array([math.sqrt(max(det, 0.0))])
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian state of M modes: displacement (2M,) and covariance (2M, 2M).
+    """Single-mode Gaussian state: displacement (2,) and covariance (2, 2).
 
-    Construction validates symmetry, positivity, and the uncertainty bound
-    s >= 1/(4 kappa^2) on every symplectic eigenvalue; violations within a
-    1e-9 relative slack are treated as numerical noise.
+    Construction validates symmetry and the uncertainty bound
+    det sigma >= 1/(4 kappa^2)^2; violations within a 1e-9 relative slack
+    are treated as numerical noise.
     """
 
     d: NDArray[np.float64]
@@ -74,10 +63,10 @@ class GaussianState:
     def __post_init__(self):
         d = np.atleast_1d(np.array(self.d, dtype=float))  # copy: frozen below
         sigma = np.asarray(self.sigma, dtype=float)
-        if d.ndim != 1 or d.size % 2 != 0:
-            raise ValueError("displacement must be a real vector of even length")
-        if sigma.shape != (d.size, d.size):
-            raise ValueError("covariance shape does not match displacement")
+        if d.shape != (2,):
+            raise ValueError("displacement must be a real vector of length 2")
+        if sigma.shape != (2, 2):
+            raise ValueError("covariance must be a 2 x 2 matrix")
         if not np.all(np.isfinite(d)) or not np.all(np.isfinite(sigma)):
             raise ValueError("non-finite entries in state")
         scale = max(np.abs(sigma).max(), 1.0)
@@ -85,48 +74,34 @@ class GaussianState:
             raise ValueError("covariance must be symmetric")
         sigma = 0.5 * (sigma + sigma.T)
         bound = self.convention.vacuum_variance
-        if d.size == 2:
-            # det check with a floor for the intrinsic cancellation noise of
-            # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1)
-            det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
-            noise = 64.0 * np.finfo(float).eps * (
-                abs(sigma[0, 0] * sigma[1, 1]) + sigma[0, 1] ** 2
+        # det check with a floor for the intrinsic cancellation noise of
+        # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1)
+        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
+        noise = 64.0 * np.finfo(float).eps * (
+            abs(sigma[0, 0] * sigma[1, 1]) + sigma[0, 1] ** 2
+        )
+        if det < bound * bound * (1.0 - 2.0 * _UNCERTAINTY_SLACK) - noise:
+            raise ValueError(
+                f"uncertainty bound violated: det sigma = {det:.6e}"
+                f" < {bound * bound:.6e}"
             )
-            if det < bound * bound * (1.0 - 2.0 * _UNCERTAINTY_SLACK) - noise:
-                raise ValueError(
-                    f"uncertainty bound violated: det sigma = {det:.6e}"
-                    f" < {bound * bound:.6e}"
-                )
-        else:
-            s_min = symplectic_eigenvalues(sigma, self.convention).min()
-            if s_min < bound * (1.0 - _UNCERTAINTY_SLACK):
-                raise ValueError(
-                    f"uncertainty bound violated: min symplectic eigenvalue "
-                    f"{s_min:.6e} < {bound:.6e}"
-                )
         d.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", sigma)
 
     @property
-    def modes(self) -> int:
-        return self.d.size // 2
-
-    @property
     def purity(self) -> float:
-        """Tr rho^2 = prod_j 1/(4 kappa^2 s_j), at most 1."""
-        s = symplectic_eigenvalues(self.sigma, self.convention)
+        """Tr rho^2 = 1/(4 kappa^2 s), at most 1."""
+        s = symplectic_eigenvalues(self.sigma)
         mu = float(np.prod(1.0 / (4.0 * self.convention.kappa**2 * s)))
         return min(mu, 1.0)
 
     @property
     def occupation(self) -> float:
-        """Total mean quantum number, kappa^2 (Tr sigma + d.d) - M/2."""
+        """Mean quantum number, kappa^2 (Tr sigma + d.d) - 1/2."""
         k2 = self.convention.kappa**2
-        return float(
-            k2 * np.trace(self.sigma) + k2 * self.d @ self.d - self.modes / 2.0
-        )
+        return float(k2 * np.trace(self.sigma) + k2 * self.d @ self.d - 0.5)
 
 
 @dataclass(frozen=True)
@@ -180,8 +155,6 @@ def params_from_state(state: GaussianState) -> SingleModeParams:
     mu = 1/(4 kappa^2 s) with s = sqrt(det sigma); cosh 2r = Tr sigma / 2s;
     psi from atan2 on the off-diagonal, set to 0 for unsqueezed states.
     """
-    if state.modes != 1:
-        raise ValueError("single-mode state required")
     sigma = state.sigma
     k2 = state.convention.kappa**2
     s = math.sqrt(max(sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2, 0.0))

@@ -2,7 +2,7 @@
 
 First and second moments obey
 
-    dd/dt     = H1 + A d
+    dd/dt     = A d
     dsigma/dt = A sigma + sigma A^T + D
 
 with drift A and diffusion D.  For the constant single-mode thermal channel
@@ -21,42 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .constants import HBAR
 from .gaussian import DEFAULT_CONVENTION, GaussianState, SymplecticConvention
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """H = H0 + kappa x^T H1 + kappa^2 x^T H2 x with H2 symmetric."""
-
-    h0: float
-    h1: NDArray[np.float64]
-    h2: NDArray[np.float64]
-    convention: SymplecticConvention = field(default=DEFAULT_CONVENTION)
-
-    def __post_init__(self):
-        h1 = np.atleast_1d(np.asarray(self.h1, dtype=float))
-        h2 = np.asarray(self.h2, dtype=float)
-        if h2.shape != (h1.size, h1.size):
-            raise ValueError("H2 shape does not match H1")
-        if np.abs(h2 - h2.T).max() > 1e-12 * max(np.abs(h2).max(), 1.0):
-            raise ValueError("H2 must be symmetric")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", 0.5 * (h2 + h2.T))
-
-    @property
-    def modes(self) -> int:
-        return self.h1.size // 2
-
-    @property
-    def generator(self) -> NDArray[np.float64]:
-        """Hamiltonian matrix Omega H2 / hbar driving the symplectic flow."""
-        return self.convention.omega(self.modes) @ self.h2 / HBAR
-
-    @property
-    def drive(self) -> NDArray[np.float64]:
-        """Linear-term drive Omega H1 / hbar entering dd/dt."""
-        return self.convention.omega(self.modes) @ self.h1 / HBAR
 
 
 @dataclass(frozen=True)
@@ -97,7 +62,7 @@ def thermal_channel(
     """Single-mode thermal channel: A = -gamma/2 I + w' Omega, D = gamma sigma_inf."""
     if gamma < 0 or n_thermal < 0:
         raise ValueError("gamma and thermal occupation must be >= 0")
-    omega = convention.omega(1)
+    omega = convention.omega()
     sigma_inf = (1.0 + 2.0 * n_thermal) * convention.vacuum_variance * np.eye(2)
     return LindbladChannel(
         a=-0.5 * gamma * np.eye(2) + omega_prime * omega,
@@ -111,28 +76,23 @@ def thermal_channel(
 
 def channel_from_lindblad_ops(
     c_matrix: NDArray[np.complex128],
-    hamiltonian: QuadraticHamiltonian | None = None,
     convention: SymplecticConvention = DEFAULT_CONVENTION,
 ) -> LindbladChannel:
-    """Channel from jump operators c_i = C_ij x_j.
+    """Single-mode channel from jump operators c_i = C_ij x_j.
 
     D = Omega Re(C^dag C) Omega^T / (4 kappa^4)
-    A = Omega H2 / hbar + Omega Im(C^dag C) / (2 kappa^2)
+    A = Omega Im(C^dag C) / (2 kappa^2)
+
+    The free rotation is not included: add w' Omega to the drift for it.
     """
     c = np.atleast_2d(np.asarray(c_matrix, dtype=complex))
-    dim = c.shape[1]
-    if dim % 2 != 0:
-        raise ValueError("C must have an even number of columns (2M quadratures)")
-    modes = dim // 2
-    omega = convention.omega(modes)
+    if c.shape[1] != 2:
+        raise ValueError("C must have two columns, one per quadrature")
+    omega = convention.omega()
     gram = c.conj().T @ c
     kappa2 = convention.kappa**2
     diffusion = omega @ np.real(gram) @ omega.T / (4.0 * kappa2**2)
     drift = omega @ np.imag(gram) / (2.0 * kappa2)
-    if hamiltonian is not None:
-        if hamiltonian.modes != modes:
-            raise ValueError("Hamiltonian mode count does not match C")
-        drift = drift + hamiltonian.generator
     return LindbladChannel(a=drift, d=diffusion, convention=convention)
 
 
@@ -151,7 +111,7 @@ def evolve_closed_form(
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    if not channel.is_thermal or state.modes != 1:
+    if not channel.is_thermal:
         raise ValueError("closed form requires the single-mode thermal channel")
     decay = math.exp(-channel.gamma * t)
     rot = _rotation(channel.omega_prime, t)
@@ -175,14 +135,11 @@ def evolve_numeric(
     state: GaussianState,
     channel: ChannelLike,
     t_grid: Sequence[float],
-    drive: Callable[[float], NDArray[np.float64]] | None = None,
     step_tol: float = 1e-10,
-    max_step: float | None = None,
 ) -> list[GaussianState]:
     """Integrate the moment equations over ``t_grid`` (strictly increasing).
 
-    ``channel`` is a constant LindbladChannel or a callable t -> channel;
-    ``drive`` optionally supplies the linear term Omega H1(t) / hbar.
+    ``channel`` is a constant LindbladChannel or a callable t -> channel.
     Classic fourth-order steps; each step is halved and re-taken until the
     full-step/half-step discrepancy is below ``step_tol`` relative to the
     covariance scale.  The covariance is re-symmetrized after every step and
@@ -195,11 +152,7 @@ def evolve_numeric(
 
     def rhs(t: float, d: NDArray, sigma: NDArray):
         ch = chan(t)
-        dd = ch.a @ d
-        if drive is not None:
-            dd = dd + drive(t)
-        ds = ch.a @ sigma + sigma @ ch.a.T + ch.d
-        return dd, ds
+        return ch.a @ d, ch.a @ sigma + sigma @ ch.a.T + ch.d
 
     def rk4(t: float, d: NDArray, sigma: NDArray, h: float):
         k1d, k1s = rhs(t, d, sigma)
@@ -229,8 +182,6 @@ def evolve_numeric(
     emit(t)
     span = float(t_grid[-1] - t_grid[0]) if t_grid.size > 1 else 0.0
     h = span / 100.0 if span else 0.0
-    if max_step is not None:
-        h = min(h, max_step)
 
     for t_next in t_grid[1:]:
         while t < t_next:
@@ -253,8 +204,6 @@ def evolve_numeric(
             t += h
             d, sigma = d_half, 0.5 * (s_half + s_half.T)
             h *= min(0.9 * (step_tol / err) ** 0.2, 5.0) if err > 0 else 2.0
-            if max_step is not None:
-                h = min(h, max_step)
         t = float(t_next)
         emit(t)
     return out

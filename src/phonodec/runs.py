@@ -13,23 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .bec import CondensateParams, beta_of
+from .bec import CondensateParams
 from .config import ScenarioConfig
-from .constants import HBAR, K_B
-from .damping import (
-    DampingResult,
-    QUANTUM_RATIO,
-    QuadratureConfig,
-    gamma_beliaev_asymptotic,
-    gamma_integral,
-    gamma_landau_high_temperature,
-    gamma_landau_low_temperature,
-    select_regime,
-    split_rates,
-)
-from .decoherence import metric_trajectory, purity_minimum_time
+from .damping import DampingResult, QuadratureConfig, damping_result, select_regime
+from .decoherence import MetricTrajectory, metric_trajectory, purity_minimum_time
 from .gaussian import state_from_params
 from .three_body import decay_rate, half_life
+
+# The lines of the ``rates`` verb, in print order; all are run_header keys.
+RATES_KEYS = (
+    "species",
+    "speed_of_sound_m_per_s",
+    "density_per_m3",
+    "temperature_K",
+    "mode_frequency_rad_per_s",
+    "beta_q",
+    "n_thermal",
+    "regime",
+    "gamma_per_s",
+    "gamma_beliaev_per_s",
+    "gamma_landau_per_s",
+    "gamma_1_per_s",
+    "gamma_2_per_s",
+    "gamma_total_per_s",
+    "mu_inf",
+    "three_body_gamma0_per_s",
+    "three_body_half_life_s",
+)
 
 
 def resolve_rate(
@@ -39,51 +49,76 @@ def resolve_rate(
 ) -> DampingResult:
     """Damping rate for the scenario per its rate_source."""
     omega_q = config.mode_frequency_rad_per_s if omega_q is None else omega_q
+    if config.rate_source == "explicit":
+        gamma = config.gamma_explicit_per_s
+        return damping_result(gamma, 0.0, 0.0, omega_q, params.temperature, "explicit")
     quad_cfg = QuadratureConfig(
         rel_tol=config.quadrature_rel_tol,
         max_subdivisions=config.quadrature_max_subdivisions,
     )
-    source = config.rate_source
-    if source == "auto":
-        return select_regime(omega_q, params, quad_cfg)
+    return select_regime(omega_q, params, quad_cfg, config.rate_source)
 
-    if source == "explicit":
-        gamma = config.gamma_explicit_per_s
-        gamma_b = gamma_l = 0.0
-        regime = "explicit"
-    elif source == "integral":
-        rates = gamma_integral(omega_q, params, quad_cfg)
-        gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
-        gamma = gamma_b + gamma_l
-        regime = "integral"
-    else:  # asymptotic: nearest closed form even outside its region
-        kt = K_B * params.temperature
-        mu = params.chemical_potential
-        if kt < QUANTUM_RATIO * HBAR * omega_q:
-            gamma_b, gamma_l = gamma_beliaev_asymptotic(omega_q, params), 0.0
-            regime = "quantum"
-        elif kt > mu:
-            gamma_b, gamma_l = 0.0, gamma_landau_high_temperature(omega_q, params)
-            regime = "thermal_high"
-        else:
-            gamma_b, gamma_l = 0.0, gamma_landau_low_temperature(omega_q, params)
-            regime = "thermal_low"
-        gamma = gamma_b + gamma_l
 
-    gamma_1, gamma_2, gamma_total, n_th = split_rates(
-        gamma, omega_q, params.temperature
-    )
-    return DampingResult(
-        gamma=gamma,
-        gamma_beliaev=gamma_b,
-        gamma_landau=gamma_l,
-        gamma_1=gamma_1,
-        gamma_2=gamma_2,
-        gamma_total=gamma_total,
-        beta_q=beta_of(omega_q, params.temperature),
-        n_thermal=n_th,
-        regime=regime,
-    )
+def run_header(
+    config: ScenarioConfig,
+    params: CondensateParams,
+    rate: DampingResult,
+    initial_occupation: float | None = None,
+    metrics: MetricTrajectory | None = None,
+) -> dict:
+    """Inputs and derived rates of one mode, in header order.
+
+    The trajectory passes its initial occupation and metrics; ``rates``
+    passes neither, and those keys are left out.
+    """
+    header = {
+        "species": params.species or "custom",
+        "mass_kg": params.mass,
+        "scattering_length_m": params.scattering_length,
+        "speed_of_sound_m_per_s": params.speed_of_sound,
+        "density_per_m3": params.density,
+        "temperature_K": params.temperature,
+        "chemical_potential_J": params.chemical_potential,
+        "mode_frequency_rad_per_s": config.mode_frequency_rad_per_s,
+        "initial_squeezing": config.initial_squeezing,
+        "initial_purity": config.initial_purity,
+        "initial_displacement": list(config.initial_displacement),
+    }
+    if initial_occupation is not None:
+        header["initial_occupation"] = initial_occupation
+    header.update({
+        "rate_source": config.rate_source,
+        "regime": rate.regime,
+        "gamma_per_s": rate.gamma,
+        "gamma_beliaev_per_s": rate.gamma_beliaev,
+        "gamma_landau_per_s": rate.gamma_landau,
+        "gamma_1_per_s": rate.gamma_1,
+        "gamma_2_per_s": rate.gamma_2,
+        "gamma_total_per_s": rate.gamma_total,
+        "beta_q": rate.beta_q,
+        "n_thermal": rate.n_thermal,
+        "mu_inf": rate.mu_inf,
+    })
+    if metrics is not None:
+        header["t_min_s"] = metrics.t_min
+        header["t_tau0_s"] = metrics.t_tau0
+    header.update({
+        "three_body_l3_m6_per_s": config.three_body_l3_m6_per_s,
+        "three_body_gamma0_per_s": decay_rate(
+            params.density, config.three_body_l3_m6_per_s
+        ),
+        "three_body_half_life_s": half_life(
+            params.density, config.three_body_l3_m6_per_s
+        ),
+    })
+    return header
+
+
+def rates_report(config: ScenarioConfig) -> str:
+    """The damping-rate breakdown printed by ``rates``, one key per line."""
+    params = config.condensate()
+    header = run_header(config, params, resolve_rate(config, params))
+    return "\n".join(f"{key:<24} {_fmt(header[key])}" for key in RATES_KEYS)
 
 
 @dataclass(frozen=True)
@@ -96,51 +131,17 @@ class TrajectoryRun:
 def run_trajectory(config: ScenarioConfig) -> TrajectoryRun:
     """Metric trajectory table for one scenario."""
     params = config.condensate()
-    omega_q = config.mode_frequency_rad_per_s
     rate = resolve_rate(config, params)
-    mu_inf = 1.0 / (1.0 + 2.0 * rate.n_thermal)
     mu0 = config.initial_purity
     r0 = config.initial_squeezing
     state0 = state_from_params(mu0, r0, 0.0, d=np.array(config.initial_displacement))
     n0 = state0.occupation
 
     t_grid = np.linspace(0.0, config.time_max_s, config.time_points)
-    metrics = metric_trajectory(mu0, r0, mu_inf, rate.gamma, n0, rate.n_thermal, t_grid)
-
-    gamma3 = decay_rate(params.density, config.three_body_l3_m6_per_s)
-    t_half = half_life(params.density, config.three_body_l3_m6_per_s)
-
-    header = {
-        "kind": "trajectory",
-        "species": params.species or "custom",
-        "mass_kg": params.mass,
-        "scattering_length_m": params.scattering_length,
-        "speed_of_sound_m_per_s": params.speed_of_sound,
-        "density_per_m3": params.density,
-        "temperature_K": params.temperature,
-        "chemical_potential_J": params.chemical_potential,
-        "mode_frequency_rad_per_s": omega_q,
-        "initial_squeezing": r0,
-        "initial_purity": mu0,
-        "initial_displacement": list(config.initial_displacement),
-        "initial_occupation": n0,
-        "rate_source": config.rate_source,
-        "regime": rate.regime,
-        "gamma_per_s": rate.gamma,
-        "gamma_beliaev_per_s": rate.gamma_beliaev,
-        "gamma_landau_per_s": rate.gamma_landau,
-        "gamma_1_per_s": rate.gamma_1,
-        "gamma_2_per_s": rate.gamma_2,
-        "gamma_total_per_s": rate.gamma_total,
-        "beta_q": rate.beta_q,
-        "n_thermal": rate.n_thermal,
-        "mu_inf": mu_inf,
-        "t_min_s": metrics.t_min,
-        "t_tau0_s": metrics.t_tau0,
-        "three_body_l3_m6_per_s": config.three_body_l3_m6_per_s,
-        "three_body_gamma0_per_s": gamma3,
-        "three_body_half_life_s": t_half,
-    }
+    metrics = metric_trajectory(
+        mu0, r0, rate.mu_inf, rate.gamma, n0, rate.n_thermal, t_grid
+    )
+    header = {"kind": "trajectory", **run_header(config, params, rate, n0, metrics)}
     rows = np.column_stack([metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation])
     return TrajectoryRun(
         header=header, columns=("t_s", "mu", "tau", "r", "occupation"), rows=rows
@@ -181,19 +182,16 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
         params = config.condensate(speed_of_sound=c_s)
         t_half = half_life(params.density, config.three_body_l3_m6_per_s)
 
-        def t_min_at(omega: float) -> float | None:
+        def t_min_at(omega: float) -> tuple[float, float | None]:
             rate = resolve_rate(config, params, omega)
-            mu_inf = 1.0 / (1.0 + 2.0 * rate.n_thermal)
-            return purity_minimum_time(mu0, r0, mu_inf, rate.gamma)
+            return rate.gamma, purity_minimum_time(mu0, r0, rate.mu_inf, rate.gamma)
 
         t_mins = []
         for omega in omegas:
-            rate = resolve_rate(config, params, omega)
-            mu_inf = 1.0 / (1.0 + 2.0 * rate.n_thermal)
-            t_min = purity_minimum_time(mu0, r0, mu_inf, rate.gamma)
+            gamma, t_min = t_min_at(omega)
             t_mins.append(t_min)
             truncated = int(t_min is not None and t_min > t_half)
-            rows.append((c_s, float(omega), rate.gamma, t_min, t_half, truncated))
+            rows.append((c_s, float(omega), gamma, t_min, t_half, truncated))
 
         truncation[c_s] = None
         for i in range(len(omegas) - 1):
@@ -206,7 +204,7 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
                 break
             if fa * fb < 0.0:
                 root = brentq(
-                    lambda w: t_min_at(w) - t_half, omegas[i], omegas[i + 1],
+                    lambda w: t_min_at(w)[1] - t_half, omegas[i], omegas[i + 1],
                     rtol=1e-12,
                 )
                 truncation[c_s] = float(root)

@@ -8,25 +8,9 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import RB87
-
-
-@dataclass(frozen=True)
-class ThreeBodyParams:
-    """Recombination constant and initial density."""
-
-    l3: float = RB87.three_body_l3  # m^6 / s
-    n0: float = 0.0  # m^-3
-
-    def __post_init__(self):
-        if self.l3 <= 0:
-            raise ValueError("recombination constant must be positive")
-        if self.n0 < 0:
-            raise ValueError("density must be >= 0")
 
 
 def decay_rate(n: float, l3: float = RB87.three_body_l3) -> float:

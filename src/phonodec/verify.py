@@ -78,7 +78,7 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
     rho0 = np.outer(amplitudes, amplitudes).astype(complex)
     grid = np.linspace(0.0, 5.0, 11)
     oracle = lindblad_step_integrate(
-        rho0, omega, gamma * (1 + n_th), gamma * n_th, grid, n_cut
+        rho0, omega, gamma * (1 + n_th), gamma * n_th, grid
     )
     state0 = state_from_params(1.0, r0, math.pi)
     channel = thermal_channel(gamma, n_th, omega)

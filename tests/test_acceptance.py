@@ -142,7 +142,7 @@ def test_criterion_6_fock_oracle_equivalence():
     grid = np.linspace(0.0, 5.0, 26)
     t0 = time.perf_counter()
     oracle = lindblad_step_integrate(
-        rho0, omega, gamma * (1.0 + n_th), gamma * n_th, grid, n_cut
+        rho0, omega, gamma * (1.0 + n_th), gamma * n_th, grid
     )
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

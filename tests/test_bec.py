@@ -12,7 +12,6 @@ from phonodec.bec import (
     dispersion,
     group_velocity,
     invert_dispersion,
-    mode,
     thermal_occupation,
 )
 from phonodec.constants import HBAR, K_B
@@ -95,13 +94,13 @@ def test_uv_normalization(paper_params):
         assert u > 0 > v
 
 
-def test_mode_record_is_consistent(paper_params):
-    m = mode(2.94e6, paper_params)
-    assert m.omega == dispersion(m.k, paper_params)
-    assert (m.u, m.v) == bogoliubov_uv(m.k, paper_params)
-    assert (HBAR * m.omega) ** 2 == pytest.approx(
-        (paper_params.speed_of_sound * HBAR * m.k) ** 2
-        + (HBAR**2 * m.k**2 / (2 * paper_params.mass)) ** 2,
+def test_dispersion_relation(paper_params):
+    # (hbar w)^2 = (c_s hbar k)^2 + (hbar^2 k^2 / 2m)^2
+    k = 2.94e6
+    omega = dispersion(k, paper_params)
+    assert (HBAR * omega) ** 2 == pytest.approx(
+        (paper_params.speed_of_sound * HBAR * k) ** 2
+        + (HBAR**2 * k**2 / (2 * paper_params.mass)) ** 2,
         rel=1e-10,
     )
 

@@ -223,3 +223,37 @@ def test_outdir_environment_variable(tmp_path):
     )
     assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "envtest.csv").exists()
+
+
+@pytest.mark.parametrize("document", ["- 1\n", "5\n"])
+def test_config_that_is_not_a_mapping_is_rejected(tmp_path, document):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(document)
+    for preset in (("--preset", "fig1"), ()):
+        cp = run_cli("rates", *preset, "--config", str(cfg))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "mapping" in cp.stderr
+
+
+def test_config_that_is_a_directory_is_rejected(tmp_path):
+    cp = run_cli("rates", "--preset", "fig1", "--config", str(tmp_path))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "verb, overlay",
+    [
+        ("trajectory", "initial_squeezing: 400\n"),
+        ("rates", "mode_frequency_rad_per_s: 1.0e+300\n"),
+    ],
+)
+def test_arithmetic_overflow_is_an_error_not_a_traceback(tmp_path, verb, overlay):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(overlay)
+    cp = run_cli(
+        verb, "--preset", "fig1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+    )
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1

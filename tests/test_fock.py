@@ -7,7 +7,6 @@ import pytest
 
 from phonodec.decoherence import occupation_evolution, purity_evolution
 from phonodec.fock import (
-    TruncatedDensityMatrix,
     lindblad_step_integrate,
     squeezed_vacuum_fock,
     third_order_quadrature_moments,
@@ -46,25 +45,13 @@ def test_squeezed_vacuum_cutoff_insufficiency():
         squeezed_vacuum_fock(2.0, 20)  # sinh^2 = 13 quanta in 20 levels
 
 
-def test_density_matrix_validation():
-    c = squeezed_vacuum_fock(0.5, 30)
-    rho = np.outer(c, c).astype(complex)
-    TruncatedDensityMatrix(rho, 30)
-    with pytest.raises(ValueError):
-        TruncatedDensityMatrix(2.0 * rho, 30)  # trace
-    bad = rho.copy()
-    bad[0, 1] += 1e-6
-    with pytest.raises(ValueError):
-        TruncatedDensityMatrix(bad, 30)  # hermiticity
-
-
 def test_oracle_matches_closed_forms():
     r0, n_th, gamma, omega, n_cut = 0.5, 0.2, 1.0, 0.5, 40
     c = squeezed_vacuum_fock(r0, n_cut)
     rho0 = np.outer(c, c).astype(complex)
     grid = np.linspace(0.0, 5.0, 26)
     traj = lindblad_step_integrate(
-        rho0, omega, gamma * (1 + n_th), gamma * n_th, grid, n_cut
+        rho0, omega, gamma * (1 + n_th), gamma * n_th, grid
     )
     state0 = state_from_params(1.0, r0, math.pi)  # (-tanh r)^n squeezes x1
     channel = thermal_channel(gamma, n_th, omega)
@@ -86,7 +73,7 @@ def test_oracle_matches_closed_forms():
 def test_oracle_unitary_purity_constant():
     c = squeezed_vacuum_fock(0.5, 40)
     rho0 = np.outer(c, c).astype(complex)
-    traj = lindblad_step_integrate(rho0, 1.3, 0.0, 0.0, np.linspace(0.0, 3.0, 7), 40)
+    traj = lindblad_step_integrate(rho0, 1.3, 0.0, 0.0, np.linspace(0.0, 3.0, 7))
     assert np.abs(traj.purity - traj.purity[0]).max() < 1e-9
 
 
@@ -95,7 +82,7 @@ def test_oracle_thermalizes_to_bose_einstein_weights():
     c = squeezed_vacuum_fock(r0, 40)
     rho0 = np.outer(c, c).astype(complex)
     traj = lindblad_step_integrate(
-        rho0, 0.5, gamma * (1 + n_th), gamma * n_th, np.array([0.0, 18.0]), 40
+        rho0, 0.5, gamma * (1 + n_th), gamma * n_th, np.array([0.0, 18.0])
     )
     beta = math.log((1 + n_th) / n_th)
     weights = (1.0 - math.exp(-beta)) * np.exp(-beta * np.arange(41))
@@ -109,7 +96,7 @@ def test_oracle_preserves_gaussianity():
     rho0 = np.outer(c, c).astype(complex)
     grid = np.linspace(0.0, 4.0, 5)
     assert third_order_quadrature_moments(rho0) < 1e-10
-    traj = lindblad_step_integrate(rho0, 0.5, gamma * (1 + n_th), gamma * n_th, grid, 40)
+    traj = lindblad_step_integrate(rho0, 0.5, gamma * (1 + n_th), gamma * n_th, grid)
     assert third_order_quadrature_moments(traj.final_rho) < 1e-6
 
 
@@ -117,7 +104,9 @@ def test_oracle_initial_population_precheck():
     rho = np.zeros((21, 21), dtype=complex)
     rho[20, 20] = 1.0  # all weight at the top of the basis
     with pytest.raises(ValueError):
-        lindblad_step_integrate(rho, 1.0, 1.0, 0.0, np.array([0.0, 1.0]), 20)
+        lindblad_step_integrate(rho, 1.0, 1.0, 0.0, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        lindblad_step_integrate(rho[:, :20], 1.0, 1.0, 0.0, np.array([0.0, 1.0]))
 
 
 def test_oracle_cutoff_leak_detection():
@@ -126,5 +115,5 @@ def test_oracle_cutoff_leak_detection():
     rho[0, 0] = 1.0
     with pytest.raises(RuntimeError):
         lindblad_step_integrate(
-            rho, 0.0, 0.5, 0.45, np.linspace(0.0, 12.0, 4), 15
+            rho, 0.0, 0.5, 0.45, np.linspace(0.0, 12.0, 4)
         )

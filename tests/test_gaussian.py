@@ -20,10 +20,9 @@ from phonodec.gaussian import (
 def test_convention_invariants():
     conv = DEFAULT_CONVENTION
     assert conv.kappa == pytest.approx(1 / math.sqrt(2))
-    for modes in (1, 2, 3):
-        omega = conv.omega(modes)
-        assert np.array_equal(omega, -omega.T)
-        assert np.allclose(omega @ omega, -np.eye(2 * modes))
+    omega = conv.omega()
+    assert np.array_equal(omega, -omega.T)
+    assert np.array_equal(omega @ omega, -np.eye(2))
     with pytest.raises(ValueError):
         SymplecticConvention(kappa=0.0)
 
@@ -131,6 +130,8 @@ def test_symmetry_enforced_and_violations_rejected():
         state_from_params(0.5, -1.0, 0.0)
     with pytest.raises(ValueError):
         state_from_params(float("nan"), 0.0, 0.0)
+    with pytest.raises(ValueError):
+        GaussianState(d=np.zeros(4), sigma=np.eye(4))  # single mode only
 
 
 def test_constructed_states_satisfy_bound():
@@ -140,15 +141,6 @@ def test_constructed_states_satisfy_bound():
             assert np.array_equal(st.sigma, st.sigma.T)
             s_min = symplectic_eigenvalues(st.sigma).min()
             assert s_min >= 0.5 - 1e-12
-
-
-def test_two_mode_state_and_spectrum():
-    sigma = np.diag([1.0, 1.0, 2.0, 2.0])
-    st = GaussianState(d=np.zeros(4), sigma=sigma)
-    assert st.modes == 2
-    s = np.sort(symplectic_eigenvalues(sigma))
-    assert np.allclose(s, [1.0, 2.0])
-    assert st.purity == pytest.approx((1 / 2.0) * (1 / 4.0), rel=1e-12)
 
 
 def test_states_are_immutable():

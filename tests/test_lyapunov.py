@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from phonodec.constants import HBAR
 from phonodec.decoherence import purity_evolution, purity_minimum_time
 from phonodec.gaussian import (
     DEFAULT_CONVENTION,
@@ -16,7 +15,6 @@ from phonodec.gaussian import (
 )
 from phonodec.lyapunov import (
     LindbladChannel,
-    QuadraticHamiltonian,
     channel_from_lindblad_ops,
     evolve_closed_form,
     evolve_numeric,
@@ -36,31 +34,20 @@ def thermal_ops_matrix(gamma1: float, gamma2: float) -> np.ndarray:
     )
 
 
-def free_hamiltonian(omega: float) -> QuadraticHamiltonian:
-    return QuadraticHamiltonian(0.0, np.zeros(2), HBAR * omega * np.eye(2))
-
-
-def test_hamiltonian_generator_is_hamiltonian_matrix():
-    h = free_hamiltonian(2.5)
-    gen = h.generator
-    omega = DEFAULT_CONVENTION.omega(1)
-    assert np.allclose(omega @ gen, (omega @ gen).T)
-    assert np.allclose(gen, 2.5 * omega)
-
-
 def test_channel_from_zero_ops_is_unitary():
-    h = free_hamiltonian(1.7)
-    ch = channel_from_lindblad_ops(np.zeros((1, 2)), h)
-    assert np.allclose(ch.a, h.generator)
+    ch = channel_from_lindblad_ops(np.zeros((1, 2)))
+    assert np.allclose(ch.a, 0.0)
     assert np.allclose(ch.d, 0.0)
 
 
 def test_channel_from_thermal_ops_matches_thermal_channel():
     gamma1, gamma2, omega = 1.2, 0.2, 3.7
-    ch_ops = channel_from_lindblad_ops(thermal_ops_matrix(gamma1, gamma2), free_hamiltonian(omega))
+    ch_ops = channel_from_lindblad_ops(thermal_ops_matrix(gamma1, gamma2))
     gamma = gamma1 - gamma2
     ch_ref = thermal_channel(gamma, gamma2 / gamma, omega)
-    assert np.allclose(ch_ops.a, ch_ref.a, atol=1e-14)
+    # the jump operators carry no free rotation; add w' Omega by hand
+    drift = ch_ops.a + omega * DEFAULT_CONVENTION.omega()
+    assert np.allclose(drift, ch_ref.a, atol=1e-14)
     assert np.allclose(ch_ops.d, ch_ref.d, atol=1e-14)
 
 
@@ -69,14 +56,14 @@ def test_channel_ops_bilinear_scaling():
     one = channel_from_lindblad_ops(c)
     two = channel_from_lindblad_ops(math.sqrt(2.0) * c)
     assert np.allclose(two.d, 2.0 * one.d)
-    assert np.allclose(two.a, 2.0 * one.a)  # A is purely dissipative without H2
+    assert np.allclose(two.a, 2.0 * one.a)  # A is purely dissipative
 
 
 def test_channel_dimension_mismatch():
     with pytest.raises(ValueError):
         channel_from_lindblad_ops(np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        channel_from_lindblad_ops(np.zeros((1, 4)), free_hamiltonian(1.0))
+        channel_from_lindblad_ops(np.zeros((1, 4)))  # single mode only
 
 
 def test_fixed_point_identity_and_sign_flip_sabotage():
@@ -84,7 +71,7 @@ def test_fixed_point_identity_and_sign_flip_sabotage():
     assert fixed_point_residual(ch) <= 1e-16 * np.abs(ch.d).max()
     # flipping the damping sign must break the stationarity identity
     flipped = LindbladChannel(
-        a=+0.5 * 0.739 * np.eye(2) + 1e4 * DEFAULT_CONVENTION.omega(1),
+        a=+0.5 * 0.739 * np.eye(2) + 1e4 * DEFAULT_CONVENTION.omega(),
         d=ch.d,
         gamma=-0.739,
         omega_prime=1e4,
@@ -146,13 +133,12 @@ def test_numeric_matches_closed_form():
 
 def test_numeric_unitary_preserves_purity():
     st = state_from_params(1.0, 1.0, 0.3)
-    h = free_hamiltonian(3.0)
-    ch = LindbladChannel(a=h.generator, d=np.zeros((2, 2)))
+    ch = LindbladChannel(a=3.0 * DEFAULT_CONVENTION.omega(), d=np.zeros((2, 2)))
     grid = np.linspace(0.0, 4.0, 60)
     for out in evolve_numeric(st, ch, grid, step_tol=1e-12):
         assert out.purity == pytest.approx(1.0, abs=1e-10)
     # and the final state is the symplectic conjugation of the initial one
-    s = np.eye(2) * math.cos(3.0 * 4.0) + DEFAULT_CONVENTION.omega(1) * math.sin(3.0 * 4.0)
+    s = np.eye(2) * math.cos(3.0 * 4.0) + DEFAULT_CONVENTION.omega() * math.sin(3.0 * 4.0)
     final = evolve_numeric(st, ch, np.array([0.0, 4.0]), step_tol=1e-12)[-1]
     assert np.allclose(final.sigma, s @ st.sigma @ s.T, atol=1e-9)
 
@@ -183,23 +169,6 @@ def test_numeric_time_ramped_rate_bracketing():
         decay = math.exp(-big_gamma)
         sigma_exact = decay * st.sigma + (1.0 - decay) * ch_lo.sigma_inf
         assert np.abs(out.sigma - sigma_exact).max() < 1e-8
-
-
-def test_numeric_with_constant_drive():
-    # d(t) = e^{At} d0 + A^{-1}(e^{At} - 1) H1 for a constant channel
-    from scipy.linalg import expm
-
-    st = state_from_params(0.9, 0.5, 0.0, d=np.array([0.3, -0.6]))
-    ch = thermal_channel(0.8, 0.2, 1.7)
-    h1 = np.array([0.4, 0.9])
-    grid = np.linspace(0.0, 3.0, 7)
-    traj = evolve_numeric(st, ch, grid, drive=lambda _t: h1)
-    for t, out in zip(grid, traj):
-        propagator = expm(ch.a * t)
-        expected = propagator @ st.d + np.linalg.solve(
-            ch.a, (propagator - np.eye(2)) @ h1
-        )
-        assert np.allclose(out.d, expected, atol=1e-9)
 
 
 def test_thermal_trajectory_purity_bounded():

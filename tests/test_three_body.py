@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from phonodec.constants import RB87, RB87_L3_UNCERTAINTY
 from phonodec.damping import gamma_beliaev_asymptotic
-from phonodec.three_body import ThreeBodyParams, decay_rate, density_decay, half_life
+from phonodec.three_body import decay_rate, density_decay, half_life
 
 L3 = RB87.three_body_l3
 
@@ -19,8 +19,6 @@ def test_initial_value_and_domain():
         density_decay(-1.0, L3, 0.0)
     with pytest.raises(ValueError):
         density_decay(1e20, L3, -1.0)
-    with pytest.raises(ValueError):
-        ThreeBodyParams(l3=-1.0)
 
 
 def test_half_life_identity():
