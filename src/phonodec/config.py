@@ -281,9 +281,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 
 def read_config_file(path: str | Path) -> dict:
-    """The raw mapping of a YAML scenario file; an empty file is an empty mapping."""
+    """The raw mapping of a YAML scenario file; an empty file is an empty mapping.
+
+    A YAML syntax error is a one-line ``ConfigError`` naming the file, the
+    1-based line and column, and the parser's problem.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            at = f" line {mark.line + 1}, column {mark.column + 1}:" if mark else ""
+            problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
+            raise ConfigError(f"{path}:{at} {problem}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: verbs, config validation, output determinism."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phonodec
 from phonodec.bec import thermal_occupation
 
+# the source tree under test, so the child process imports the same package
+SRC = str(Path(phonodec.__file__).resolve().parent.parent)
 
-def run_cli(*args: str, **kwargs) -> subprocess.CompletedProcess:
+
+def run_cli(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "phonodec", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, **kwargs)
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, **kwargs)
 
 
 def read_header(path: Path) -> dict:
@@ -215,8 +222,6 @@ def test_plotscript_emits_csv_and_script(tmp_path):
 
 def test_outdir_environment_variable(tmp_path):
     env = {"PHONODEC_OUTDIR": str(tmp_path)}
-    import os
-
     cp = run_cli(
         "trajectory", "--preset", "fig1", "--out", "envtest.csv",
         env={**os.environ, **env},
@@ -257,3 +262,26 @@ def test_arithmetic_overflow_is_an_error_not_a_traceback(tmp_path, verb, overlay
     )
     assert cp.returncode == 2
     assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+def test_yaml_syntax_error_is_one_line(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("time_points: [1\n")
+    cp = run_cli("rates", "--preset", "fig1", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    assert f"{cfg}: line 2, column 1: expected ',' or ']'" in cp.stderr
+
+
+def test_regime_warning_is_one_line(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "rate_source: asymptotic\n"
+        "temperature_K: 5.0e-9\n"
+        "mode_frequency_rad_per_s: 1.0e+3\n"
+    )
+    cp = run_cli("rates", "--preset", "fig1", "--config", str(cfg))
+    assert cp.returncode == 0
+    assert "thermal_low" in cp.stdout
+    assert cp.stderr.startswith("warning: ") and cp.stderr.count("\n") == 1
+    assert "damping.py" not in cp.stderr

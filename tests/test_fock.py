@@ -26,6 +26,11 @@ def test_squeezed_vacuum_amplitudes():
     assert c[4] == pytest.approx(
         th * th * math.sqrt(24.0) / (4.0 * 2.0 * math.sqrt(ch)), rel=1e-12
     )
+    # an even cutoff keeps its top amplitude c_{n_cut}
+    c = squeezed_vacuum_fock(0.5, 40)
+    th, ch = math.tanh(0.5), math.cosh(0.5)
+    top = th**20 * math.sqrt(math.factorial(40)) / (2**20 * math.factorial(20))
+    assert c[40] == pytest.approx(top / math.sqrt(ch), rel=1e-12)
 
 
 def test_squeezed_vacuum_norm_and_occupation():
@@ -68,6 +73,24 @@ def test_oracle_matches_closed_forms():
             < 1e-3
         )
         assert np.abs(traj.displacement[i]).max() < 1e-9
+
+
+def test_oracle_matches_closed_forms_at_envelope_edge():
+    # the largest squeezing and cutoff the oracle is documented for
+    r0, n_th, gamma, omega, n_cut = 1.0, 0.2, 1.0, 0.5, 80
+    c = squeezed_vacuum_fock(r0, n_cut)
+    rho0 = np.outer(c, c).astype(complex)
+    grid = np.linspace(0.0, 5.0, 6)
+    traj = lindblad_step_integrate(
+        rho0, omega, gamma * (1 + n_th), gamma * n_th, grid
+    )
+    state0 = state_from_params(1.0, r0, math.pi)
+    channel = thermal_channel(gamma, n_th, omega)
+    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
+    for i, t in enumerate(grid):
+        exact = evolve_closed_form(state0, channel, t)
+        assert np.abs(traj.covariance[i] - exact.sigma).max() < 1e-6
+        assert abs(traj.purity[i] - purity_evolution(1.0, r0, mu_inf, gamma, t)) < 1e-6
 
 
 def test_oracle_unitary_purity_constant():
