@@ -1,11 +1,13 @@
-"""Rate resolution per rate_source, pinned one point per temperature regime."""
+"""Rate resolution per rate_source, pinned one point per temperature regime,
+and the CSV bytes of the shipped presets."""
 
+import hashlib
 import warnings
 
 import pytest
 
 from phonodec.bec import beta_of
-from phonodec.config import validate_config
+from phonodec.config import preset_config, validate_config
 from phonodec.damping import (
     RegimeWarning,
     gamma_beliaev_asymptotic,
@@ -14,7 +16,7 @@ from phonodec.damping import (
     gamma_landau_low_temperature,
     split_rates,
 )
-from phonodec.runs import resolve_rate
+from phonodec.runs import resolve_rate, run_sweep, run_trajectory, to_csv
 
 FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
 
@@ -123,3 +125,30 @@ def test_asymptotic_outside_region_warns():
     with pytest.warns(RegimeWarning):
         res = resolve_rate(config, config.condensate())
     assert res.regime == "thermal_low"
+
+
+# SHA-256 of to_csv for each (preset, overrides, run); output determinism
+# is a contract, so a change to the renderer or the numbers must move these.
+CSV_SHA256 = {
+    "fig1": (
+        "fig1", None, run_trajectory,
+        "ad339cf6f5ba8dc9df5241b857d5111b4297bdb1a72a31188938a988701c063b",
+    ),
+    "fig2": (
+        "fig2", None, run_sweep,
+        "94bb3fa4a1208ec13871a7275143cef65c65c7ee12293e3f931c6d28b32f6170",
+    ),
+    "fig1_1e5_points": (
+        "fig1", {"time_points": 100000}, run_trajectory,
+        "6f07c92ea1c68831100ac9e23cd24b0b9bca851b5f0bdbdb7628b17dc6f203f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_SHA256))
+def test_csv_bytes_are_pinned(case):
+    preset, overrides, run, digest = CSV_SHA256[case]
+    config = preset_config(preset, overrides)
+    assert config.rate_source == "auto"
+    text = to_csv(run(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
