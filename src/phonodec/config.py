@@ -10,10 +10,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .bec import CondensateParams
 from .constants import RB87, SPECIES_PRESETS
+from .gaussian import state_from_params
 
 RATE_SOURCES = ("auto", "asymptotic", "integral", "explicit")
 
@@ -120,6 +122,20 @@ _KNOWN_KEYS = {
 }
 
 
+def _initial_state_is_finite(mu0: float, r0: float) -> bool:
+    """Whether gaussian.state_from_params builds the state without overflow.
+
+    Its covariance has entries up to e^(2r)/(2 mu) and determinant
+    1/(4 mu^2); either can leave the float range.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            state_from_params(mu0, r0)
+    except (ArithmeticError, ValueError):  # overflow; inf or nan entries
+        return False
+    return True
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a raw mapping, rejecting anything off-schema."""
     if not isinstance(raw, dict):
@@ -187,6 +203,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
         mu0 = _number("initial_purity", raw.get("initial_purity", 1.0), positive=True)
         if mu0 > 1.0:
             raise ConfigError("initial_purity: must be <= 1")
+    if not _initial_state_is_finite(mu0, r0):
+        purity_key = (
+            "initial_thermal_occupation"
+            if "initial_thermal_occupation" in raw
+            else "initial_purity"
+        )
+        alone = (("initial_squeezing", 1.0, r0), (purity_key, mu0, 0.0))
+        keys = [key for key, mu, r in alone if not _initial_state_is_finite(mu, r)]
+        keys = keys or ["initial_squeezing", purity_key]  # only the pair overflows
+        raise ConfigError(
+            f"{' and '.join(keys)}: the initial covariance overflows"
+            " (entries e^(2r)/(2 mu), det 1/(4 mu^2))"
+        )
 
     disp = raw.get("initial_displacement", [0.0, 0.0])
     if not (isinstance(disp, (list, tuple)) and len(disp) == 2):

@@ -23,8 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from .bec import (
     CondensateParams,
     beta_of,
@@ -198,6 +196,17 @@ def gamma_landau_low_temperature(omega_q: float, params: CondensateParams) -> fl
         / (params.mass * params.density * HBAR**3 * params.speed_of_sound**5)
         * omega_q
     )
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call.
+
+    Only the collision integrals need scipy, so the closed-form paths never
+    load it.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _quad_checked(f, lo: float, hi: float, cfg: QuadratureConfig) -> float:

@@ -72,7 +72,7 @@ class GaussianState:
         scale = max(np.abs(sigma).max(), 1.0)
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ValueError("covariance must be symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
+        sigma = 0.5 * sigma + 0.5 * sigma.T  # halves first: no overflow near max
         bound = self.convention.vacuum_variance
         # det check with a floor for the intrinsic cancellation noise of
         # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1)

@@ -7,11 +7,9 @@ fixed config produces byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bec import CondensateParams
 from .config import ScenarioConfig
@@ -155,6 +153,17 @@ class SweepRun:
     rows: list[tuple]
 
 
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """``scipy.optimize.brentq``, imported on first call.
+
+    Only the sweep's crossing search needs it, so the other verbs never
+    load scipy.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
+
+
 def run_sweep(config: ScenarioConfig) -> SweepRun:
     """Decoherence time vs mode frequency for each configured speed of sound.
 
@@ -239,14 +248,11 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
 
 
 def _fmt(value) -> str:
+    # str of a Python float is its repr: the shortest round-tripping form
     if value is None:
         return "none"
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + " ".join(_fmt(v) for v in value) + "]"
     return str(value)
@@ -256,8 +262,11 @@ def to_csv(run: TrajectoryRun | SweepRun) -> str:
     """Render a run as CSV text with a commented metadata header."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
-    for row in np.asarray(run.rows, dtype=object):
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(run.rows, np.ndarray):
+        # an all-float table: tolist() yields Python floats
+        lines.extend(",".join(map(str, row)) for row in run.rows.tolist())
+    else:
+        lines.extend(",".join(map(_fmt, row)) for row in run.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -16,11 +16,15 @@ from phonodec.bec import thermal_occupation
 SRC = str(Path(phonodec.__file__).resolve().parent.parent)
 
 
-def run_cli(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "phonodec", *args]
+def run_python(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, *args]
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(cmd, capture_output=True, text=True, env=env, **kwargs)
+
+
+def run_cli(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return run_python("-m", "phonodec", *args, **kwargs)
 
 
 def read_header(path: Path) -> dict:
@@ -285,3 +289,81 @@ def test_regime_warning_is_one_line(tmp_path):
     assert "thermal_low" in cp.stdout
     assert cp.stderr.startswith("warning: ") and cp.stderr.count("\n") == 1
     assert "damping.py" not in cp.stderr
+
+
+# Runs CLI verbs in one fresh interpreter, then prints the scipy modules loaded.
+SCIPY_MODULES_AFTER = """
+import sys
+from phonodec import cli
+for argv in {argvs!r}:
+    assert cli.main(argv) == 0, argv
+print(" ".join(m for m in sorted(sys.modules) if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_modules_after(tmp_path, *argvs) -> set[str]:
+    cp = run_python("-c", SCIPY_MODULES_AFTER.format(argvs=argvs), cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    return set(cp.stdout.splitlines()[-1].split())
+
+
+def test_closed_form_verbs_do_not_import_scipy(tmp_path):
+    loaded = scipy_modules_after(
+        tmp_path,
+        ["rates", "--preset", "fig1"],
+        ["trajectory", "--preset", "fig1"],
+        ["plotscript", "--preset", "fig1", "--kind", "trajectory"],
+    )
+    assert loaded == set()
+
+
+def test_sweep_imports_scipy_optimize_on_demand(tmp_path):
+    loaded = scipy_modules_after(tmp_path, ["sweep", "--preset", "fig2"])
+    assert "scipy.optimize" in loaded
+    assert "scipy.integrate" not in loaded  # auto rates at fig2 are closed forms
+
+
+@pytest.mark.parametrize(
+    "verb, overlay, keys",
+    [
+        ("trajectory", "initial_squeezing: 355\n", ["initial_squeezing"]),
+        ("trajectory", "initial_squeezing: 356\n", ["initial_squeezing"]),
+        ("sweep", "initial_squeezing: 356\n", ["initial_squeezing"]),
+        ("trajectory", "initial_squeezing: 400\n", ["initial_squeezing"]),
+        ("sweep", "initial_squeezing: 400\n", ["initial_squeezing"]),
+        # det sigma = 1/(4 mu^2) overflows whatever the squeezing
+        ("trajectory", "initial_squeezing: 10\ninitial_purity: 1.0e-300\n",
+         ["initial_purity"]),
+        ("sweep", "initial_squeezing: 10\ninitial_purity: 1.0e-300\n",
+         ["initial_purity"]),
+        # each key alone is fine; e^(2r)/(2 mu) overflows only for the pair
+        ("trajectory", "initial_squeezing: 300\ninitial_purity: 1.0e-100\n",
+         ["initial_squeezing", "initial_purity"]),
+    ],
+    ids=["355", "356", "356-sweep", "400", "400-sweep", "purity", "purity-sweep",
+         "pair"],
+)
+def test_initial_covariance_overflow_is_rejected(tmp_path, verb, overlay, keys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(overlay)
+    cp = run_cli(
+        verb, "--preset", "fig2", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+    )
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    for key in keys:
+        assert key in cp.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("initial_squeezing: 354\n")
+    out = tmp_path / "x.csv"
+    cp = run_cli("trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    assert float(read_header(out)["initial_squeezing"]) == 354.0
+    _, rows = read_table(out)
+    assert rows.shape == (500, 5)
+    assert np.all(np.isfinite(rows))
