@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import HBAR, K_B, SPECIES_PRESETS
 
 
@@ -104,43 +106,47 @@ class CondensateParams:
         )
 
 
-def dispersion(k: float, params: CondensateParams) -> float:
-    """Bogoliubov frequency omega(k) = sqrt((c_s k)^2 + (hbar k^2 / 2m)^2)."""
-    if k <= 0:
+def dispersion(k, params: CondensateParams):
+    """Bogoliubov frequency omega(k) = sqrt((c_s k)^2 + (hbar k^2 / 2m)^2).
+
+    ``k`` may be an array, as may the arguments of ``group_velocity``,
+    ``invert_dispersion`` and ``bogoliubov_uv``; each returns the same shape.
+    """
+    if np.min(k) <= 0:
         raise ValueError("wavenumber must be positive")
-    return math.hypot(params.speed_of_sound * k, HBAR * k * k / (2.0 * params.mass))
+    return np.hypot(params.speed_of_sound * k, HBAR * k * k / (2.0 * params.mass))
 
 
-def group_velocity(k: float, params: CondensateParams) -> float:
+def group_velocity(k, params: CondensateParams):
     """d omega / d k on the Bogoliubov branch."""
     c2 = params.speed_of_sound**2
     h2m = HBAR / (2.0 * params.mass)
     return k * (c2 + 2.0 * h2m * h2m * k * k) / dispersion(k, params)
 
 
-def invert_dispersion(omega: float, params: CondensateParams) -> float:
+def invert_dispersion(omega, params: CondensateParams):
     """Wavenumber of the mode with frequency ``omega``.
 
     Closed-form root of the quadratic in k^2, written so the phonon limit
     does not suffer cancellation.
     """
-    if omega <= 0:
+    if np.min(omega) <= 0:
         raise ValueError("frequency must be positive")
     c2 = params.speed_of_sound**2
     h2m = HBAR / (2.0 * params.mass)
     # k^2 = 2 w^2 / (c^2 + sqrt(c^4 + 4 (hbar/2m)^2 w^2))
-    k2 = 2.0 * omega**2 / (c2 + math.hypot(c2, 2.0 * h2m * omega))
-    return math.sqrt(k2)
+    k2 = 2.0 * omega**2 / (c2 + np.hypot(c2, 2.0 * h2m * omega))
+    return np.sqrt(k2)
 
 
-def bogoliubov_uv(k: float, params: CondensateParams) -> tuple[float, float]:
+def bogoliubov_uv(k, params: CondensateParams):
     """Transformation coefficients (u_k, v_k), with u > 0 > v and u^2 - v^2 = 1."""
     omega = dispersion(k, params)
     free = HBAR**2 * k * k / (2.0 * params.mass)
     mu = params.chemical_potential
     e = HBAR * omega
-    u = math.sqrt((free + mu + e) / (2.0 * e))
-    v = -math.sqrt((free + mu - e) / (2.0 * e))
+    u = np.sqrt((free + mu + e) / (2.0 * e))
+    v = -np.sqrt((free + mu - e) / (2.0 * e))
     return u, v
 
 

@@ -122,15 +122,19 @@ _KNOWN_KEYS = {
 }
 
 
-def _initial_state_is_finite(mu0: float, r0: float) -> bool:
-    """Whether gaussian.state_from_params builds the state without overflow.
+def _initial_state_is_finite(
+    mu0: float, r0: float, d: tuple[float, float] = (0.0, 0.0)
+) -> bool:
+    """Whether gaussian.state_from_params builds the state and its occupation
+    without overflow.
 
     Its covariance has entries up to e^(2r)/(2 mu) and determinant
-    1/(4 mu^2); either can leave the float range.
+    1/(4 mu^2), and its occupation kappa^2 (Tr sigma + d.d) - 1/2 adds the
+    squared displacement; any of them can leave the float range.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            state_from_params(mu0, r0)
+            state_from_params(mu0, r0, d=np.array(d)).occupation
     except (ArithmeticError, ValueError):  # overflow; inf or nan entries
         return False
     return True
@@ -224,6 +228,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         _number("initial_displacement[0]", disp[0]),
         _number("initial_displacement[1]", disp[1]),
     )
+    if not _initial_state_is_finite(mu0, r0, disp):  # the covariance alone passed
+        raise ConfigError(
+            "initial_displacement: the initial occupation overflows"
+            " (kappa^2 (Tr sigma + d.d) - 1/2)"
+        )
 
     t_max = _number("time_max_s", raw.get("time_max_s", 6.0), positive=True)
     t_points = raw.get("time_points", 500)

@@ -7,6 +7,8 @@ fixed config produces byte-identical files.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,8 @@ from .decoherence import MetricTrajectory, metric_trajectory, purity_minimum_tim
 from .gaussian import state_from_params
 from .three_body import decay_rate, half_life
 
-# The lines of the ``rates`` verb, in print order; all are run_header keys.
+# The lines of the ``rates`` verb, in print order; all are run_header keys
+# (``flags`` only when the rate carries any).
 RATES_KEYS = (
     "species",
     "speed_of_sound_m_per_s",
@@ -28,6 +31,7 @@ RATES_KEYS = (
     "beta_q",
     "n_thermal",
     "regime",
+    "flags",
     "gamma_per_s",
     "gamma_beliaev_per_s",
     "gamma_landau_per_s",
@@ -87,6 +91,10 @@ def run_header(
     header.update({
         "rate_source": config.rate_source,
         "regime": rate.regime,
+    })
+    if rate.flags:
+        header["flags"] = "; ".join(rate.flags)
+    header.update({
         "gamma_per_s": rate.gamma,
         "gamma_beliaev_per_s": rate.gamma_beliaev,
         "gamma_landau_per_s": rate.gamma_landau,
@@ -116,7 +124,9 @@ def rates_report(config: ScenarioConfig) -> str:
     """The damping-rate breakdown printed by ``rates``, one key per line."""
     params = config.condensate()
     header = run_header(config, params, resolve_rate(config, params))
-    return "\n".join(f"{key:<24} {_fmt(header[key])}" for key in RATES_KEYS)
+    return "\n".join(
+        f"{key:<24} {_fmt(header[key])}" for key in RATES_KEYS if key in header
+    )
 
 
 @dataclass(frozen=True)
@@ -153,15 +163,97 @@ class SweepRun:
     rows: list[tuple]
 
 
-def brentq(f, a: float, b: float, **kwargs) -> float:
-    """``scipy.optimize.brentq``, imported on first call.
+_BRENT_MIN_RTOL = 4 * np.finfo(float).eps  # also the default, as in scipy
 
-    Only the sweep's crossing search needs it, so the other verbs never
-    load scipy.
+
+def brentq(
+    f,
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _BRENT_MIN_RTOL,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in the sign-changing bracket [a, b], by Brent's method.
+
+    A line-for-line port of ``scipy.optimize.brentq`` (its C ``brentq``), so
+    that the sweep needs no scipy: the same defaults and argument checks,
+    the same steps, bit-identical roots, ``ValueError`` when f(a) and f(b)
+    have the same sign or f returns nan, and ``RuntimeError`` after
+    ``maxiter`` iterations.  Inverse quadratic extrapolation or secant
+    steps, falling back to bisection (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4).
     """
-    from scipy.optimize import brentq as scipy_brentq
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_MIN_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_MIN_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter should be > 0")
 
-    return scipy_brentq(f, a, b, **kwargs)
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:  # an inf or nan step in C, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def run_sweep(config: ScenarioConfig) -> SweepRun:

@@ -317,10 +317,16 @@ def test_closed_form_verbs_do_not_import_scipy(tmp_path):
     assert loaded == set()
 
 
-def test_sweep_imports_scipy_optimize_on_demand(tmp_path):
-    loaded = scipy_modules_after(tmp_path, ["sweep", "--preset", "fig2"])
-    assert "scipy.optimize" in loaded
-    assert "scipy.integrate" not in loaded  # auto rates at fig2 are closed forms
+def test_sweep_and_integral_rates_do_not_import_scipy(tmp_path):
+    # the crossings use runs.brentq and the integrals damping.gauss_kronrod
+    (tmp_path / "integral.yaml").write_text("rate_source: integral\nsweep_points: 8\n")
+    loaded = scipy_modules_after(
+        tmp_path,
+        ["sweep", "--preset", "fig2"],
+        ["sweep", "--preset", "fig2", "--config", "integral.yaml"],
+        ["rates", "--preset", "fig1", "--config", "integral.yaml"],
+    )
+    assert loaded == set()
 
 
 @pytest.mark.parametrize(
@@ -339,9 +345,16 @@ def test_sweep_imports_scipy_optimize_on_demand(tmp_path):
         # each key alone is fine; e^(2r)/(2 mu) overflows only for the pair
         ("trajectory", "initial_squeezing: 300\ninitial_purity: 1.0e-100\n",
          ["initial_squeezing", "initial_purity"]),
+        # the occupation kappa^2 (Tr sigma + d.d) - 1/2 overflows
+        ("trajectory", "initial_displacement: [1.0e+160, 0]\n",
+         ["initial_displacement"]),
+        ("trajectory", "initial_displacement: [1.897e+154, 0]\n",
+         ["initial_displacement"]),
+        ("rates", "initial_displacement: [1.4e+154, -1.4e+154]\n",
+         ["initial_displacement"]),
     ],
     ids=["355", "356", "356-sweep", "400", "400-sweep", "purity", "purity-sweep",
-         "pair"],
+         "pair", "displacement", "displacement-edge", "displacement-pair"],
 )
 def test_initial_covariance_overflow_is_rejected(tmp_path, verb, overlay, keys):
     cfg = tmp_path / "cfg.yaml"
@@ -364,6 +377,21 @@ def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):
     assert cp.returncode == 0, cp.stderr
     assert cp.stderr == ""
     assert float(read_header(out)["initial_squeezing"]) == 354.0
+    _, rows = read_table(out)
+    assert rows.shape == (500, 5)
+    assert np.all(np.isfinite(rows))
+
+
+def test_largest_accepted_displacement_runs_to_finite_output(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("initial_displacement: [1.896e+154, 0]\n")
+    out = tmp_path / "x.csv"
+    cp = run_cli("trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    header = read_header(out)
+    assert header["initial_displacement"] == "[1.896e+154 0.0]"
+    assert math.isfinite(float(header["initial_occupation"]))
     _, rows = read_table(out)
     assert rows.shape == (500, 5)
     assert np.all(np.isfinite(rows))

@@ -1,4 +1,5 @@
-"""Collision integrals pinned against the adaptive-quadrature reference.
+"""The Gauss-Kronrod integrator, and the collision integrals pinned against
+the adaptive-quadrature reference.
 
 The values below are ``gamma_integral`` as computed with scalar QUADPACK
 quadrature at the default ``quadrature_rel_tol`` (1e-6), at the
@@ -9,10 +10,21 @@ quadrature at the default ``quadrature_rel_tol`` (1e-6), at the
 Any integrator must reproduce them to that tolerance.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from phonodec.bec import CondensateParams
-from phonodec.damping import gamma_integral
+from phonodec.damping import (
+    G10_WEIGHTS,
+    GK21_NODES,
+    GK21_WEIGHTS,
+    QuadratureConfig,
+    gamma_integral,
+    gauss_kronrod,
+    quad,
+)
 
 REL_TOL = 1e-6
 
@@ -50,3 +62,55 @@ def test_gamma_integral_is_pinned(point, expected):
     rates = gamma_integral(omega, params)
     got = (rates.gamma_beliaev, rates.gamma_landau, rates.gamma_1, rates.gamma_2)
     assert got == pytest.approx(expected, rel=REL_TOL, abs=0.0)
+
+
+def monomial_error(weights, degree):
+    exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+    return abs(weights @ GK21_NODES**degree - exact)
+
+
+def test_gk21_table_exactness():
+    assert np.all(np.diff(GK21_NODES) > 0) and np.array_equal(GK21_NODES, -GK21_NODES[::-1])
+    assert np.count_nonzero(G10_WEIGHTS) == 10
+    # Kronrod: exact through degree 31; Gauss on its 10 nodes: through 19
+    for degree in range(32):
+        assert monomial_error(GK21_WEIGHTS, degree) < 1e-15, degree
+    for degree in range(20):
+        assert monomial_error(G10_WEIGHTS, degree) < 1e-15, degree
+    assert monomial_error(GK21_WEIGHTS, 32) > 1e-13
+    assert monomial_error(G10_WEIGHTS, 20) > 1e-13
+
+
+# (integrand, lo, hi): smooth, thermal-tail, peaked, endpoint-singular
+INTEGRANDS = {
+    "poly_exp": (lambda x: x**2 * np.exp(-x), 0.0, 50.0),
+    "bose": (lambda x: x**3 / np.expm1(x), 1e-12, 45.0),
+    "lorentzian": (lambda x: 1.0 / (1e-4 + x**2), -1.0, 2.0),
+    "sqrt": (np.sqrt, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_gauss_kronrod_agrees_with_quad(name, rel_tol):
+    f, lo, hi = INTEGRANDS[name]
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=200)
+    # two rows on one node array, as the collision integrals use it
+    got = gauss_kronrod(lambda x: np.stack((f(x), -3.0 * f(x))), lo, hi, cfg)
+    reference = quad(
+        lambda x: float(f(np.float64(x))), lo, hi, epsabs=0.0, epsrel=1e-13, limit=500
+    )[0]
+    assert got[0] == pytest.approx(reference, rel=rel_tol, abs=0.0)
+    assert got[1] == pytest.approx(-3.0 * reference, rel=rel_tol, abs=0.0)
+
+
+def test_gauss_kronrod_zero_row_is_exact():
+    got = gauss_kronrod(lambda x: np.stack((np.exp(-x), 0.0 * x)), 0.0, 30.0)
+    assert got[0] == pytest.approx(-math.expm1(-30.0), rel=1e-6)
+    assert got[1] == 0.0
+
+
+def test_gauss_kronrod_nan_integrand_is_an_error_not_a_hang():
+    cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gauss_kronrod(lambda x: np.stack((np.full_like(x, np.nan),)), 0.0, 1.0, cfg)

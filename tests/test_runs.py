@@ -1,10 +1,13 @@
 """Rate resolution per rate_source, pinned one point per temperature regime,
-and the CSV bytes of the shipped presets."""
+the CSV bytes of the shipped presets, and the sweep's root finder."""
 
 import hashlib
+import math
 import warnings
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from phonodec.bec import beta_of
 from phonodec.config import preset_config, validate_config
@@ -16,7 +19,15 @@ from phonodec.damping import (
     gamma_landau_low_temperature,
     split_rates,
 )
-from phonodec.runs import resolve_rate, run_sweep, run_trajectory, to_csv
+from phonodec import runs
+from phonodec.runs import (
+    brentq,
+    rates_report,
+    resolve_rate,
+    run_sweep,
+    run_trajectory,
+    to_csv,
+)
 
 FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
 
@@ -120,6 +131,20 @@ def test_resolve_rate_frequency_override_matches_config_frequency():
         assert resolve_quietly(base, 50.0)[0] == resolve_quietly(at_50)[0]
 
 
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_flags_follow_regime_in_header_and_rates(point):
+    (temperature, omega), auto_regime, _ = POINTS[point]
+    config = scenario(temperature, omega, "auto", time_points=3)
+    header = list(run_trajectory(config).header.items())
+    report = [line.split(maxsplit=1) for line in rates_report(config).splitlines()]
+    for lines in (header, report):
+        keys = [key for key, _ in lines]
+        if auto_regime == "integral":
+            assert tuple(lines[keys.index("regime") + 1]) == ("flags", FALLBACK_FLAG)
+        else:
+            assert "flags" not in keys
+
+
 def test_asymptotic_outside_region_warns():
     config = scenario(5e-9, 1.0e3, "asymptotic")
     with pytest.warns(RegimeWarning):
@@ -152,3 +177,53 @@ def test_csv_bytes_are_pinned(case):
     assert config.rate_source == "auto"
     text = to_csv(run(config))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# (f, a, b) bracketing problems: polynomial, tanh and exp roots
+ROOT_PROBLEMS = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "quintic_flat": (lambda x: (x - 0.3) ** 5, -1.0, 2.0),
+    "tanh_steep": (lambda x: math.tanh(40.0 * (x - 1.234)), 0.0, 5.0),
+    "exp": (lambda x: math.exp(x) - 1e3, 0.0, 20.0),
+    "exp_tiny": (lambda x: 1e-300 * (math.exp(x) - 2.0), -3.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 4 * np.finfo(float).eps, 1e-8])
+@pytest.mark.parametrize("name", sorted(ROOT_PROBLEMS))
+def test_brentq_is_bit_identical_to_scipy(name, rtol):
+    f, a, b = ROOT_PROBLEMS[name]
+    for lo, hi in ((a, b), (b, a)):
+        root = brentq(f, lo, hi, rtol=rtol)
+        assert root.hex() == scipy_brentq(f, lo, hi, rtol=rtol).hex()
+
+
+def test_brentq_errors_match_scipy():
+    f, a, b = ROOT_PROBLEMS["cubic"]
+    for call in (brentq, scipy_brentq):
+        with pytest.raises(ValueError, match="must have different signs"):
+            call(f, 3.0, 4.0)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            call(f, a, b, maxiter=3)
+        with pytest.raises(ValueError, match="rtol too small"):
+            call(f, a, b, rtol=1e-17)
+        with pytest.raises(ValueError, match="xtol too small"):
+            call(f, a, b, xtol=0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            call(lambda x: math.nan if x > 2.5 else f(x), a, b)
+    # an endpoint that is a root is returned without iterating
+    assert brentq(lambda x: x - 1.0, 1.0, 2.0, maxiter=0) == 1.0
+    assert brentq(lambda x: x - 2.0, 1.0, 2.0, maxiter=0) == 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides", [None, {"rate_source": "integral", "sweep_points": 8}]
+)
+def test_sweep_crossings_match_scipy_brentq(monkeypatch, overrides):
+    config = preset_config("fig2", overrides)
+    ported = run_sweep(config).header
+    monkeypatch.setattr(runs, "brentq", scipy_brentq)
+    reference = run_sweep(config).header
+    crossings = [key for key in ported if key.startswith("truncation_omega")]
+    assert sum(ported[key] is not None for key in crossings) == 2
+    assert ported == reference
