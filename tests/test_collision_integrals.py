@@ -10,8 +10,6 @@ quadrature at the default ``quadrature_rel_tol`` (1e-6), at the
 Any integrator must reproduce them to that tolerance.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -102,12 +100,6 @@ def test_gauss_kronrod_agrees_with_quad(name, rel_tol):
     )[0]
     assert got[0] == pytest.approx(reference, rel=rel_tol, abs=0.0)
     assert got[1] == pytest.approx(-3.0 * reference, rel=rel_tol, abs=0.0)
-
-
-def test_gauss_kronrod_zero_row_is_exact():
-    got = gauss_kronrod(lambda x: np.stack((np.exp(-x), 0.0 * x)), 0.0, 30.0)
-    assert got[0] == pytest.approx(-math.expm1(-30.0), rel=1e-6)
-    assert got[1] == 0.0
 
 
 def test_gauss_kronrod_nan_integrand_is_an_error_not_a_hang():
