@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .bec import CondensateParams
 from .constants import RB87, SPECIES_PRESETS
@@ -322,8 +321,11 @@ def read_config_file(path: str | Path) -> dict:
     """The raw mapping of a YAML scenario file; an empty file is an empty mapping.
 
     A YAML syntax error is a one-line ``ConfigError`` naming the file, the
-    1-based line and column, and the parser's problem.
+    1-based line and column, and the parser's problem.  PyYAML is imported
+    here, so a run from presets alone does not load it.
     """
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)

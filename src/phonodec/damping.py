@@ -7,8 +7,11 @@ Three ingredients:
   at k_B T << hbar w_q, and the two collisional regimes at high and low
   temperature relative to the chemical potential),
 * the full collision integrals, with the energy delta resolved on the
-  Bogoliubov branch and the k integrals done by node-vectorized
-  Gauss-Kronrod quadrature.
+  Bogoliubov branch and the k integrals done by adaptive Gauss-Kronrod
+  quadrature, vectorized over frequencies and nodes: a sweep resolves
+  every frequency of one speed of sound in one call.  A frequency's
+  panels and sums do not depend on the frequencies resolved with it, so a
+  rate has the same bits whichever verb asked for it.
 
 Conventions: ``gamma`` is the rate appearing in e^{-gamma t} for the
 occupation / covariance relaxation, split into a downward rate ``gamma_1``
@@ -258,40 +261,75 @@ GK21_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
 G10_WEIGHTS = np.zeros(21)
 G10_WEIGHTS[1:10:2] = _WG
 G10_WEIGHTS[11:20:2] = _WG[::-1]
-# one matrix product gives each panel's Kronrod sum and Kronrod - Gauss difference
-_GK21_PAIR = np.stack((GK21_WEIGHTS, GK21_WEIGHTS - G10_WEIGHTS), axis=1)
+_KRONROD_MINUS_GAUSS = GK21_WEIGHTS - G10_WEIGHTS
 
 
-def _gk21_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimates and |Kronrod - Gauss| of each row of ``f`` on each panel."""
+def _gk21_panels(
+    f, a: np.ndarray, b: np.ndarray, owner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimates and |Kronrod - Gauss| of each row of ``f`` on each panel.
+
+    Each panel's 21-term sums are reduced on their own (not by a matrix
+    product, whose blocking depends on the number of panels), so a panel's
+    estimates do not depend on the panels evaluated with it.
+    """
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * GK21_NODES
-    sums = (f(x) @ _GK21_PAIR) * half[:, None]
-    return sums[..., 0], np.abs(sums[..., 1])
+    fx = f(x, owner)
+    kronrod = (fx * GK21_WEIGHTS).sum(axis=-1) * half
+    difference = (fx * _KRONROD_MINUS_GAUSS).sum(axis=-1) * half
+    return kronrod, np.abs(difference)
 
 
-def gauss_kronrod(
-    f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> np.ndarray:
-    """Integrals over [lo, hi] of several integrands that share their abscissae.
+def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+    """Integrals of several integrands over [lo, hi], or over each [lo_i, hi_i].
 
-    ``f`` maps an array of abscissae to an array with one extra leading axis,
-    one entry per integrand.  Globally adaptive Gauss-Kronrod 21/10: every
-    panel whose |Kronrod - Gauss| exceeds its equal share of some integrand's
-    budget is bisected, until for every integrand the summed difference is
-    at most ``cfg.rel_tol`` times |integral|.  A refinement that would need
-    more than ``cfg.max_subdivisions`` panels raises RuntimeError.
+    With scalar limits, ``f(x)`` maps an array of abscissae to an array with
+    one extra leading axis, one entry per integrand, and the result holds one
+    integral per integrand.  With 1-D arrays of limits, ``f(x, owner)`` also
+    gets, for each row of ``x``, the index i of the interval the row lies in,
+    and the result has shape (integrands, intervals).
+
+    Globally adaptive Gauss-Kronrod 21/10 on each interval (QUADPACK's
+    ``qag`` strategy): every panel whose |Kronrod - Gauss| exceeds its equal
+    share of some integrand's budget is bisected, until for every integrand
+    the summed difference is at most ``cfg.rel_tol`` times |integral|.  The
+    intervals are refined together, one round of numpy calls at a time, and
+    an interval stops when it converges; its panels, and so its result, are
+    the same bits as when it is integrated alone.  A refinement that would
+    split any interval into more than ``cfg.max_subdivisions`` panels raises
+    RuntimeError.
     """
-    a, b = np.array([lo]), np.array([hi])
-    value, error = _gk21_panels(f, a, b)
+    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
+    a, b = np.broadcast_arrays(np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float))
+    if not batch:
+        one_argument = f
+
+        def f(x, owner):
+            return one_argument(x)
+
+    owner = np.arange(len(a))  # the interval of each panel, ascending
+    panels = np.ones(len(a), dtype=int)  # panels per interval
+    value, error = _gk21_panels(f, a, b, owner)
+    result = np.empty((len(value), len(a)))
     while True:
-        total = value.sum(axis=1)
+        # each live interval's sums, over its run of panels in order
+        starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        total = np.add.reduceat(value, starts, axis=1)
         budget = cfg.rel_tol * np.abs(total)
-        if np.all(error.sum(axis=1) <= budget):
-            return total
+        done = np.all(np.add.reduceat(error, starts, axis=1) <= budget, axis=0)
+        result[:, owner[starts[done]]] = total[:, done]
+        if done.all():
+            return result if batch else result[:, 0]
+        segment = np.searchsorted(owner[starts], owner)  # each panel's run
+        if done.any():
+            going = ~done[segment]
+            a, b, owner, segment = a[going], b[going], owner[going], segment[going]
+            value, error = value[:, going], error[:, going]
         # written so that a nan estimate is split too, and ends at the cap
-        split = ~np.all(error * len(a) <= budget[:, None], axis=0)
-        if len(a) + np.count_nonzero(split) > cfg.max_subdivisions:
+        split = ~np.all(error * panels[owner] <= budget[:, segment], axis=0)
+        panels += np.bincount(owner[split], minlength=len(panels))
+        if np.any(panels > cfg.max_subdivisions):
             raise RuntimeError(
                 "collision-integral quadrature did not converge to relative "
                 f"tolerance {cfg.rel_tol:g} within {cfg.max_subdivisions} "
@@ -300,12 +338,18 @@ def gauss_kronrod(
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate((a[split], mid))
         new_b = np.concatenate((mid, b[split]))
-        new_value, new_error = _gk21_panels(f, new_a, new_b)
+        new_owner = np.concatenate((owner[split], owner[split]))
+        new_value, new_error = _gk21_panels(f, new_a, new_b, new_owner)
         keep = ~split
-        a = np.concatenate((a[keep], new_a))
-        b = np.concatenate((b[keep], new_b))
-        value = np.concatenate((value[:, keep], new_value), axis=1)
-        error = np.concatenate((error[:, keep], new_error), axis=1)
+        # each interval's kept panels, then its left halves, then its right
+        # halves: the order in which it is refined alone
+        owner = np.concatenate((owner[keep], new_owner))
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        a = np.concatenate((a[keep], new_a))[order]
+        b = np.concatenate((b[keep], new_b))[order]
+        value = np.concatenate((value[:, keep], new_value), axis=1)[:, order]
+        error = np.concatenate((error[:, keep], new_error), axis=1)[:, order]
 
 
 def _occupations(omega: np.ndarray, temperature: float) -> np.ndarray:
@@ -317,10 +361,10 @@ def _occupations(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def gamma_integral(
-    omega_q: float,
+    omega_q,
     params: CondensateParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> IntegralRates:
+) -> IntegralRates | list[IntegralRates]:
     """Full collision integrals for the decay and collisional channels.
 
     The pair sums are reduced to one-dimensional integrals over the
@@ -335,27 +379,38 @@ def gamma_integral(
     which the net rates reproduce in their validity regions.  Each channel's
     downward and upward integrands are integrated together by
     ``gauss_kronrod``.
+
+    ``omega_q`` may be a 1-D array of frequencies: the result is then one
+    IntegralRates per frequency, from one batched ``gauss_kronrod`` call per
+    channel, and each is bit-identical to the result for that frequency alone.
     """
-    if omega_q <= 0:
+    omegas = np.atleast_1d(np.asarray(omega_q, dtype=float))
+    if omegas.ndim != 1:
+        raise ValueError("frequencies must be a scalar or a 1-D array")
+    if np.any(omegas <= 0):
         raise ValueError("frequency must be positive")
     # numpy's overflow, invalid and divide-by-zero warnings raise
     # FloatingPointError here, as the scalar math they replace did
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return _gamma_integral(omega_q, params, cfg)
+        rates = _gamma_integral(omegas, params, cfg)
+    return rates if np.ndim(omega_q) else rates[0]
 
 
 def _gamma_integral(
-    omega_q: float, params: CondensateParams, cfg: QuadratureConfig
-) -> IntegralRates:
-    q = invert_dispersion(omega_q, params)
+    omegas: np.ndarray, params: CondensateParams, cfg: QuadratureConfig
+) -> list[IntegralRates]:
+    qs = invert_dispersion(omegas, params)
     prefactor = params.coupling**2 * params.density / (
-        2.0 * math.pi * HBAR**2 * q
+        2.0 * math.pi * HBAR**2 * qs
     )
     temperature = params.temperature
 
-    def pair_terms(k: np.ndarray, sign: float):
+    def pair_terms(k: np.ndarray, owner: np.ndarray, sign: float):
         """k k_l / |dw/dk|_l (0 where the partner mode is closed), the vertex
-        factors, n_k and n_l for the partner at w_l = w_q + sign * w_k."""
+        factors, n_k and n_l for the partner at w_l = w_q + sign * w_k, where
+        row i of ``k`` belongs to the frequency ``omegas[owner[i]]``."""
+        omega_q = omegas[owner][:, None]
+        q = qs[owner][:, None]
         omega_k = dispersion(k, params)
         omega_l = omega_q + sign * omega_k
         open_ = omega_l > 0.0
@@ -371,34 +426,37 @@ def _gamma_integral(
         )
 
     # Decay channel: q -> k + l, w_l = w_q - w_k, spontaneous plus stimulated.
-    def beliaev(k: np.ndarray) -> np.ndarray:
-        weight, vertex, nk, nl = pair_terms(k, -1.0)
+    def beliaev(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        weight, vertex, nk, nl = pair_terms(k, owner, -1.0)
         weight = weight * vertex.b**2
         return np.stack((weight * (1.0 + nk) * (1.0 + nl), weight * nk * nl))
 
-    gb_down, gb_up = prefactor * gauss_kronrod(beliaev, 0.0, q, cfg)
+    gb_down, gb_up = prefactor * gauss_kronrod(beliaev, 0.0, qs, cfg)
 
     # Collision channel: q + k -> l, w_l = w_q + w_k; vanishes at T = 0, and
     # is 0 when k_max underflows to 0 (an empty interval, as for any quadrature).
     k_max = 0.0
     if temperature > 0.0:
         k_max = invert_dispersion(THERMAL_CUTOFF * K_B * temperature / HBAR, params)
-    gl_down = gl_up = 0.0
+    gl_down = gl_up = np.zeros_like(qs)
     if k_max > 0.0:
 
-        def landau(k: np.ndarray) -> np.ndarray:
-            weight, vertex, nk, nl = pair_terms(k, 1.0)
+        def landau(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            weight, vertex, nk, nl = pair_terms(k, owner, 1.0)
             weight = 0.5 * weight * vertex.l**2
             return np.stack((weight * nk * (1.0 + nl), weight * nl * (1.0 + nk)))
 
-        gl_down, gl_up = prefactor * gauss_kronrod(landau, 0.0, k_max, cfg)
+        gl_down, gl_up = prefactor * gauss_kronrod(landau, 0.0, np.full_like(qs, k_max), cfg)
 
-    return IntegralRates(
-        gamma_beliaev=float(gb_down - gb_up),
-        gamma_landau=float(gl_down - gl_up),
-        gamma_1=float(gb_down + gl_down),
-        gamma_2=float(gb_up + gl_up),
-    )
+    return [
+        IntegralRates(
+            gamma_beliaev=float(b_down - b_up),
+            gamma_landau=float(l_down - l_up),
+            gamma_1=float(b_down + l_down),
+            gamma_2=float(b_up + l_up),
+        )
+        for b_down, b_up, l_down, l_up in zip(gb_down, gb_up, gl_down, gl_up)
+    ]
 
 
 def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float, float, float, float]:
@@ -432,12 +490,29 @@ def damping_result(
     )
 
 
+def _regime(omega_q: float, params: CondensateParams, source: str) -> str:
+    """The formula that ``source`` picks for one mode (see ``select_regime``)."""
+    if source == "integral":
+        return "integral"
+    kt = K_B * params.temperature
+    mu = params.chemical_potential
+    e_q = HBAR * omega_q
+    nearest = source == "asymptotic"
+    if kt < QUANTUM_RATIO * e_q:
+        return "quantum"
+    if kt > mu:
+        strict = _high_temperature_region(kt, mu, e_q)
+        return "thermal_high" if nearest or strict else "integral"
+    strict = _low_temperature_region(kt, mu, e_q)
+    return "thermal_low" if nearest or strict else "integral"
+
+
 def select_regime(
-    omega_q: float,
+    omega_q,
     params: CondensateParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     source: str = "auto",
-) -> DampingResult:
+) -> DampingResult | list[DampingResult]:
     """Damping rate from the formula that ``source`` picks for this mode.
 
     Regimes (thresholds are this implementation's reading of "<<"/">>"):
@@ -448,41 +523,39 @@ def select_regime(
     falls back to the collision integrals, with a flag, elsewhere.
     ``asymptotic`` always takes the nearest closed form, which warns with a
     RegimeWarning outside its region.  ``integral`` always integrates.
+
+    ``omega_q`` may be a 1-D array of frequencies: the result is then one
+    DampingResult per frequency.  Closed forms are evaluated point by point,
+    and the points that need the collision integrals share one
+    ``gamma_integral`` call.
     """
-    if omega_q <= 0:
-        raise ValueError("frequency must be positive")
     if source not in _SOURCES:
         raise ValueError(f"unknown rate source {source!r}")
-    kt = K_B * params.temperature
-    mu = params.chemical_potential
-    e_q = HBAR * omega_q
-    nearest = source == "asymptotic"
+    omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
+    if any(omega <= 0 for omega in omegas):
+        raise ValueError("frequency must be positive")
+    regimes = [_regime(omega, params, source) for omega in omegas]
+    integrated = [omega for omega, regime in zip(omegas, regimes) if regime == "integral"]
+    integrals = iter(gamma_integral(np.array(integrated), params, cfg) if integrated else ())
 
-    if source == "integral":
-        regime = "integral"
-    elif kt < QUANTUM_RATIO * e_q:
-        regime = "quantum"
-    elif kt > mu:
-        strict = _high_temperature_region(kt, mu, e_q)
-        regime = "thermal_high" if nearest or strict else "integral"
-    else:
-        strict = _low_temperature_region(kt, mu, e_q)
-        regime = "thermal_low" if nearest or strict else "integral"
-
-    flags: tuple[str, ...] = ()
-    gamma_b = gamma_l = 0.0
-    if regime == "quantum":
-        gamma_b = gamma_beliaev_asymptotic(omega_q, params)
-    elif regime == "thermal_high":
-        gamma_l = gamma_landau_high_temperature(omega_q, params)
-    elif regime == "thermal_low":
-        gamma_l = gamma_landau_low_temperature(omega_q, params)
-    else:
-        rates = gamma_integral(omega_q, params, cfg)
-        gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
-        if source == "auto":
-            flags = ("no closed form applies; rates from collision integrals",)
-
-    return damping_result(
-        gamma_b + gamma_l, gamma_b, gamma_l, omega_q, params.temperature, regime, flags
-    )
+    results = []
+    for omega, regime in zip(omegas, regimes):
+        flags: tuple[str, ...] = ()
+        gamma_b = gamma_l = 0.0
+        if regime == "quantum":
+            gamma_b = gamma_beliaev_asymptotic(omega, params)
+        elif regime == "thermal_high":
+            gamma_l = gamma_landau_high_temperature(omega, params)
+        elif regime == "thermal_low":
+            gamma_l = gamma_landau_low_temperature(omega, params)
+        else:
+            rates = next(integrals)
+            gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
+            if source == "auto":
+                flags = ("no closed form applies; rates from collision integrals",)
+        results.append(
+            damping_result(
+                gamma_b + gamma_l, gamma_b, gamma_l, omega, params.temperature, regime, flags
+            )
+        )
+    return results if np.ndim(omega_q) else results[0]

@@ -47,13 +47,22 @@ RATES_KEYS = (
 def resolve_rate(
     config: ScenarioConfig,
     params: CondensateParams,
-    omega_q: float | None = None,
-) -> DampingResult:
-    """Damping rate for the scenario per its rate_source."""
+    omega_q=None,
+) -> DampingResult | list[DampingResult]:
+    """Damping rate for the scenario per its rate_source.
+
+    ``omega_q`` defaults to the configured mode frequency; a 1-D array of
+    frequencies gives one rate per frequency, as ``select_regime`` does.
+    """
     omega_q = config.mode_frequency_rad_per_s if omega_q is None else omega_q
     if config.rate_source == "explicit":
-        gamma = config.gamma_explicit_per_s
-        return damping_result(gamma, 0.0, 0.0, omega_q, params.temperature, "explicit")
+        rates = [
+            damping_result(
+                config.gamma_explicit_per_s, 0.0, 0.0, omega, params.temperature, "explicit"
+            )
+            for omega in (omega_q if np.ndim(omega_q) else [omega_q])
+        ]
+        return rates if np.ndim(omega_q) else rates[0]
     quad_cfg = QuadratureConfig(
         rel_tol=config.quadrature_rel_tol,
         max_subdivisions=config.quadrature_max_subdivisions,
@@ -283,16 +292,17 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
         params = config.condensate(speed_of_sound=c_s)
         t_half = half_life(params.density, config.three_body_l3_m6_per_s)
 
-        def t_min_at(omega: float) -> tuple[float, float | None]:
-            rate = resolve_rate(config, params, omega)
-            return rate.gamma, purity_minimum_time(mu0, r0, rate.mu_inf, rate.gamma)
+        def t_min_of(rate: DampingResult) -> float | None:
+            return purity_minimum_time(mu0, r0, rate.mu_inf, rate.gamma)
 
+        # every frequency of this speed in one call; the crossing search
+        # below resolves one frequency at a time, to the same bits
         t_mins = []
-        for omega in omegas:
-            gamma, t_min = t_min_at(omega)
+        for omega, rate in zip(omegas, resolve_rate(config, params, omegas)):
+            t_min = t_min_of(rate)
             t_mins.append(t_min)
             truncated = int(t_min is not None and t_min > t_half)
-            rows.append((c_s, float(omega), gamma, t_min, t_half, truncated))
+            rows.append((c_s, float(omega), rate.gamma, t_min, t_half, truncated))
 
         truncation[c_s] = None
         for i in range(len(omegas) - 1):
@@ -305,7 +315,9 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
                 break
             if fa * fb < 0.0:
                 root = brentq(
-                    lambda w: t_min_at(w)[1] - t_half, omegas[i], omegas[i + 1],
+                    lambda w: t_min_of(resolve_rate(config, params, w)) - t_half,
+                    omegas[i],
+                    omegas[i + 1],
                     rtol=1e-12,
                 )
                 truncation[c_s] = float(root)

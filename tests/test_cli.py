@@ -291,6 +291,29 @@ def test_regime_warning_is_one_line(tmp_path):
     assert "damping.py" not in cp.stderr
 
 
+# Runs `rates` from a preset, then from a --config file, in one fresh
+# interpreter, and prints the yaml modules loaded after each.
+YAML_MODULES_AFTER = """
+import sys
+from phonodec import cli
+for argv in (["rates", "--preset", "fig1"], ["rates", "--preset", "fig1", "--config", "c.yaml"]):
+    assert cli.main(argv) == 0, argv
+    loaded = [m for m in sorted(sys.modules) if m.split(".")[0] in ("yaml", "_yaml")]
+    print("loaded:", *loaded)
+"""
+
+
+def test_preset_only_rates_does_not_import_yaml(tmp_path):
+    (tmp_path / "c.yaml").write_text("initial_squeezing: 9.0\n")
+    cp = run_python("-c", YAML_MODULES_AFTER, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    preset_only, with_config = [
+        line.split()[1:] for line in cp.stdout.splitlines() if line.startswith("loaded:")
+    ]
+    assert preset_only == []
+    assert "yaml" in with_config
+
+
 # Runs CLI verbs in one fresh interpreter, then prints the scipy modules loaded.
 SCIPY_MODULES_AFTER = """
 import sys

@@ -106,3 +106,120 @@ def test_gauss_kronrod_nan_integrand_is_an_error_not_a_hang():
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     with pytest.raises(RuntimeError, match="did not converge"):
         gauss_kronrod(lambda x: np.stack((np.full_like(x, np.nan),)), 0.0, 1.0, cfg)
+
+
+# Batches: one call over many intervals or frequencies, with the semantics of
+# the calls one at a time (see also tests/test_runs.py for resolve_rate).
+
+from hypothesis import given, settings, strategies as st
+
+from phonodec.cli import main as cli_main
+
+NO_CONVERGENCE = "did not converge to relative tolerance"
+
+
+def damped_wave(x, decay, wavenumber, curvature):
+    """Two smooth integrands per interval, on one node array."""
+    base = np.exp(-decay * x) * np.cos(wavenumber * x)
+    return np.stack((base + curvature * x * x, base * x))
+
+
+interval = st.tuples(
+    st.floats(-5.0, 5.0),  # lo
+    st.floats(-5.0, 5.0),  # hi
+    st.floats(0.0, 2.0),  # decay
+    st.floats(0.0, 8.0),  # wavenumber
+    st.floats(0.1, 3.0),  # curvature
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(interval, min_size=1, max_size=12))
+def test_batched_gauss_kronrod_equals_single_calls_bit_for_bit(intervals):
+    lo, hi, decay, wavenumber, curvature = map(np.array, zip(*intervals))
+    cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=200)
+
+    def batched(x, owner):
+        column = lambda p: p[owner][:, None]
+        return damped_wave(x, column(decay), column(wavenumber), column(curvature))
+
+    singles = []
+    for a, b, *params in intervals:
+        try:
+            singles.append(gauss_kronrod(lambda x: damped_wave(x, *params), a, b, cfg))
+        except RuntimeError:  # an integral near 0 that no relative tolerance fits
+            with pytest.raises(RuntimeError, match=NO_CONVERGENCE):
+                gauss_kronrod(batched, lo, hi, cfg)
+            return
+    got = gauss_kronrod(batched, lo, hi, cfg)
+    assert got.shape == (2, len(intervals))
+    for i, single in enumerate(singles):
+        assert [v.hex() for v in got[:, i]] == [v.hex() for v in single], i
+
+
+def lorentzian(width):
+    return lambda x: np.stack((width / (width * width + x * x),))
+
+
+def test_batch_raises_when_one_interval_exceeds_the_cap():
+    cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=12)
+    widths = np.array([1.0, 2.0, 1e-7, 0.5])  # only the third is too sharp
+    for width in np.delete(widths, 2):
+        gauss_kronrod(lorentzian(width), -1.0, 2.0, cfg)
+    with pytest.raises(RuntimeError) as alone:
+        gauss_kronrod(lorentzian(widths[2]), -1.0, 2.0, cfg)
+    with pytest.raises(RuntimeError) as batch:
+        gauss_kronrod(
+            lambda x, owner: lorentzian(widths[owner][:, None])(x),
+            np.full(4, -1.0),
+            np.full(4, 2.0),
+            cfg,
+        )
+    assert str(batch.value) == str(alone.value) == (
+        "collision-integral quadrature did not converge to relative tolerance "
+        "1e-06 within 12 Gauss-Kronrod panels"
+    )
+
+
+def test_batch_with_one_nan_integrand_ends_at_the_cap():
+    cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
+
+    def f(x, owner):
+        return np.stack((np.where((owner == 2)[:, None], np.nan, x * x),))
+
+    with pytest.raises(RuntimeError, match=NO_CONVERGENCE):
+        gauss_kronrod(f, np.zeros(4), np.ones(4), cfg)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0e3])
+def test_nonpositive_frequency_anywhere_in_a_batch_is_rejected(bad):
+    params = CondensateParams.from_species("rb87", temperature=5e-9, speed_of_sound=0.0034)
+    omegas = np.array([1.0e3, 2.0e3, bad, 4.0e3])
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        gamma_integral(omegas, params)
+
+
+@pytest.mark.parametrize(
+    "overlay, message",
+    [
+        # below the schema's floor of 10 panels
+        ({"quadrature_max_subdivisions": 3}, "quadrature_max_subdivisions"),
+        # a tolerance under the float resolution, which no panel count meets
+        ({"quadrature_rel_tol": 1.0e-16, "quadrature_max_subdivisions": 10}, NO_CONVERGENCE),
+    ],
+    ids=["cap-3", "tol-1e-16"],
+)
+def test_integral_sweep_that_cannot_converge_is_one_error_line(
+    tmp_path, capsys, overlay, message
+):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "rate_source: integral\n" + "".join(f"{k}: {v!r}\n" for k, v in overlay.items())
+    )
+    out = tmp_path / "sweep.csv"
+    code = cli_main(["sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()

@@ -1,9 +1,11 @@
 """Rate resolution per rate_source, pinned one point per temperature regime,
 the CSV bytes of the shipped presets, and the sweep's root finder."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -227,3 +229,67 @@ def test_sweep_crossings_match_scipy_brentq(monkeypatch, overrides):
     crossings = [key for key in ported if key.startswith("truncation_omega")]
     assert sum(ported[key] is not None for key in crossings) == 2
     assert ported == reference
+
+
+def bits(res):
+    """Every field of a DampingResult, floats by their exact bits."""
+    return [
+        (type(v).__name__, float(v).hex()) if isinstance(v, float) else v
+        for v in (getattr(res, f.name) for f in dataclasses.fields(res))
+    ]
+
+
+# fig2 at its own temperature (quantum everywhere in auto), at 5 nK (quantum
+# and integral points in auto) and at 50 nK (integral and thermal_low)
+BATCH_TEMPERATURES = {"fig2": None, "5nK": 5.0e-9, "50nK": 5.0e-8}
+AUTO_REGIMES = {
+    "fig2": {"quantum": 150},
+    "5nK": {"quantum": 99, "integral": 51},
+    "50nK": {"integral": 133, "thermal_low": 17},
+}
+
+
+@pytest.mark.parametrize("source", ["auto", "asymptotic", "integral", "explicit"])
+@pytest.mark.parametrize("case", sorted(BATCH_TEMPERATURES))
+def test_batched_resolve_rate_equals_point_calls_bit_for_bit(case, source):
+    overrides = {"rate_source": source}
+    if source == "explicit":
+        overrides["gamma_explicit_per_s"] = 0.25
+    if BATCH_TEMPERATURES[case] is not None:
+        overrides["temperature_K"] = BATCH_TEMPERATURES[case]
+    config = preset_config("fig2", overrides)
+    omegas = np.geomspace(
+        config.sweep_omega_min_rad_per_s,
+        config.sweep_omega_max_rad_per_s,
+        config.sweep_points,
+    )
+    regimes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for c_s in config.sweep_speeds_of_sound_m_per_s:
+            params = config.condensate(speed_of_sound=c_s)
+            batch = resolve_rate(config, params, omegas)
+            assert len(batch) == len(omegas)
+            for omega, res in zip(omegas, batch):
+                assert bits(res) == bits(resolve_rate(config, params, omega))
+                regimes.append(res.regime)
+    if source == "auto":
+        assert Counter(regimes) == AUTO_REGIMES[case]
+
+
+def test_rates_at_a_sweep_frequency_prints_the_sweep_gamma():
+    config = preset_config("fig2", {"rate_source": "integral", "temperature_K": 5.0e-9})
+    lines = to_csv(run_sweep(config)).splitlines()
+    rows = [line.split(",") for line in lines if line[0].isdigit()]
+    for c_s, omega, gamma, *_ in rows[7], rows[50 + 31], rows[-1]:
+        at_row = preset_config(
+            "fig2",
+            {
+                "rate_source": "integral",
+                "temperature_K": 5.0e-9,
+                "speed_of_sound_m_per_s": float(c_s),
+                "mode_frequency_rad_per_s": float(omega),
+            },
+        )
+        report = dict(line.split(maxsplit=1) for line in rates_report(at_row).splitlines())
+        assert report["gamma_per_s"] == gamma
