@@ -44,7 +44,6 @@ from .fock import (
     FockTrajectory,
     lindblad_step_integrate,
     squeezed_vacuum_fock,
-    third_order_quadrature_moments,
 )
 from .gaussian import (
     DEFAULT_CONVENTION,
@@ -59,7 +58,6 @@ from .gaussian import (
 )
 from .lyapunov import (
     LindbladChannel,
-    channel_from_lindblad_ops,
     evolve_closed_form,
     evolve_numeric,
     fixed_point_residual,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._expm import expm
 from .gaussian import DEFAULT_CONVENTION, SymplecticConvention
 
 
@@ -96,8 +97,6 @@ def lindblad_step_integrate(
     1e-8, and the top-level population must stay below 1e-6 at every grid
     point.
     """
-    from scipy.linalg import expm
-
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise ValueError("rho must be a square matrix")
@@ -147,30 +146,3 @@ def lindblad_step_integrate(
         occupation=np.array([m[2] for m in moments]),
         final_rho=rho[-1],
     )
-
-
-def third_order_quadrature_moments(
-    rho: NDArray, convention: SymplecticConvention = DEFAULT_CONVENTION
-) -> float:
-    """Largest symmetrized third-order central quadrature moment.
-
-    Zero for any Gaussian state; used to certify that the master-equation
-    evolution preserves Gaussianity.
-    """
-    dim = rho.shape[0]
-    sq = np.sqrt(np.arange(1, dim))
-    b = np.diag(sq, k=1).astype(complex)
-    x1 = (b + b.conj().T) / (2.0 * convention.kappa)
-    x2 = 1j * (b.conj().T - b) / (2.0 * convention.kappa)
-    d = [float(np.trace(x @ rho).real) for x in (x1, x2)]
-    xc = [x1 - d[0] * np.eye(dim), x2 - d[1] * np.eye(dim)]
-    worst = 0.0
-    for i in range(2):
-        for j in range(i, 2):
-            for k in range(j, 2):
-                acc = 0.0 + 0.0j
-                perms = ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))
-                for p in perms:
-                    acc += np.trace(xc[p[0]] @ xc[p[1]] @ xc[p[2]] @ rho)
-                worst = max(worst, abs(acc) / 6.0)
-    return worst

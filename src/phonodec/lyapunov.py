@@ -7,20 +7,21 @@ First and second moments obey
 
 with drift A and diffusion D.  For the constant single-mode thermal channel
 (A = -gamma/2 I + w' Omega, D = gamma sigma_inf) the solution is closed
-form; for time-dependent coefficients the differential Lyapunov equation is
-integrated numerically (classic fourth-order steps with step-halving error
-control).
+form.  ``evolve_numeric`` solves the same equations by an independent,
+equally exact route for any constant A and D: one matrix exponential of
+the vectorized equations (Van Loan's block form).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._expm import expm
 from .gaussian import DEFAULT_CONVENTION, GaussianState, SymplecticConvention
 
 
@@ -74,28 +75,6 @@ def thermal_channel(
     )
 
 
-def channel_from_lindblad_ops(
-    c_matrix: NDArray[np.complex128],
-    convention: SymplecticConvention = DEFAULT_CONVENTION,
-) -> LindbladChannel:
-    """Single-mode channel from jump operators c_i = C_ij x_j.
-
-    D = Omega Re(C^dag C) Omega^T / (4 kappa^4)
-    A = Omega Im(C^dag C) / (2 kappa^2)
-
-    The free rotation is not included: add w' Omega to the drift for it.
-    """
-    c = np.atleast_2d(np.asarray(c_matrix, dtype=complex))
-    if c.shape[1] != 2:
-        raise ValueError("C must have two columns, one per quadrature")
-    omega = convention.omega()
-    gram = c.conj().T @ c
-    kappa2 = convention.kappa**2
-    diffusion = omega @ np.real(gram) @ omega.T / (4.0 * kappa2**2)
-    drift = omega @ np.imag(gram) / (2.0 * kappa2)
-    return LindbladChannel(a=drift, d=diffusion, convention=convention)
-
-
 def _rotation(omega_prime: float, t: float) -> NDArray[np.float64]:
     c, s = math.cos(omega_prime * t), math.sin(omega_prime * t)
     return np.array([[c, s], [-s, c]])
@@ -128,82 +107,50 @@ def fixed_point_residual(channel: LindbladChannel) -> float:
     return float(np.abs(res).max())
 
 
-ChannelLike = LindbladChannel | Callable[[float], LindbladChannel]
-
-
 def evolve_numeric(
     state: GaussianState,
-    channel: ChannelLike,
+    channel: LindbladChannel,
     t_grid: Sequence[float],
-    step_tol: float = 1e-10,
 ) -> list[GaussianState]:
-    """Integrate the moment equations over ``t_grid`` (strictly increasing).
+    """Solve the moment equations over ``t_grid`` (strictly increasing).
 
-    ``channel`` is a constant LindbladChannel or a callable t -> channel.
-    Classic fourth-order steps; each step is halved and re-taken until the
-    full-step/half-step discrepancy is below ``step_tol`` relative to the
-    covariance scale.  The covariance is re-symmetrized after every step and
-    the uncertainty bound is enforced at every grid point.
+    Van Loan's block exponential (IEEE Trans. Autom. Control 23, 395
+    (1978)): with K = I (x) A + A (x) I the generator of the vectorized
+    covariance, the augmented generator
+
+        [[K, vec D, 0],
+         [0,   0,   0],
+         [0,   0,   A]]
+
+    maps (vec sigma0, 1, d0) to (vec sigma(t), 1, d(t)) under its
+    exponential, so one stacked Padé exponential over ``t - t_grid[0]``
+    gives every grid point exactly, for any constant drift and diffusion.
+    The covariance is symmetrized and the uncertainty bound is enforced at
+    every grid point.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    chan = channel if callable(channel) else (lambda _t: channel)
+    a = channel.a
+    n = a.shape[0]
+    m = n * n
+    gen = np.zeros((m + 1 + n, m + 1 + n))
+    gen[:m, :m] = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
+    gen[:m, m] = channel.d.ravel()
+    gen[m + 1:, m + 1:] = a
+    start = np.concatenate([state.sigma.ravel(), [1.0], state.d])
+    moments = expm(gen * (t_grid - t_grid[0])[:, None, None]) @ start
 
-    def rhs(t: float, d: NDArray, sigma: NDArray):
-        ch = chan(t)
-        return ch.a @ d, ch.a @ sigma + sigma @ ch.a.T + ch.d
-
-    def rk4(t: float, d: NDArray, sigma: NDArray, h: float):
-        k1d, k1s = rhs(t, d, sigma)
-        k2d, k2s = rhs(t + 0.5 * h, d + 0.5 * h * k1d, sigma + 0.5 * h * k1s)
-        k3d, k3s = rhs(t + 0.5 * h, d + 0.5 * h * k2d, sigma + 0.5 * h * k2s)
-        k4d, k4s = rhs(t + h, d + h * k3d, sigma + h * k3s)
-        d_new = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        s_new = sigma + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        return d_new, s_new
-
-    d = state.d.copy()
-    sigma = state.sigma.copy()
     out: list[GaussianState] = []
-    t = float(t_grid[0])
-
-    def emit(time: float):
+    for time, row in zip(t_grid, moments):
+        sigma = row[:m].reshape(n, n)
         try:
             out.append(
-                GaussianState(d=d.copy(), sigma=0.5 * (sigma + sigma.T),
+                GaussianState(d=row[m + 1:], sigma=0.5 * (sigma + sigma.T),
                               convention=state.convention)
             )
         except ValueError as exc:
             raise RuntimeError(
                 f"integration left the physical state space at t = {time:.6e}: {exc}"
             ) from exc
-
-    emit(t)
-    span = float(t_grid[-1] - t_grid[0]) if t_grid.size > 1 else 0.0
-    h = span / 100.0 if span else 0.0
-
-    for t_next in t_grid[1:]:
-        while t < t_next:
-            h = min(h, t_next - t)
-            if h < span * 1e-14:
-                raise RuntimeError("step size underflow in Lyapunov integration")
-            while True:
-                d_full, s_full = rk4(t, d, sigma, h)
-                d_h1, s_h1 = rk4(t, d, sigma, 0.5 * h)
-                d_half, s_half = rk4(t + 0.5 * h, d_h1, s_h1, 0.5 * h)
-                scale = max(np.abs(s_half).max(), np.abs(d_half).max(), 1.0)
-                err = max(
-                    np.abs(s_full - s_half).max(), np.abs(d_full - d_half).max()
-                ) / scale
-                if err <= step_tol:
-                    break
-                h *= max(0.9 * (step_tol / err) ** 0.2, 0.2)
-                if h < span * 1e-14:
-                    raise RuntimeError("step size underflow in Lyapunov integration")
-            t += h
-            d, sigma = d_half, 0.5 * (s_half + s_half.T)
-            h *= min(0.9 * (step_tol / err) ** 0.2, 5.0) if err > 0 else 2.0
-        t = float(t_next)
-        emit(t)
     return out

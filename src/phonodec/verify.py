@@ -2,9 +2,10 @@
 
 Each check pits the closed-form fast path against an independent route:
 the Lyapunov fixed-point identity and detailed balance (exact algebra),
-the adaptive integrator against the closed-form channel solution, the
-truncated-number-basis master equation against the Gaussian metrics, and
-the collision integrals against the asymptotic rate formulas.
+the block-exponential solution of the moment equations against the
+closed-form channel solution, the truncated-number-basis master equation
+against the Gaussian metrics, and the collision integrals against the
+asymptotic rate formulas.
 """
 
 from __future__ import annotations

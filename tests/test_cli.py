@@ -352,6 +352,11 @@ def test_sweep_and_integral_rates_do_not_import_scipy(tmp_path):
     assert loaded == set()
 
 
+def test_verify_does_not_import_scipy(tmp_path):
+    # the oracle and the Lyapunov check use the in-tree Padé exponential
+    assert scipy_modules_after(tmp_path, ["verify"]) == set()
+
+
 @pytest.mark.parametrize(
     "verb, overlay, keys",
     [

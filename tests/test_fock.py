@@ -6,13 +6,35 @@ import numpy as np
 import pytest
 
 from phonodec.decoherence import occupation_evolution, purity_evolution
-from phonodec.fock import (
-    lindblad_step_integrate,
-    squeezed_vacuum_fock,
-    third_order_quadrature_moments,
-)
-from phonodec.gaussian import state_from_params
+from phonodec.fock import lindblad_step_integrate, squeezed_vacuum_fock
+from phonodec.gaussian import DEFAULT_CONVENTION, state_from_params
 from phonodec.lyapunov import evolve_closed_form, thermal_channel
+
+
+def third_order_quadrature_moments(rho: np.ndarray) -> float:
+    """Largest symmetrized third-order central quadrature moment.
+
+    Zero for any Gaussian state; certifies that the master-equation
+    evolution preserves Gaussianity.
+    """
+    dim = rho.shape[0]
+    sq = np.sqrt(np.arange(1, dim))
+    b = np.diag(sq, k=1).astype(complex)
+    kappa = DEFAULT_CONVENTION.kappa
+    x1 = (b + b.conj().T) / (2.0 * kappa)
+    x2 = 1j * (b.conj().T - b) / (2.0 * kappa)
+    d = [float(np.trace(x @ rho).real) for x in (x1, x2)]
+    xc = [x1 - d[0] * np.eye(dim), x2 - d[1] * np.eye(dim)]
+    worst = 0.0
+    for i in range(2):
+        for j in range(i, 2):
+            for k in range(j, 2):
+                acc = 0.0 + 0.0j
+                perms = ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))
+                for p in perms:
+                    acc += np.trace(xc[p[0]] @ xc[p[1]] @ xc[p[2]] @ rho)
+                worst = max(worst, abs(acc) / 6.0)
+    return worst
 
 
 def test_squeezed_vacuum_amplitudes():
