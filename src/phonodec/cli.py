@@ -190,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (ConfigError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
+        except (
+            ConfigError, OSError, ValueError, ArithmeticError, RuntimeError, MemoryError
+        ) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

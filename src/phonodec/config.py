@@ -341,10 +341,6 @@ def read_config_file(path: str | Path) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    return validate_config(read_config_file(path))
-
-
 # Worked-example presets: an 87Rb condensate at 0.5 nK with c_s = 3.4 mm/s.
 # fig1 follows one strongly squeezed 10 krad/s mode; fig2 sweeps the mode
 # frequency for a few speeds of sound.

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._expm import expm
-from .gaussian import DEFAULT_CONVENTION, SymplecticConvention
+from .gaussian import KAPPA
 
 
 def squeezed_vacuum_fock(r: float, n_cut: int) -> NDArray[np.float64]:
@@ -61,16 +61,16 @@ class FockTrajectory:
     final_rho: NDArray[np.complex128]
 
 
-def _moments(rho: NDArray, kappa: float):
+def _moments(rho: NDArray):
     n_levels = rho.shape[0]
     n = np.arange(n_levels, dtype=float)
     sq = np.sqrt(n)
     eb = complex(np.sum(sq[1:] * np.diagonal(rho, -1)))
     eb2 = complex(np.sum(sq[1:-1] * sq[2:] * np.diagonal(rho, -2)))
     en = float(np.real(np.sum(n * np.diagonal(rho))))
-    d1 = eb.real / kappa
-    d2 = eb.imag / kappa
-    k2 = kappa * kappa
+    d1 = eb.real / KAPPA
+    d2 = eb.imag / KAPPA
+    k2 = KAPPA * KAPPA
     s11 = (2.0 * eb2.real + 2.0 * en + 1.0) / (4.0 * k2) - d1 * d1
     s22 = (2.0 * en + 1.0 - 2.0 * eb2.real) / (4.0 * k2) - d2 * d2
     s12 = eb2.imag / (2.0 * k2) - d1 * d2
@@ -83,7 +83,6 @@ def lindblad_step_integrate(
     gamma1: float,
     gamma2: float,
     t_grid,
-    convention: SymplecticConvention = DEFAULT_CONVENTION,
 ) -> FockTrajectory:
     """Solve d rho/dt = -i w [n, rho] + gamma1 D[b] rho + gamma2 D[b^dag] rho.
 
@@ -137,7 +136,7 @@ def lindblad_step_integrate(
         raise RuntimeError(
             f"cutoff leak: top-level population {top[i]:.3e} at t = {t_grid[i]:.6e}"
         )
-    moments = [_moments(r, convention.kappa) for r in rho]
+    moments = [_moments(r) for r in rho]
     return FockTrajectory(
         t=t_grid,
         purity=np.array([np.vdot(r, r).real for r in rho]),

@@ -1,50 +1,27 @@
-"""Phase-space representation of Gaussian bosonic states.
+"""Single-mode Gaussian bosonic states in phase space.
 
-States are stored as a displacement vector d and covariance matrix sigma in
+A state is a displacement vector d and a covariance matrix sigma in the
 dimensionless quadratures x = (b + b^dag)/2k, p = i(b^dag - b)/2k with
-[x, p] = i/(2 kappa^2).  The scale constant kappa is carried explicitly so
-every formula stays convention-correct; the default is the quantum-optics
-choice kappa = 1/sqrt(2) (vacuum variance 1/2).
+[x, p] = i/(2 k^2).  The scale is fixed at the quantum-optics choice
+k = ``KAPPA`` = 1/sqrt(2) (vacuum variance 1/2).  Formulas are written in
+``KAPPA`` rather than in the exact 1/2 of k^2: in floating point k^2 is
+0.4999999999999999, and the output bytes are pinned to that arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+KAPPA = 1.0 / math.sqrt(2.0)
+VACUUM_VARIANCE = 1.0 / (4.0 * KAPPA**2)
+OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # single-mode symplectic form
+OMEGA.setflags(write=False)
+
 _UNCERTAINTY_SLACK = 1e-9  # relative clamp for numerical noise on the bound
-
-
-@dataclass(frozen=True)
-class SymplecticConvention:
-    """Quadrature scale kappa and the symplectic form it goes with."""
-
-    kappa: float = 1.0 / math.sqrt(2.0)
-
-    def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be positive and finite")
-
-    def omega(self) -> NDArray[np.float64]:
-        """Single-mode symplectic form [[0, 1], [-1, 0]]."""
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    @property
-    def vacuum_variance(self) -> float:
-        return 1.0 / (4.0 * self.kappa**2)
-
-
-DEFAULT_CONVENTION = SymplecticConvention()
-
-
-def symplectic_eigenvalues(sigma: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symplectic spectrum of a single-mode covariance matrix: sqrt(det sigma)."""
-    # det is the squared symplectic eigenvalue; avoids the eig round trip
-    det = np.linalg.det(np.asarray(sigma, dtype=float))
-    return np.array([math.sqrt(max(det, 0.0))])
 
 
 @dataclass(frozen=True)
@@ -58,7 +35,6 @@ class GaussianState:
 
     d: NDArray[np.float64]
     sigma: NDArray[np.float64]
-    convention: SymplecticConvention = field(default=DEFAULT_CONVENTION)
 
     def __post_init__(self):
         d = np.atleast_1d(np.array(self.d, dtype=float))  # copy: frozen below
@@ -73,7 +49,7 @@ class GaussianState:
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ValueError("covariance must be symmetric")
         sigma = 0.5 * sigma + 0.5 * sigma.T  # halves first: no overflow near max
-        bound = self.convention.vacuum_variance
+        bound = VACUUM_VARIANCE
         # det check with a floor for the intrinsic cancellation noise of
         # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1)
         det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
@@ -92,26 +68,16 @@ class GaussianState:
 
     @property
     def purity(self) -> float:
-        """Tr rho^2 = 1/(4 kappa^2 s), at most 1."""
-        s = symplectic_eigenvalues(self.sigma)
-        mu = float(np.prod(1.0 / (4.0 * self.convention.kappa**2 * s)))
-        return min(mu, 1.0)
+        """Tr rho^2 = 1/(4 kappa^2 s) with s = sqrt(det sigma), at most 1."""
+        # numpy scalars: a det that rounds to <= 0 gives inf, clamped to 1
+        s = np.sqrt(max(np.linalg.det(self.sigma), 0.0))
+        return min(float(1.0 / (4.0 * KAPPA**2 * s)), 1.0)
 
     @property
     def occupation(self) -> float:
         """Mean quantum number, kappa^2 (Tr sigma + d.d) - 1/2."""
-        k2 = self.convention.kappa**2
+        k2 = KAPPA**2
         return float(k2 * np.trace(self.sigma) + k2 * self.d @ self.d - 0.5)
-
-
-@dataclass(frozen=True)
-class SingleModeParams:
-    """Williamson parameters of a single-mode state."""
-
-    mu: float  # purity, in (0, 1]
-    r: float  # squeezing magnitude >= 0
-    psi: float  # squeezing phase in [0, 2 pi)
-    occupation: float  # mean quantum number
 
 
 def state_from_params(
@@ -119,7 +85,6 @@ def state_from_params(
     r: float,
     psi: float = 0.0,
     d: NDArray[np.float64] | None = None,
-    convention: SymplecticConvention = DEFAULT_CONVENTION,
 ) -> GaussianState:
     """Single-mode state with purity mu, squeezing r e^{i psi}, displacement d.
 
@@ -137,7 +102,7 @@ def state_from_params(
     sh = math.sinh(2.0 * r)
     em = math.exp(-2.0 * r)
     cp, sp = math.cos(0.5 * psi), math.sin(0.5 * psi)
-    f = 1.0 / (4.0 * convention.kappa**2 * mu)
+    f = 1.0 / (4.0 * KAPPA**2 * mu)
     sigma = f * np.array(
         [
             [em + 2.0 * sh * cp * cp, 2.0 * sh * sp * cp],
@@ -146,41 +111,4 @@ def state_from_params(
     )
     if d is None:
         d = np.zeros(2)
-    return GaussianState(d=np.asarray(d, dtype=float), sigma=sigma, convention=convention)
-
-
-def params_from_state(state: GaussianState) -> SingleModeParams:
-    """Williamson parameters (mu, r, psi) plus occupation of a single-mode state.
-
-    mu = 1/(4 kappa^2 s) with s = sqrt(det sigma); cosh 2r = Tr sigma / 2s;
-    psi from atan2 on the off-diagonal, set to 0 for unsqueezed states.
-    """
-    sigma = state.sigma
-    k2 = state.convention.kappa**2
-    s = math.sqrt(max(sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2, 0.0))
-    bound = state.convention.vacuum_variance
-    if s < bound * (1.0 - _UNCERTAINTY_SLACK):
-        raise ValueError("state violates the uncertainty bound")
-    mu = min(1.0 / (4.0 * k2 * s), 1.0)
-    ch = max(np.trace(sigma) / (2.0 * s), 1.0)
-    r = 0.5 * math.acosh(ch)
-    if r < 1e-12:
-        psi = 0.0  # phase undefined for unsqueezed states
-    else:
-        psi = math.atan2(2.0 * sigma[0, 1], sigma[0, 0] - sigma[1, 1]) % (2.0 * math.pi)
-    occ = k2 * float(np.trace(sigma)) + k2 * float(state.d @ state.d) - 0.5
-    return SingleModeParams(mu=mu, r=r, psi=psi, occupation=occ)
-
-
-def thermal_state(
-    n_thermal: float, convention: SymplecticConvention = DEFAULT_CONVENTION
-) -> GaussianState:
-    """Single-mode thermal state, sigma = (1 + 2 N) / (4 kappa^2) * I, d = 0."""
-    if n_thermal < 0 or not math.isfinite(n_thermal):
-        raise ValueError("thermal occupation must be >= 0")
-    sigma = (1.0 + 2.0 * n_thermal) * convention.vacuum_variance * np.eye(2)
-    return GaussianState(d=np.zeros(2), sigma=sigma, convention=convention)
-
-
-def vacuum_state(convention: SymplecticConvention = DEFAULT_CONVENTION) -> GaussianState:
-    return thermal_state(0.0, convention)
+    return GaussianState(d=np.asarray(d, dtype=float), sigma=sigma)

@@ -15,14 +15,14 @@ the vectorized equations (Van Loan's block form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._expm import expm
-from .gaussian import DEFAULT_CONVENTION, GaussianState, SymplecticConvention
+from .gaussian import OMEGA, VACUUM_VARIANCE, GaussianState
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class LindbladChannel:
 
     a: NDArray[np.float64]
     d: NDArray[np.float64]
-    convention: SymplecticConvention = field(default=DEFAULT_CONVENTION)
     gamma: float | None = None
     omega_prime: float | None = None
     sigma_inf: NDArray[np.float64] | None = None
@@ -58,17 +57,14 @@ def thermal_channel(
     gamma: float,
     n_thermal: float,
     omega_prime: float,
-    convention: SymplecticConvention = DEFAULT_CONVENTION,
 ) -> LindbladChannel:
     """Single-mode thermal channel: A = -gamma/2 I + w' Omega, D = gamma sigma_inf."""
     if gamma < 0 or n_thermal < 0:
         raise ValueError("gamma and thermal occupation must be >= 0")
-    omega = convention.omega()
-    sigma_inf = (1.0 + 2.0 * n_thermal) * convention.vacuum_variance * np.eye(2)
+    sigma_inf = (1.0 + 2.0 * n_thermal) * VACUUM_VARIANCE * np.eye(2)
     return LindbladChannel(
-        a=-0.5 * gamma * np.eye(2) + omega_prime * omega,
+        a=-0.5 * gamma * np.eye(2) + omega_prime * OMEGA,
         d=gamma * sigma_inf,
-        convention=convention,
         gamma=gamma,
         omega_prime=omega_prime,
         sigma_inf=sigma_inf,
@@ -96,7 +92,7 @@ def evolve_closed_form(
     rot = _rotation(channel.omega_prime, t)
     d_t = math.sqrt(decay) * rot @ state.d
     sigma_t = decay * (rot @ state.sigma @ rot.T) + (1.0 - decay) * channel.sigma_inf
-    return GaussianState(d=d_t, sigma=sigma_t, convention=state.convention)
+    return GaussianState(d=d_t, sigma=sigma_t)
 
 
 def fixed_point_residual(channel: LindbladChannel) -> float:
@@ -145,10 +141,7 @@ def evolve_numeric(
     for time, row in zip(t_grid, moments):
         sigma = row[:m].reshape(n, n)
         try:
-            out.append(
-                GaussianState(d=row[m + 1:], sigma=0.5 * (sigma + sigma.T),
-                              convention=state.convention)
-            )
+            out.append(GaussianState(d=row[m + 1:], sigma=0.5 * (sigma + sigma.T)))
         except ValueError as exc:
             raise RuntimeError(
                 f"integration left the physical state space at t = {time:.6e}: {exc}"

@@ -102,36 +102,21 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
 
 
 def check_rate_integrals(tol_scale: float = 1.0) -> CheckResult:
+    # (temperature K, omega rad/s, gamma_integral field, closed form), built
+    # per call so the closed forms resolve to the module globals that
+    # perfbench/tracer.py wraps
+    cases = (
+        (0.0, 1e2, "gamma_beliaev", gamma_beliaev_asymptotic),
+        (3e-9, 50.0, "gamma_landau", gamma_landau_low_temperature),
+        (4e-6, 1e3, "gamma_landau", gamma_landau_high_temperature),
+    )
     worst = 0.0
-    cold = CondensateParams.from_species("rb87", temperature=0.0, speed_of_sound=3.4e-3)
-    worst = max(
-        worst,
-        abs(
-            gamma_integral(1e2, cold).gamma_beliaev
-            / gamma_beliaev_asymptotic(1e2, cold)
-            - 1.0
-        ),
-    )
-    low = CondensateParams.from_species("rb87", temperature=3e-9, speed_of_sound=3.4e-3)
-    worst = max(
-        worst,
-        abs(
-            gamma_integral(50.0, low).gamma_landau
-            / gamma_landau_low_temperature(50.0, low)
-            - 1.0
-        ),
-    )
-    high = CondensateParams.from_species(
-        "rb87", temperature=4e-6, speed_of_sound=3.4e-3
-    )
-    worst = max(
-        worst,
-        abs(
-            gamma_integral(1e3, high).gamma_landau
-            / gamma_landau_high_temperature(1e3, high)
-            - 1.0
-        ),
-    )
+    for temperature, omega, channel, closed_form in cases:
+        params = CondensateParams.from_species(
+            "rb87", temperature=temperature, speed_of_sound=3.4e-3
+        )
+        integral = getattr(gamma_integral(omega, params), channel)
+        worst = max(worst, abs(integral / closed_form(omega, params) - 1.0))
     return CheckResult("integral_vs_asymptotic", worst, 0.10 * tol_scale)
 
 

@@ -268,6 +268,25 @@ def test_arithmetic_overflow_is_an_error_not_a_traceback(tmp_path, verb, overlay
     assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
 
+# 10**15 points is 7.11 PiB per float64 column: numpy refuses it at once.
+@pytest.mark.parametrize(
+    "verb, overlay",
+    [
+        ("trajectory", "time_points: 1000000000000000\n"),
+        ("sweep", "sweep_points: 1000000000000000\n"),
+    ],
+)
+def test_unallocatable_grid_is_an_error_not_a_traceback(tmp_path, verb, overlay):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(overlay)
+    out = tmp_path / "x.csv"
+    cp = run_cli(verb, "--preset", "fig2", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    assert "allocate" in cp.stderr
+    assert not out.exists()
+
+
 def test_yaml_syntax_error_is_one_line(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("time_points: [1\n")
@@ -289,6 +308,17 @@ def test_regime_warning_is_one_line(tmp_path):
     assert "thermal_low" in cp.stdout
     assert cp.stderr.startswith("warning: ") and cp.stderr.count("\n") == 1
     assert "damping.py" not in cp.stderr
+
+
+def test_bare_import_loads_no_numpy_and_no_submodule():
+    code = (
+        "import sys, phonodec\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('numpy', 'phonodec')))"
+    )
+    cp = run_python("-c", code)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["phonodec"]
 
 
 # Runs `rates` from a preset, then from a --config file, in one fresh

@@ -5,8 +5,8 @@ import pytest
 from phonodec.config import (
     ConfigError,
     PRESETS,
-    load_config,
     preset_config,
+    read_config_file,
     validate_config,
 )
 
@@ -117,6 +117,6 @@ def test_load_config_round_trip(tmp_path):
         "mode_frequency_rad_per_s: 1.0e+4\n"
         "initial_squeezing: 10\n"
     )
-    cfg = load_config(path)
+    cfg = validate_config(read_config_file(path))
     assert cfg.initial_squeezing == 10.0
     assert cfg.mode_frequency_rad_per_s == 1.0e4

@@ -15,8 +15,9 @@ from phonodec.decoherence import (
     purity_minimum_time,
     squeezing_evolution,
 )
-from phonodec.gaussian import params_from_state, state_from_params
+from phonodec.gaussian import state_from_params
 from phonodec.lyapunov import evolve_closed_form, thermal_channel
+from williamson import params_from_state
 
 
 def test_purity_boundary_values():

@@ -7,7 +7,7 @@ import pytest
 
 from phonodec.decoherence import occupation_evolution, purity_evolution
 from phonodec.fock import lindblad_step_integrate, squeezed_vacuum_fock
-from phonodec.gaussian import DEFAULT_CONVENTION, state_from_params
+from phonodec.gaussian import KAPPA, state_from_params
 from phonodec.lyapunov import evolve_closed_form, thermal_channel
 
 
@@ -20,9 +20,8 @@ def third_order_quadrature_moments(rho: np.ndarray) -> float:
     dim = rho.shape[0]
     sq = np.sqrt(np.arange(1, dim))
     b = np.diag(sq, k=1).astype(complex)
-    kappa = DEFAULT_CONVENTION.kappa
-    x1 = (b + b.conj().T) / (2.0 * kappa)
-    x2 = 1j * (b.conj().T - b) / (2.0 * kappa)
+    x1 = (b + b.conj().T) / (2.0 * KAPPA)
+    x2 = 1j * (b.conj().T - b) / (2.0 * KAPPA)
     d = [float(np.trace(x @ rho).real) for x in (x1, x2)]
     xc = [x1 - d[0] * np.eye(dim), x2 - d[1] * np.eye(dim)]
     worst = 0.0

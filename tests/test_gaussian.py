@@ -6,29 +6,30 @@ import numpy as np
 import pytest
 
 from phonodec.gaussian import (
-    DEFAULT_CONVENTION,
+    KAPPA,
+    OMEGA,
+    VACUUM_VARIANCE,
     GaussianState,
-    SymplecticConvention,
-    params_from_state,
     state_from_params,
-    symplectic_eigenvalues,
-    thermal_state,
-    vacuum_state,
 )
+from williamson import params_from_state
+
+
+def thermal(n: float) -> GaussianState:
+    return state_from_params(1.0 / (1.0 + 2.0 * n), 0.0)
 
 
 def test_convention_invariants():
-    conv = DEFAULT_CONVENTION
-    assert conv.kappa == pytest.approx(1 / math.sqrt(2))
-    omega = conv.omega()
-    assert np.array_equal(omega, -omega.T)
-    assert np.array_equal(omega @ omega, -np.eye(2))
+    assert KAPPA == pytest.approx(1 / math.sqrt(2))
+    assert VACUUM_VARIANCE == pytest.approx(0.5)
+    assert np.array_equal(OMEGA, -OMEGA.T)
+    assert np.array_equal(OMEGA @ OMEGA, -np.eye(2))
     with pytest.raises(ValueError):
-        SymplecticConvention(kappa=0.0)
+        OMEGA[0, 1] = 2.0
 
 
 def test_vacuum():
-    v = vacuum_state()
+    v = thermal(0.0)
     assert np.allclose(v.sigma, 0.5 * np.eye(2))
     assert v.occupation == pytest.approx(0.0, abs=1e-15)
     assert v.purity == pytest.approx(1.0, abs=1e-14)
@@ -54,13 +55,13 @@ def test_half_purity_state_is_unit_thermal():
 
 
 def test_thermal_state_values():
-    assert np.allclose(thermal_state(0.0).sigma, vacuum_state().sigma)
-    assert np.allclose(thermal_state(1.0).sigma, 1.5 * np.eye(2))
+    assert np.allclose(thermal(0.0).sigma, 0.5 * np.eye(2))
+    assert np.allclose(thermal(1.0).sigma, 1.5 * np.eye(2))
     # N from beta = ln 2 is exactly one quantum
     n = 1.0 / (math.exp(math.log(2.0)) - 1.0)
-    assert thermal_state(n).occupation == pytest.approx(1.0, rel=1e-14)
+    assert thermal(n).occupation == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
-        thermal_state(-0.1)
+        thermal(-0.1)  # purity 1.25
 
 
 def test_round_trip_diagonal_grid():
@@ -103,20 +104,21 @@ def test_occupation_is_sinh_squared_for_pure_squeezed_vacuum():
 def test_displacement_contributes_to_occupation():
     d = np.array([0.6, -0.8])
     st = state_from_params(1.0, 0.0, 0.0, d=d)
-    k2 = DEFAULT_CONVENTION.kappa**2
+    k2 = KAPPA**2
     assert st.occupation == pytest.approx(k2 * (d @ d), abs=1e-14)
 
 
-def test_purity_convention_independent():
-    # same physical state expressed at two kappa values has the same purity
-    for mu, r in ((0.3, 0.0), (0.9, 1.5), (1.0, 4.0)):
-        st_half = state_from_params(mu, r, 0.7)
-        conv1 = SymplecticConvention(kappa=1.0)
-        st_one = GaussianState(
-            d=st_half.d, sigma=st_half.sigma / 2.0, convention=conv1
-        )
-        assert st_one.purity == pytest.approx(st_half.purity, rel=1e-12)
-        assert params_from_state(st_one).mu == pytest.approx(mu, rel=1e-12)
+def test_purity_grid():
+    # on the axes (psi = 0, pi) sigma is diagonal and det sigma is exact at
+    # any squeezing; off the axes the rounded entries ~ cosh 2r leave det
+    # sigma a relative error ~ cosh^2(2r) eps, so those phases stop at r = 2
+    for mu in (0.1, 0.25, 0.5, 0.8, 1.0):
+        for r in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 12.0):
+            for psi in (0.0, math.pi):
+                assert state_from_params(mu, r, psi).purity == pytest.approx(mu, rel=1e-12)
+        for r in (0.0, 0.5, 1.0, 2.0):
+            for psi in (0.7, 0.5 * math.pi, 2.1, 4.0, 5.9):
+                assert state_from_params(mu, r, psi).purity == pytest.approx(mu, rel=1e-12)
 
 
 def test_symmetry_enforced_and_violations_rejected():
@@ -139,11 +141,11 @@ def test_constructed_states_satisfy_bound():
         for r in (0.0, 1.0, 6.0, 12.0):
             st = state_from_params(mu, r, 0.0)
             assert np.array_equal(st.sigma, st.sigma.T)
-            s_min = symplectic_eigenvalues(st.sigma).min()
+            s_min = math.sqrt(np.linalg.det(st.sigma))
             assert s_min >= 0.5 - 1e-12
 
 
 def test_states_are_immutable():
-    st = vacuum_state()
+    st = thermal(0.0)
     with pytest.raises((ValueError, RuntimeError)):
         st.sigma[0, 0] = 99.0

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from phonodec.decoherence import purity_evolution, purity_minimum_time
-from phonodec.gaussian import (
-    DEFAULT_CONVENTION,
-    params_from_state,
-    state_from_params,
-    thermal_state,
-    vacuum_state,
-)
+from phonodec.gaussian import KAPPA, OMEGA, state_from_params
 from phonodec.lyapunov import (
     LindbladChannel,
     evolve_closed_form,
@@ -20,6 +14,9 @@ from phonodec.lyapunov import (
     fixed_point_residual,
     thermal_channel,
 )
+from williamson import params_from_state
+
+VACUUM = state_from_params(1.0, 0.0)
 
 
 def channel_from_lindblad_ops(c_matrix: np.ndarray) -> LindbladChannel:
@@ -33,17 +30,16 @@ def channel_from_lindblad_ops(c_matrix: np.ndarray) -> LindbladChannel:
     c = np.atleast_2d(np.asarray(c_matrix, dtype=complex))
     if c.shape[1] != 2:
         raise ValueError("C must have two columns, one per quadrature")
-    omega = DEFAULT_CONVENTION.omega()
     gram = c.conj().T @ c
-    kappa2 = DEFAULT_CONVENTION.kappa**2
-    diffusion = omega @ np.real(gram) @ omega.T / (4.0 * kappa2**2)
-    drift = omega @ np.imag(gram) / (2.0 * kappa2)
+    kappa2 = KAPPA**2
+    diffusion = OMEGA @ np.real(gram) @ OMEGA.T / (4.0 * kappa2**2)
+    drift = OMEGA @ np.imag(gram) / (2.0 * kappa2)
     return LindbladChannel(a=drift, d=diffusion)
 
 
 def thermal_ops_matrix(gamma1: float, gamma2: float) -> np.ndarray:
     """C for c1 = sqrt(g1) b, c2 = sqrt(g2) b^dag with b = kappa (x1 + i x2)."""
-    k = DEFAULT_CONVENTION.kappa
+    k = KAPPA
     return np.array(
         [
             [math.sqrt(gamma1) * k, 1j * math.sqrt(gamma1) * k],
@@ -64,7 +60,7 @@ def test_channel_from_thermal_ops_matches_thermal_channel():
     gamma = gamma1 - gamma2
     ch_ref = thermal_channel(gamma, gamma2 / gamma, omega)
     # the jump operators carry no free rotation; add w' Omega by hand
-    drift = ch_ops.a + omega * DEFAULT_CONVENTION.omega()
+    drift = ch_ops.a + omega * OMEGA
     assert np.allclose(drift, ch_ref.a, atol=1e-14)
     assert np.allclose(ch_ops.d, ch_ref.d, atol=1e-14)
 
@@ -89,7 +85,7 @@ def test_fixed_point_identity_and_sign_flip_sabotage():
     assert fixed_point_residual(ch) <= 1e-16 * np.abs(ch.d).max()
     # flipping the damping sign must break the stationarity identity
     flipped = LindbladChannel(
-        a=+0.5 * 0.739 * np.eye(2) + 1e4 * DEFAULT_CONVENTION.omega(),
+        a=+0.5 * 0.739 * np.eye(2) + 1e4 * OMEGA,
         d=ch.d,
         gamma=-0.739,
         omega_prime=1e4,
@@ -115,7 +111,7 @@ def test_closed_form_asymptote():
 
 
 def test_closed_form_rejects_negative_time_and_nonthermal():
-    st = vacuum_state()
+    st = VACUUM
     ch = thermal_channel(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         evolve_closed_form(st, ch, -0.1)
@@ -151,12 +147,12 @@ def test_numeric_matches_closed_form():
 
 def test_numeric_unitary_preserves_purity():
     st = state_from_params(1.0, 1.0, 0.3)
-    ch = LindbladChannel(a=3.0 * DEFAULT_CONVENTION.omega(), d=np.zeros((2, 2)))
+    ch = LindbladChannel(a=3.0 * OMEGA, d=np.zeros((2, 2)))
     grid = np.linspace(0.0, 4.0, 60)
     for out in evolve_numeric(st, ch, grid):
         assert out.purity == pytest.approx(1.0, abs=1e-10)
     # and the final state is the symplectic conjugation of the initial one
-    s = np.eye(2) * math.cos(3.0 * 4.0) + DEFAULT_CONVENTION.omega() * math.sin(3.0 * 4.0)
+    s = np.eye(2) * math.cos(3.0 * 4.0) + OMEGA * math.sin(3.0 * 4.0)
     final = evolve_numeric(st, ch, np.array([0.0, 4.0]))[-1]
     assert np.allclose(final.sigma, s @ st.sigma @ s.T, atol=1e-9)
 
@@ -199,14 +195,14 @@ def test_thermal_trajectory_purity_bounded():
 
 def test_numeric_detects_unphysical_contraction():
     # pure contraction without diffusion dives below the vacuum bound
-    st = vacuum_state()
+    st = VACUUM
     bad = LindbladChannel(a=-0.5 * np.eye(2), d=np.zeros((2, 2)))
     with pytest.raises(RuntimeError):
         evolve_numeric(st, bad, np.linspace(0.0, 5.0, 6))
 
 
 def test_numeric_rejects_bad_grid():
-    st = vacuum_state()
+    st = VACUUM
     ch = thermal_channel(1.0, 0.1, 0.0)
     with pytest.raises(ValueError):
         evolve_numeric(st, ch, np.array([0.0, 0.0, 1.0]))
@@ -214,6 +210,6 @@ def test_numeric_rejects_bad_grid():
 
 def test_thermal_channel_matches_thermal_state():
     ch = thermal_channel(0.7, 1.0, 0.0)
-    assert np.allclose(ch.sigma_inf, thermal_state(1.0).sigma)
+    assert np.allclose(ch.sigma_inf, state_from_params(1.0 / 3.0, 0.0).sigma)
     with pytest.raises(ValueError):
         thermal_channel(-1.0, 0.1, 0.0)

