@@ -41,7 +41,6 @@ class CondensateParams:
     temperature: float
     speed_of_sound: float = field(default=0.0)
     density: float = field(default=0.0)
-    species: str | None = None
 
     def __post_init__(self):
         if self.mass <= 0 or self.scattering_length <= 0:
@@ -102,7 +101,6 @@ class CondensateParams:
             temperature=temperature,
             speed_of_sound=speed_of_sound,
             density=density,
-            species=preset.name,
         )
 
 

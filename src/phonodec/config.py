@@ -7,13 +7,13 @@ Unknown keys are rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bec import CondensateParams
-from .constants import RB87, SPECIES_PRESETS
+from .constants import SPECIES_PRESETS
 from .gaussian import state_from_params
 
 RATE_SOURCES = ("auto", "asymptotic", "integral", "explicit")
@@ -47,8 +47,8 @@ class ScenarioConfig:
     """Validated scenario: condensate, probe mode, initial state, run controls."""
 
     species: str
-    mass_kg: float | None
-    scattering_length_m: float | None
+    mass_kg: float
+    scattering_length_m: float
     speed_of_sound_m_per_s: float | None
     density_per_m3: float | None
     temperature_K: float
@@ -63,61 +63,33 @@ class ScenarioConfig:
     quadrature_rel_tol: float
     quadrature_max_subdivisions: int
     three_body_l3_m6_per_s: float
-    sweep_omega_min_rad_per_s: float | None = None
-    sweep_omega_max_rad_per_s: float | None = None
-    sweep_points: int | None = None
-    sweep_speeds_of_sound_m_per_s: tuple[float, ...] = field(default=())
+    sweep_omega_min_rad_per_s: float | None
+    sweep_omega_max_rad_per_s: float | None
+    sweep_points: int
+    sweep_speeds_of_sound_m_per_s: tuple[float, ...]
 
     def condensate(self, speed_of_sound: float | None = None) -> CondensateParams:
-        """Condensate parameters, optionally overriding the speed of sound."""
-        c_s = speed_of_sound
-        n = None
-        if c_s is None:
-            c_s = self.speed_of_sound_m_per_s
-            n = self.density_per_m3
-        if self.species == "custom":
-            return CondensateParams(
-                mass=self.mass_kg,
-                scattering_length=self.scattering_length_m,
-                temperature=self.temperature_K,
-                speed_of_sound=c_s or 0.0,
-                density=n or 0.0,
-            )
-        return CondensateParams.from_species(
-            self.species,
+        """Condensate parameters from the resolved species constants.
+
+        ``speed_of_sound`` replaces the configured speed of sound or density.
+        """
+        c_s, n = self.speed_of_sound_m_per_s, self.density_per_m3
+        if speed_of_sound is not None:
+            c_s, n = speed_of_sound, None
+        return CondensateParams(
+            mass=self.mass_kg,
+            scattering_length=self.scattering_length_m,
             temperature=self.temperature_K,
             speed_of_sound=c_s or 0.0,
             density=n or 0.0,
-            scattering_length=self.scattering_length_m,
         )
 
     def has_sweep(self) -> bool:
         return self.sweep_omega_min_rad_per_s is not None
 
 
-_KNOWN_KEYS = {
-    "species",
-    "mass_kg",
-    "scattering_length_m",
-    "speed_of_sound_m_per_s",
-    "density_per_m3",
-    "temperature_K",
-    "mode_frequency_rad_per_s",
-    "initial_squeezing",
-    "initial_purity",
-    "initial_thermal_occupation",
-    "initial_displacement",
-    "time_max_s",
-    "time_points",
-    "rate_source",
-    "gamma_explicit_per_s",
-    "quadrature_rel_tol",
-    "quadrature_max_subdivisions",
-    "three_body_l3_m6_per_s",
-    "sweep_omega_min_rad_per_s",
-    "sweep_omega_max_rad_per_s",
-    "sweep_points",
-    "sweep_speeds_of_sound_m_per_s",
+_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)} | {
+    "initial_thermal_occupation"
 }
 
 
@@ -140,7 +112,13 @@ def _initial_state_is_finite(
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a raw mapping, rejecting anything off-schema."""
+    """Build a ScenarioConfig from a raw mapping, rejecting anything off-schema.
+
+    Each species constant (``mass_kg``, ``scattering_length_m``,
+    ``three_body_l3_m6_per_s``) is the given key, else the species preset's
+    value; a constant with neither is a ``ConfigError`` naming the key.
+    ``custom`` is the species with no preset values.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
     unknown = sorted(set(raw) - _KNOWN_KEYS)
@@ -157,17 +135,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f"{', '.join(sorted(SPECIES_PRESETS))} or custom)"
         )
 
-    mass = raw.get("mass_kg")
-    if mass is not None:
-        mass = _number("mass_kg", mass, positive=True)
-    a = raw.get("scattering_length_m")
-    if a is not None:
-        a = _number("scattering_length_m", a, positive=True)
-    if species == "custom":
-        if mass is None or a is None:
-            raise ConfigError(
-                "species custom requires mass_kg and scattering_length_m"
-            )
+    preset = SPECIES_PRESETS.get(species)  # None for custom
+    constants = {}
+    for key, attr in (
+        ("mass_kg", "mass"),
+        ("scattering_length_m", "scattering_length"),
+        ("three_body_l3_m6_per_s", "three_body_l3"),
+    ):
+        value = raw.get(key)
+        if value is None:
+            value = getattr(preset, attr, None)
+        if value is None:
+            raise ConfigError(f"species {species} requires {key}")
+        constants[key] = _number(key, value, positive=True)
 
     c_s = raw.get("speed_of_sound_m_per_s")
     n = raw.get("density_per_m3")
@@ -260,19 +240,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(quad_max, int) or quad_max < 10:
         raise ConfigError("quadrature_max_subdivisions: expected an integer >= 10")
 
-    l3_default = RB87.three_body_l3
-    preset = SPECIES_PRESETS.get(species)
-    if preset is not None and preset.three_body_l3 is not None:
-        l3_default = preset.three_body_l3
-    l3 = _number(
-        "three_body_l3_m6_per_s",
-        raw.get("three_body_l3_m6_per_s", l3_default),
-        positive=True,
-    )
-
     sweep_min = raw.get("sweep_omega_min_rad_per_s")
     sweep_max = raw.get("sweep_omega_max_rad_per_s")
     sweep_points = raw.get("sweep_points")
+    if sweep_points is None:
+        sweep_points = 50
+    if not isinstance(sweep_points, int) or sweep_points < 2:
+        raise ConfigError("sweep_points: expected an integer >= 2")
     sweep_speeds = raw.get("sweep_speeds_of_sound_m_per_s", [])
     if (sweep_min is None) != (sweep_max is None):
         raise ConfigError("sweep frequency range requires both min and max")
@@ -281,10 +255,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         sweep_max = _number("sweep_omega_max_rad_per_s", sweep_max, positive=True)
         if sweep_max <= sweep_min:
             raise ConfigError("sweep_omega_max_rad_per_s must exceed the minimum")
-        if sweep_points is None:
-            sweep_points = 50
-        if not isinstance(sweep_points, int) or sweep_points < 2:
-            raise ConfigError("sweep_points: expected an integer >= 2")
     if not isinstance(sweep_speeds, (list, tuple)):
         raise ConfigError("sweep_speeds_of_sound_m_per_s: expected a list")
     sweep_speeds = tuple(
@@ -294,8 +264,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         species=species,
-        mass_kg=mass,
-        scattering_length_m=a,
+        **constants,
         speed_of_sound_m_per_s=c_s,
         density_per_m3=n,
         temperature_K=temperature,
@@ -309,7 +278,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         gamma_explicit_per_s=gamma_explicit,
         quadrature_rel_tol=quad_tol,
         quadrature_max_subdivisions=quad_max,
-        three_body_l3_m6_per_s=l3,
         sweep_omega_min_rad_per_s=sweep_min,
         sweep_omega_max_rad_per_s=sweep_max,
         sweep_points=sweep_points,

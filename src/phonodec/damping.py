@@ -213,7 +213,8 @@ def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on first call.
 
     The independent adaptive-quadrature reference that the tests hold
-    ``gauss_kronrod`` to; no verb calls it.
+    ``gauss_kronrod`` to; no verb calls it, so scipy is a ``test`` extra,
+    not a package dependency.
     """
     from scipy.integrate import quad as scipy_quad
 

@@ -83,7 +83,7 @@ def run_header(
     passes neither, and those keys are left out.
     """
     header = {
-        "species": params.species or "custom",
+        "species": config.species,
         "mass_kg": params.mass,
         "scattering_length_m": params.scattering_length,
         "speed_of_sound_m_per_s": params.speed_of_sound,

@@ -181,4 +181,3 @@ def test_yb174_preset_with_explicit_scattering_length():
         "yb174", temperature=1e-9, speed_of_sound=1e-3, scattering_length=5.55e-9
     )
     assert p.mass == pytest.approx(2.888e-25, rel=1e-3)
-    assert p.species == "yb174"

@@ -152,6 +152,33 @@ def test_overconstrained_condensate_rejected(tmp_path):
     assert "exactly one" in cp.stderr
 
 
+def test_custom_species_header_and_missing_constant(tmp_path):
+    constants = (
+        "species: custom\n"
+        "mass_kg: 1.2e-25\n"
+        "scattering_length_m: 4.0e-9\n"
+    )
+    scenario = (
+        "speed_of_sound_m_per_s: 3.4e-3\n"
+        "temperature_K: 0.5e-9\n"
+        "mode_frequency_rad_per_s: 1.0e4\n"
+    )
+    cfg = tmp_path / "custom.yaml"
+    cfg.write_text(constants + "three_body_l3_m6_per_s: 3.0e-42\n" + scenario)
+    out = tmp_path / "custom.csv"
+    cp = run_cli("trajectory", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    header = read_header(out)
+    assert header["species"] == "custom"
+    assert header["mass_kg"] == "1.2e-25"
+    assert header["three_body_l3_m6_per_s"] == "3e-42"
+
+    cfg.write_text(constants + scenario)
+    cp = run_cli("trajectory", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr == "error: species custom requires three_body_l3_m6_per_s\n"
+
+
 def test_preset_overlay(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("time_points: 7\n")

@@ -1,6 +1,7 @@
 """Scenario schema validation and presets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonodec.config import (
     ConfigError,
@@ -9,6 +10,8 @@ from phonodec.config import (
     read_config_file,
     validate_config,
 )
+from phonodec.constants import SPECIES_PRESETS
+from phonodec.runs import resolve_rate, run_header
 
 MINIMAL = {
     "species": "rb87",
@@ -76,9 +79,61 @@ def test_custom_species_requires_mass_and_length():
     raw = dict(MINIMAL, species="custom")
     with pytest.raises(ConfigError, match="custom"):
         validate_config(raw)
-    raw.update(mass_kg=1.4e-25, scattering_length_m=5e-9)
+    raw.update(
+        mass_kg=1.4e-25, scattering_length_m=5e-9, three_body_l3_m6_per_s=5.8e-42
+    )
     cfg = validate_config(raw)
     assert cfg.condensate().mass == 1.4e-25
+
+
+# each species constant: its config key, its Species attribute, and a range
+# of positive values to draw it from
+SPECIES_CONSTANTS = (
+    ("mass_kg", "mass", (1e-27, 1e-24)),
+    ("scattering_length_m", "scattering_length", (1e-10, 1e-7)),
+    ("three_body_l3_m6_per_s", "three_body_l3", (1e-44, 1e-38)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["rb87", "yb174", "custom"]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            key: st.floats(lo, hi) for key, _, (lo, hi) in SPECIES_CONSTANTS
+        },
+    ),
+)
+def test_species_constants_are_the_key_else_the_preset(species, keys):
+    raw = dict(
+        MINIMAL, species=species, rate_source="explicit", gamma_explicit_per_s=0.5
+    )
+    raw.update(keys)
+    preset = SPECIES_PRESETS.get(species)
+    expected = {
+        key: keys.get(key, getattr(preset, attr, None))
+        for key, attr, _ in SPECIES_CONSTANTS
+    }
+    missing = [key for key, value in expected.items() if value is None]
+    if missing:
+        with pytest.raises(ConfigError, match=f"species {species} requires {missing[0]}"):
+            validate_config(raw)
+        return
+    config = validate_config(raw)
+    params = config.condensate()
+    header = run_header(config, params, resolve_rate(config, params))
+    assert params.mass == expected["mass_kg"]
+    assert params.scattering_length == expected["scattering_length_m"]
+    assert header["three_body_l3_m6_per_s"] == expected["three_body_l3_m6_per_s"]
+    assert header["species"] == species
+
+
+def test_sweep_points_checked_without_a_sweep_range():
+    for bad in ("many", 1):
+        with pytest.raises(ConfigError, match="sweep_points"):
+            preset_config("fig1", {"sweep_points": bad})
+    assert preset_config("fig1").sweep_points == 50
 
 
 def test_sweep_range_validation():
