@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HBAR, K_B, SPECIES_PRESETS
+from .constants import HBAR, K_B
 
 
 @dataclass(frozen=True)
@@ -72,36 +72,6 @@ class CondensateParams:
     def chemical_potential(self) -> float:
         """mu = g n = m c_s^2, in J."""
         return self.mass * self.speed_of_sound**2
-
-    @classmethod
-    def from_species(
-        cls,
-        species: str,
-        *,
-        temperature: float,
-        speed_of_sound: float = 0.0,
-        density: float = 0.0,
-        scattering_length: float | None = None,
-    ) -> "CondensateParams":
-        """Build from a named preset ('rb87', 'yb174').
-
-        The 87Rb preset carries a default scattering length; for other
-        species it must be supplied explicitly.
-        """
-        try:
-            preset = SPECIES_PRESETS[species.lower()]
-        except KeyError:
-            raise ValueError(f"unknown species preset {species!r}") from None
-        a = scattering_length if scattering_length is not None else preset.scattering_length
-        if a is None:
-            raise ValueError(f"species {species!r} has no default scattering length")
-        return cls(
-            mass=preset.mass,
-            scattering_length=a,
-            temperature=temperature,
-            speed_of_sound=speed_of_sound,
-            density=density,
-        )
 
 
 def dispersion(k, params: CondensateParams):

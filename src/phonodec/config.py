@@ -14,9 +14,8 @@ import numpy as np
 
 from .bec import CondensateParams
 from .constants import SPECIES_PRESETS
+from .damping import DEFAULT_QUADRATURE, RATE_SOURCES
 from .gaussian import state_from_params
-
-RATE_SOURCES = ("auto", "asymptotic", "integral", "explicit")
 
 
 class ConfigError(ValueError):
@@ -117,13 +116,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
     Each species constant (``mass_kg``, ``scattering_length_m``,
     ``three_body_l3_m6_per_s``) is the given key, else the species preset's
     value; a constant with neither is a ``ConfigError`` naming the key.
-    ``custom`` is the species with no preset values.
+    ``custom`` is the species with no preset values.  A key whose value is
+    null is the same as an absent key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    raw = {key: value for key, value in raw.items() if value is not None}
 
     species = raw.get("species", "rb87")
     if not isinstance(species, str):
@@ -142,9 +143,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         ("scattering_length_m", "scattering_length"),
         ("three_body_l3_m6_per_s", "three_body_l3"),
     ):
-        value = raw.get(key)
-        if value is None:
-            value = getattr(preset, attr, None)
+        value = raw.get(key, getattr(preset, attr, None))
         if value is None:
             raise ConfigError(f"species {species} requires {key}")
         constants[key] = _number(key, value, positive=True)
@@ -234,17 +233,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("gamma_explicit_per_s is only valid with rate_source explicit")
 
     quad_tol = _number(
-        "quadrature_rel_tol", raw.get("quadrature_rel_tol", 1e-6), positive=True
+        "quadrature_rel_tol",
+        raw.get("quadrature_rel_tol", DEFAULT_QUADRATURE.rel_tol),
+        positive=True,
     )
-    quad_max = raw.get("quadrature_max_subdivisions", 200)
+    quad_max = raw.get(
+        "quadrature_max_subdivisions", DEFAULT_QUADRATURE.max_subdivisions
+    )
     if not isinstance(quad_max, int) or quad_max < 10:
         raise ConfigError("quadrature_max_subdivisions: expected an integer >= 10")
 
     sweep_min = raw.get("sweep_omega_min_rad_per_s")
     sweep_max = raw.get("sweep_omega_max_rad_per_s")
-    sweep_points = raw.get("sweep_points")
-    if sweep_points is None:
-        sweep_points = 50
+    sweep_points = raw.get("sweep_points", 50)
     if not isinstance(sweep_points, int) or sweep_points < 2:
         raise ConfigError("sweep_points: expected an integer >= 2")
     sweep_speeds = raw.get("sweep_speeds_of_sound_m_per_s", [])
@@ -324,21 +325,13 @@ PRESETS: dict[str, dict] = {
         "time_points": 500,
         "rate_source": "auto",
     },
-    "fig2": {
-        "species": "rb87",
-        "speed_of_sound_m_per_s": 3.4e-3,
-        "temperature_K": 0.5e-9,
-        "mode_frequency_rad_per_s": 1.0e4,
-        "initial_squeezing": 10.0,
-        "initial_purity": 1.0,
-        "time_max_s": 6.0,
-        "time_points": 500,
-        "rate_source": "auto",
-        "sweep_omega_min_rad_per_s": 1.0e3,
-        "sweep_omega_max_rad_per_s": 1.0e4,
-        "sweep_points": 50,
-        "sweep_speeds_of_sound_m_per_s": [1.7e-3, 3.4e-3, 6.8e-3],
-    },
+}
+PRESETS["fig2"] = {
+    **PRESETS["fig1"],
+    "sweep_omega_min_rad_per_s": 1.0e3,
+    "sweep_omega_max_rad_per_s": 1.0e4,
+    "sweep_points": 50,
+    "sweep_speeds_of_sound_m_per_s": [1.7e-3, 3.4e-3, 6.8e-3],
 }
 
 

@@ -43,7 +43,7 @@ from .constants import HBAR, K_B
 QUANTUM_RATIO = 0.3  # k_B T / (hbar w_q) below this: spontaneous decay dominates
 THERMAL_RATIO = 3.0  # ">>" threshold for the collisional closed forms
 THERMAL_CUTOFF = 45.0  # collision integrals run to hbar w = cutoff * k_B T
-_SOURCES = ("auto", "asymptotic", "integral")  # an explicit rate needs no regime
+RATE_SOURCES = ("auto", "asymptotic", "integral", "explicit")
 
 
 class RegimeWarning(UserWarning):
@@ -493,8 +493,8 @@ def damping_result(
 
 def _regime(omega_q: float, params: CondensateParams, source: str) -> str:
     """The formula that ``source`` picks for one mode (see ``select_regime``)."""
-    if source == "integral":
-        return "integral"
+    if source in ("integral", "explicit"):
+        return source
     kt = K_B * params.temperature
     mu = params.chemical_potential
     e_q = HBAR * omega_q
@@ -513,6 +513,7 @@ def select_regime(
     params: CondensateParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     source: str = "auto",
+    gamma_explicit: float | None = None,
 ) -> DampingResult | list[DampingResult]:
     """Damping rate from the formula that ``source`` picks for this mode.
 
@@ -524,13 +525,15 @@ def select_regime(
     falls back to the collision integrals, with a flag, elsewhere.
     ``asymptotic`` always takes the nearest closed form, which warns with a
     RegimeWarning outside its region.  ``integral`` always integrates.
+    ``explicit`` takes ``gamma_explicit`` as the net rate, with no channel
+    parts.
 
     ``omega_q`` may be a 1-D array of frequencies: the result is then one
     DampingResult per frequency.  Closed forms are evaluated point by point,
     and the points that need the collision integrals share one
     ``gamma_integral`` call.
     """
-    if source not in _SOURCES:
+    if source not in RATE_SOURCES:
         raise ValueError(f"unknown rate source {source!r}")
     omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
     if any(omega <= 0 for omega in omegas):
@@ -549,14 +552,15 @@ def select_regime(
             gamma_l = gamma_landau_high_temperature(omega, params)
         elif regime == "thermal_low":
             gamma_l = gamma_landau_low_temperature(omega, params)
-        else:
+        elif regime == "integral":
             rates = next(integrals)
             gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
             if source == "auto":
                 flags = ("no closed form applies; rates from collision integrals",)
+        gamma = gamma_explicit if regime == "explicit" else gamma_b + gamma_l
         results.append(
             damping_result(
-                gamma_b + gamma_l, gamma_b, gamma_l, omega, params.temperature, regime, flags
+                gamma, gamma_b, gamma_l, omega, params.temperature, regime, flags
             )
         )
     return results if np.ndim(omega_q) else results[0]

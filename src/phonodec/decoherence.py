@@ -39,7 +39,7 @@ def purity_evolution(mu0: float, r0: float, mu_inf: float, gamma: float, t):
     e = np.exp(-gamma * t)
     rho = mu0 / mu_inf
     inner = e * e + rho * rho * (1.0 - e) ** 2 + 2.0 * rho * e * (1.0 - e) * math.cosh(2.0 * r0)
-    out = mu0 / np.sqrt(inner)
+    out = np.minimum(mu0 / np.sqrt(inner), 1.0)  # clamp rounding above a pure state
     return float(out) if out.ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bec import CondensateParams
 from .config import ScenarioConfig
-from .damping import DampingResult, QuadratureConfig, damping_result, select_regime
+from .damping import DampingResult, QuadratureConfig, select_regime
 from .decoherence import MetricTrajectory, metric_trajectory, purity_minimum_time
 from .gaussian import state_from_params
 from .three_body import decay_rate, half_life
@@ -54,20 +54,17 @@ def resolve_rate(
     ``omega_q`` defaults to the configured mode frequency; a 1-D array of
     frequencies gives one rate per frequency, as ``select_regime`` does.
     """
-    omega_q = config.mode_frequency_rad_per_s if omega_q is None else omega_q
-    if config.rate_source == "explicit":
-        rates = [
-            damping_result(
-                config.gamma_explicit_per_s, 0.0, 0.0, omega, params.temperature, "explicit"
-            )
-            for omega in (omega_q if np.ndim(omega_q) else [omega_q])
-        ]
-        return rates if np.ndim(omega_q) else rates[0]
     quad_cfg = QuadratureConfig(
         rel_tol=config.quadrature_rel_tol,
         max_subdivisions=config.quadrature_max_subdivisions,
     )
-    return select_regime(omega_q, params, quad_cfg, config.rate_source)
+    return select_regime(
+        config.mode_frequency_rad_per_s if omega_q is None else omega_q,
+        params,
+        quad_cfg,
+        config.rate_source,
+        config.gamma_explicit_per_s,
+    )
 
 
 def run_header(
@@ -155,9 +152,16 @@ def run_trajectory(config: ScenarioConfig) -> TrajectoryRun:
     n0 = state0.occupation
 
     t_grid = np.linspace(0.0, config.time_max_s, config.time_points)
-    metrics = metric_trajectory(
-        mu0, r0, rate.mu_inf, rate.gamma, n0, rate.n_thermal, t_grid
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            metrics = metric_trajectory(
+                mu0, r0, rate.mu_inf, rate.gamma, n0, rate.n_thermal, t_grid
+            )
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"{exc} in the trajectory metrics at initial_squeezing {r0!r}"
+            f" and mu_inf {rate.mu_inf!r}"
+        ) from None
     header = {"kind": "trajectory", **run_header(config, params, rate, n0, metrics)}
     rows = np.column_stack([metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation])
     return TrajectoryRun(

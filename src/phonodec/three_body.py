@@ -8,17 +8,15 @@ budget against which the phonon decoherence time is compared.
 
 from __future__ import annotations
 
-from .constants import RB87
 
-
-def decay_rate(n: float, l3: float = RB87.three_body_l3) -> float:
+def decay_rate(n: float, l3: float) -> float:
     """Instantaneous loss rate gamma = L3 n^2, in 1/s."""
     if n < 0 or l3 <= 0:
         raise ValueError("density >= 0 and L3 > 0 required")
     return l3 * n * n
 
 
-def half_life(n0: float, l3: float = RB87.three_body_l3) -> float:
+def half_life(n0: float, l3: float) -> float:
     """Time for the density to halve: exactly 3 / (2 L3 n0^2).
 
     Exact because 1 + 2 L3 n0^2 t_half = 4 under the closed-form decay.

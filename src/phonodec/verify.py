@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bec import CondensateParams, beta_of
+from .constants import RB87
 from .damping import (
     gamma_beliaev_asymptotic,
     gamma_integral,
@@ -112,8 +113,8 @@ def check_rate_integrals(tol_scale: float = 1.0) -> CheckResult:
     )
     worst = 0.0
     for temperature, omega, channel, closed_form in cases:
-        params = CondensateParams.from_species(
-            "rb87", temperature=temperature, speed_of_sound=3.4e-3
+        params = CondensateParams(
+            RB87.mass, RB87.scattering_length, temperature, speed_of_sound=3.4e-3
         )
         integral = getattr(gamma_integral(omega, params), channel)
         worst = max(worst, abs(integral / closed_form(omega, params) - 1.0))

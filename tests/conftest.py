@@ -1,19 +1,16 @@
 import pytest
 
+from condensates import rb87
 from phonodec.bec import CondensateParams
 
 
 @pytest.fixture(scope="session")
 def paper_params() -> CondensateParams:
     """87Rb at 0.5 nK with c_s = 3.4 mm/s, the worked-example condensate."""
-    return CondensateParams.from_species(
-        "rb87", temperature=0.5e-9, speed_of_sound=3.4e-3
-    )
+    return rb87(0.5e-9)
 
 
 @pytest.fixture(scope="session")
 def cold_params() -> CondensateParams:
     """Same condensate at T = 0."""
-    return CondensateParams.from_species(
-        "rb87", temperature=0.0, speed_of_sound=3.4e-3
-    )
+    return rb87(0.0)

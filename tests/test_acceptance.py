@@ -11,8 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from phonodec.bec import CondensateParams, beta_of, thermal_occupation
+from condensates import rb87
+from phonodec.bec import beta_of, thermal_occupation
 from phonodec.config import preset_config
+from phonodec.constants import RB87
 from phonodec.damping import (
     gamma_beliaev_asymptotic,
     gamma_integral,
@@ -71,7 +73,8 @@ def test_criterion_3_three_body_ordering(paper_params):
     t_min = math.log(2.0) / gamma_b
 
     def both():
-        return decay_rate(paper_params.density), half_life(paper_params.density)
+        n0, l3 = paper_params.density, RB87.three_body_l3
+        return decay_rate(n0, l3), half_life(n0, l3)
 
     (gamma3, t_half), elapsed = timed(both)
     assert gamma3 == pytest.approx(0.61, rel=0.05)
@@ -193,9 +196,7 @@ def test_criterion_8_fixed_point_and_detailed_balance(paper_params):
 
 
 def test_criterion_9_integral_vs_asymptotic():
-    cold = CondensateParams.from_species(
-        "rb87", temperature=0.0, speed_of_sound=3.4e-3
-    )
+    cold = rb87(0.0)
     t0 = time.perf_counter()
     rates = gamma_integral(1e2, cold)
     elapsed = time.perf_counter() - t0

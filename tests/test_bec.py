@@ -170,14 +170,3 @@ def test_params_validation():
             mass=1e-25, scattering_length=5e-9, temperature=-1e-9,
             speed_of_sound=1e-3,
         )
-    with pytest.raises(ValueError):
-        CondensateParams.from_species("yb174", temperature=1e-9, speed_of_sound=1e-3)
-    with pytest.raises(ValueError):
-        CondensateParams.from_species("unknowium", temperature=1e-9, speed_of_sound=1e-3)
-
-
-def test_yb174_preset_with_explicit_scattering_length():
-    p = CondensateParams.from_species(
-        "yb174", temperature=1e-9, speed_of_sound=1e-3, scattering_length=5.55e-9
-    )
-    assert p.mass == pytest.approx(2.888e-25, rel=1e-3)

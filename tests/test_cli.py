@@ -1,16 +1,21 @@
 """End-to-end CLI coverage: verbs, config validation, output determinism."""
 
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import phonodec
 from phonodec.bec import thermal_occupation
+from phonodec.cli import main as cli_main
 
 # the source tree under test, so the child process imports the same package
 SRC = str(Path(phonodec.__file__).resolve().parent.parent)
@@ -480,3 +485,87 @@ def test_largest_accepted_displacement_runs_to_finite_output(tmp_path):
     _, rows = read_table(out)
     assert rows.shape == (500, 5)
     assert np.all(np.isfinite(rows))
+
+
+def test_metric_overflow_is_an_error_naming_the_squeezing(tmp_path):
+    # cosh 2r0 times mu0/mu_inf leaves the float range inside the purity
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "initial_squeezing: 354.0\n"
+        "temperature_K: 1.0e-7\n"
+        "mode_frequency_rad_per_s: 1.0e+3\n"
+        "rate_source: explicit\n"
+        "gamma_explicit_per_s: 1.0\n"
+    )
+    out = tmp_path / "x.csv"
+    cp = run_cli("trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    assert "initial_squeezing" in cp.stderr
+    assert not out.exists()
+
+
+def run_cli_in_process(*argv: str) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli_main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def decades(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+# Overlays of the fig1 preset over the closed-form rate sources.
+OVERLAYS = st.fixed_dictionaries({
+    "rate_source": st.sampled_from(["explicit", "asymptotic"]),
+    "gamma_explicit_per_s": st.one_of(st.just(0.0), decades(-3.0, 3.0)),
+    "initial_squeezing": st.floats(0.0, 354.0),
+    "initial_purity": st.floats(0.0, 1.0, exclude_min=True),
+    "temperature_K": st.floats(0.0, 1e-5),
+    "mode_frequency_rad_per_s": decades(0.0, 6.0),
+    "speed_of_sound_m_per_s": decades(-4.0, -1.0),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(OVERLAYS)
+# the purity's cosh 2r0 term overflowed into rows of mu = 0.0 and r = 0.0
+@example({
+    "rate_source": "explicit", "gamma_explicit_per_s": 1.0, "initial_squeezing": 354.0,
+    "initial_purity": 1.0, "temperature_K": 1e-7, "mode_frequency_rad_per_s": 1e3,
+    "speed_of_sound_m_per_s": 3.4e-3,
+})
+# a vacuum in a zero-temperature bath read mu = 1.0000000000000002 and r = 1e-8
+@example({
+    "rate_source": "asymptotic", "gamma_explicit_per_s": 0.0, "initial_squeezing": 0.0,
+    "initial_purity": 1.0, "temperature_K": 0.0, "mode_frequency_rad_per_s": 1e4,
+    "speed_of_sound_m_per_s": 3.4e-3,
+})
+def test_a_scenario_gives_metrics_in_range_or_one_error_line(overlay):
+    if overlay["rate_source"] != "explicit":
+        del overlay["gamma_explicit_per_s"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.yaml", Path(tmp) / "x.csv"
+        cfg.write_text(
+            "time_points: 50\n" + "".join(f"{k}: {v!r}\n" for k, v in overlay.items())
+        )
+        for verb in ("trajectory", "rates"):
+            code, stdout, stderr = run_cli_in_process(
+                verb, "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+            )
+            lines = stderr.splitlines()
+            assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+            if code == 2:
+                assert lines[-1].startswith("error: ")
+                assert not any(line.startswith("error: ") for line in lines[:-1])
+                continue
+            assert code == 0 and not any(line.startswith("error: ") for line in lines)
+            if verb == "rates":
+                assert "nan" not in stdout
+                continue
+            _, rows = read_table(out)
+            assert rows.shape == (50, 5) and np.all(np.isfinite(rows))
+            _, mu, tau, r, occupation = rows.T
+            assert np.all((mu > 0.0) & (mu <= 1.0))
+            assert np.all(tau >= 0.0) and np.all(r >= 0.0) and np.all(occupation >= 0.0)

@@ -13,7 +13,7 @@ Any integrator must reproduce them to that tolerance.
 import numpy as np
 import pytest
 
-from phonodec.bec import CondensateParams
+from condensates import rb87
 from phonodec.damping import (
     G10_WEIGHTS,
     GK21_NODES,
@@ -54,9 +54,7 @@ PINNED = [
 @pytest.mark.parametrize("point, expected", PINNED, ids=[repr(p) for p, _ in PINNED])
 def test_gamma_integral_is_pinned(point, expected):
     c_s, temperature, omega = point
-    params = CondensateParams.from_species(
-        "rb87", temperature=temperature, speed_of_sound=c_s
-    )
+    params = rb87(temperature, c_s)
     rates = gamma_integral(omega, params)
     got = (rates.gamma_beliaev, rates.gamma_landau, rates.gamma_1, rates.gamma_2)
     assert got == pytest.approx(expected, rel=REL_TOL, abs=0.0)
@@ -193,7 +191,7 @@ def test_batch_with_one_nan_integrand_ends_at_the_cap():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0e3])
 def test_nonpositive_frequency_anywhere_in_a_batch_is_rejected(bad):
-    params = CondensateParams.from_species("rb87", temperature=5e-9, speed_of_sound=0.0034)
+    params = rb87(5e-9, 0.0034)
     omegas = np.array([1.0e3, 2.0e3, bad, 4.0e3])
     with pytest.raises(ValueError, match="frequency must be positive"):
         gamma_integral(omegas, params)

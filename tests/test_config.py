@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonodec.config import (
+    _KNOWN_KEYS,
     ConfigError,
     PRESETS,
     preset_config,
@@ -175,3 +176,31 @@ def test_load_config_round_trip(tmp_path):
     cfg = validate_config(read_config_file(path))
     assert cfg.initial_squeezing == 10.0
     assert cfg.mode_frequency_rad_per_s == 1.0e4
+
+
+def test_unknown_species_is_rejected():
+    with pytest.raises(ConfigError, match="species: 'unknowium' is not a preset"):
+        validate_config(dict(MINIMAL, species="unknowium"))
+
+
+def outcome(build):
+    """The config ``build`` returns, or the message of its ConfigError."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@pytest.mark.parametrize("key", sorted(_KNOWN_KEYS))
+def test_null_key_is_an_absent_key(key):
+    absent = {k: v for k, v in PRESETS["fig2"].items() if k != key}
+    assert outcome(lambda: preset_config("fig2", {key: None})) == outcome(
+        lambda: validate_config(absent)
+    )
+
+
+def test_null_purity_lets_a_thermal_occupation_overlay_a_preset():
+    overlay = {"initial_purity": None, "initial_thermal_occupation": 2}
+    assert preset_config("fig1", overlay).initial_purity == 0.2
+    with pytest.raises(ConfigError, match="not both"):
+        preset_config("fig1", {"initial_thermal_occupation": 2})

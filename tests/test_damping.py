@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from phonodec.bec import CondensateParams, beta_of, invert_dispersion
+from condensates import rb87
+from phonodec.bec import beta_of, invert_dispersion
 from phonodec.constants import HBAR
 from phonodec.damping import (
     QuadratureConfig,
@@ -86,17 +87,13 @@ def test_beliaev_loglog_slope(cold_params):
 
 
 def test_beliaev_regime_flag():
-    params = CondensateParams.from_species(
-        "rb87", temperature=100e-9, speed_of_sound=3.4e-3
-    )
+    params = rb87(100e-9)
     with pytest.warns(RegimeWarning):
         gamma_beliaev_asymptotic(1e3, params)
 
 
 def test_landau_high_temperature_value_and_linearity():
-    params = CondensateParams.from_species(
-        "rb87", temperature=100e-9, speed_of_sound=3.4e-3
-    )
+    params = rb87(100e-9)
     with warnings.catch_warnings():
         # k_B T / mu = 0.83 here, outside the strict validity region
         warnings.simplefilter("ignore", RegimeWarning)
@@ -106,25 +103,19 @@ def test_landau_high_temperature_value_and_linearity():
         assert gamma_landau_high_temperature(2e3, params) == pytest.approx(
             2 * base, rel=1e-12
         )
-        hot = CondensateParams.from_species(
-            "rb87", temperature=200e-9, speed_of_sound=3.4e-3
-        )
+        hot = rb87(200e-9)
         assert gamma_landau_high_temperature(1e3, hot) == pytest.approx(
             2 * base, rel=1e-12
         )
 
 
 def test_landau_low_temperature_scaling_and_golden():
-    params = CondensateParams.from_species(
-        "rb87", temperature=2e-9, speed_of_sound=3.4e-3
-    )
+    params = rb87(2e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         base = gamma_landau_low_temperature(1e2, params)
         assert base == pytest.approx(GAMMA_L_LOW_GOLDEN, rel=1e-12)
-        doubled = CondensateParams.from_species(
-            "rb87", temperature=4e-9, speed_of_sound=3.4e-3
-        )
+        doubled = rb87(4e-9)
         assert gamma_landau_low_temperature(1e2, doubled) == pytest.approx(
             16 * base, rel=1e-12
         )
@@ -147,9 +138,7 @@ def test_integral_beliaev_matches_asymptotic_deep_phonon(cold_params):
 
 
 def test_integral_detailed_balance():
-    params = CondensateParams.from_species(
-        "rb87", temperature=100e-9, speed_of_sound=3.4e-3
-    )
+    params = rb87(100e-9)
     rates = gamma_integral(1e2, params)
     beta = beta_of(1e2, params.temperature)
     assert rates.gamma_1 / rates.gamma_2 == pytest.approx(math.exp(beta), rel=1e-5)
@@ -167,9 +156,7 @@ def test_integral_loglog_slope_deep_phonon(cold_params):
 
 def test_integral_vs_asymptotic_three_points_per_regime():
     # spontaneous-decay regime at T = 0
-    cold = CondensateParams.from_species(
-        "rb87", temperature=0.0, speed_of_sound=3.4e-3
-    )
+    cold = rb87(0.0)
     for omega in (50.0, 100.0, 300.0):
         ratio = gamma_integral(omega, cold).gamma_beliaev / gamma_beliaev_asymptotic(
             omega, cold
@@ -177,18 +164,14 @@ def test_integral_vs_asymptotic_three_points_per_regime():
         assert ratio == pytest.approx(1.0, abs=0.10)
     # low-temperature collisional regime (mu >> k_B T >> hbar w)
     for temperature, omega in ((3e-9, 20.0), (3e-9, 50.0), (5e-9, 100.0)):
-        p = CondensateParams.from_species(
-            "rb87", temperature=temperature, speed_of_sound=3.4e-3
-        )
+        p = rb87(temperature)
         ratio = gamma_integral(omega, p).gamma_landau / gamma_landau_low_temperature(
             omega, p
         )
         assert ratio == pytest.approx(1.0, abs=0.10)
     # high-temperature collisional regime (k_B T >> mu >> hbar w)
     for temperature, omega in ((2e-6, 1e3), (4e-6, 1e3), (4e-6, 3e2)):
-        p = CondensateParams.from_species(
-            "rb87", temperature=temperature, speed_of_sound=3.4e-3
-        )
+        p = rb87(temperature)
         ratio = gamma_integral(omega, p).gamma_landau / gamma_landau_high_temperature(
             omega, p
         )
@@ -196,9 +179,7 @@ def test_integral_vs_asymptotic_three_points_per_regime():
 
 
 def test_quadrature_nonconvergence_is_hard_error():
-    params = CondensateParams.from_species(
-        "rb87", temperature=4e-6, speed_of_sound=3.4e-3
-    )
+    params = rb87(4e-6)
     cfg = QuadratureConfig(rel_tol=1.2e-14, max_subdivisions=3)
     with pytest.raises(RuntimeError):
         gamma_integral(1e3, params, cfg)
@@ -215,9 +196,7 @@ def test_select_regime_paper_scenario(paper_params):
 def test_select_regime_intermediate_falls_back_to_integral():
     # k_B T ~ mu here: neither collisional closed form applies, and the
     # thermal ratio k_B T / hbar w ~ 131 rules out the spontaneous regime
-    params = CondensateParams.from_species(
-        "rb87", temperature=100e-9, speed_of_sound=3.4e-3
-    )
+    params = rb87(100e-9)
     res = select_regime(1e2, params)
     assert res.regime == "integral"
     assert res.beta_q == pytest.approx(0.008, rel=0.05)
@@ -226,13 +205,9 @@ def test_select_regime_intermediate_falls_back_to_integral():
 
 
 def test_select_regime_thermal_branches():
-    hot = CondensateParams.from_species(
-        "rb87", temperature=4e-6, speed_of_sound=3.4e-3
-    )
+    hot = rb87(4e-6)
     assert select_regime(1e3, hot).regime == "thermal_high"
-    low = CondensateParams.from_species(
-        "rb87", temperature=3e-9, speed_of_sound=3.4e-3
-    )
+    low = rb87(3e-9)
     assert select_regime(50.0, low).regime == "thermal_low"
 
 
@@ -253,9 +228,7 @@ def test_split_rate_identities(paper_params):
 
 def test_select_regime_gamma_positive_across_inputs():
     for temperature in (0.0, 0.5e-9, 5e-9, 100e-9, 4e-6):
-        params = CondensateParams.from_species(
-            "rb87", temperature=temperature, speed_of_sound=3.4e-3
-        )
+        params = rb87(temperature)
         for omega in (50.0, 1e3, 1e4):
             res = select_regime(omega, params)
             assert res.gamma > 0

@@ -20,23 +20,23 @@ def density_decay(n0, l3, t):
 
 def test_half_life_identity():
     for n0 in (1e19, 3.2443719069944923e20, 1e21):
-        t_half = half_life(n0)
+        t_half = half_life(n0, L3)
         assert density_decay(n0, L3, t_half) == pytest.approx(n0 / 2.0, rel=1e-14)
         # half-life equals 3 / (2 gamma(0))
-        assert t_half == pytest.approx(1.5 / decay_rate(n0), rel=1e-14)
+        assert t_half == pytest.approx(1.5 / decay_rate(n0, L3), rel=1e-14)
 
 
 def test_half_life_density_scaling():
-    assert half_life(2e20) == pytest.approx(half_life(1e20) / 4.0, rel=1e-14)
+    assert half_life(2e20, L3) == pytest.approx(half_life(1e20, L3) / 4.0, rel=1e-14)
 
 
 def test_worked_example_ordering(paper_params):
     n0 = paper_params.density
-    gamma3 = decay_rate(n0)
+    gamma3 = decay_rate(n0, L3)
     gamma_b = gamma_beliaev_asymptotic(1e4, paper_params)
     assert gamma3 == pytest.approx(0.61, rel=0.02)
     assert gamma3 < gamma_b
-    t_half = half_life(n0)
+    t_half = half_life(n0, L3)
     assert t_half == pytest.approx(2.4, rel=0.05)
     t_min = math.log(2.0) / gamma_b
     assert t_half > 2.0 * t_min
@@ -45,7 +45,7 @@ def test_worked_example_ordering(paper_params):
 
 def test_closed_form_matches_ode_integration():
     n0 = 3.24e20
-    t_half = half_life(n0)
+    t_half = half_life(n0, L3)
     t_eval = np.linspace(0.0, 5.0 * t_half, 40)
     # work in units of n0 to keep the integrator well scaled
     sol = solve_ivp(
@@ -64,4 +64,4 @@ def test_uncertainty_band_is_published():
     assert RB87_L3_UNCERTAINTY == pytest.approx(1.9e-42)
     low = half_life(3.24e20, L3 + RB87_L3_UNCERTAINTY)
     high = half_life(3.24e20, L3 - RB87_L3_UNCERTAINTY)
-    assert low < half_life(3.24e20) < high
+    assert low < half_life(3.24e20, L3) < high
