@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .bec import CondensateParams
-from .constants import SPECIES_PRESETS
+from .constants import K_B, SPECIES_PRESETS
 from .damping import DEFAULT_QUADRATURE, RATE_SOURCES
 from .gaussian import state_from_params
 
@@ -162,6 +162,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if "temperature_K" not in raw:
         raise ConfigError("temperature_K is required")
     temperature = _number("temperature_K", raw["temperature_K"], nonnegative=True)
+    if temperature > 0.0 and K_B * temperature == 0.0:
+        # every rate divides by k_B T; below ~1.79e-301 K it underflows to 0
+        raise ConfigError(
+            f"temperature_K: k_B T underflows to 0 at {temperature!r} K"
+            " (use 0, or at least 1.8e-301)"
+        )
 
     if "mode_frequency_rad_per_s" not in raw:
         raise ConfigError("mode_frequency_rad_per_s is required")

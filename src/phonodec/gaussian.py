@@ -67,19 +67,6 @@ class GaussianState:
         object.__setattr__(self, "sigma", sigma)
 
     @property
-    def purity(self) -> float:
-        """Tr rho^2 = 1/(4 kappa^2 s) with s = sqrt(det sigma), at most 1.
-
-        det sigma is read from the rounded entries, so a state squeezed by r
-        off the squeezing axes loses about cosh^2(2r) eps relative accuracy
-        (at r = 12 the det rounds to <= 0 and the purity reads 1).  No verb
-        reads it; the metrics use the closed forms in ``decoherence``.
-        """
-        # numpy scalars: a det that rounds to <= 0 gives inf, clamped to 1
-        s = np.sqrt(max(np.linalg.det(self.sigma), 0.0))
-        return min(float(1.0 / (4.0 * KAPPA**2 * s)), 1.0)
-
-    @property
     def occupation(self) -> float:
         """Mean quantum number, kappa^2 (Tr sigma + d.d) - 1/2."""
         k2 = KAPPA**2

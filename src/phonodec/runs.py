@@ -2,7 +2,9 @@
 
 Output is plain CSV with a commented header carrying every physical input
 and derived rate in SI-annotated keys.  Formatting goes through repr so a
-fixed config produces byte-identical files.
+fixed config produces byte-identical files: the trajectory's float table
+is rendered by one ``%r`` format over the whole table, the sweep's table
+cell by cell (its cells may be ``none``).
 """
 
 from __future__ import annotations
@@ -370,12 +372,13 @@ def to_csv(run: TrajectoryRun | SweepRun) -> str:
     """Render a run as CSV text with a commented metadata header."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
+    head = "\n".join(lines) + "\n"
     if isinstance(run.rows, np.ndarray):
-        # an all-float table: tolist() yields Python floats
-        lines.extend(",".join(map(str, row)) for row in run.rows.tolist())
-    else:
-        lines.extend(",".join(map(_fmt, row)) for row in run.rows)
-    return "\n".join(lines) + "\n"
+        # an all-float table: tolist() yields Python floats, whose %r is repr
+        n_rows, n_cols = run.rows.shape
+        row = ",".join(["%r"] * n_cols) + "\n"
+        return head + (row * n_rows) % tuple(run.rows.ravel().tolist())
+    return head + "".join(",".join(map(_fmt, row)) + "\n" for row in run.rows)
 
 
 def write_csv(run: TrajectoryRun | SweepRun, path) -> None:

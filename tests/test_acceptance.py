@@ -34,6 +34,7 @@ from phonodec.lyapunov import (
 )
 from phonodec.runs import run_sweep
 from phonodec.three_body import decay_rate, half_life
+from williamson import purity
 
 OMEGA_Q = 1.0e4
 R0 = 10.0
@@ -156,7 +157,7 @@ def test_criterion_6_fock_oracle_equivalence():
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
         worst = max(worst, float(np.abs(oracle.covariance[i] - exact.sigma).max()))
-        worst = max(worst, abs(oracle.purity[i] - exact.purity))
+        worst = max(worst, abs(oracle.purity[i] - purity(exact)))
         worst = max(worst, abs(oracle.occupation[i] - exact.occupation))
     assert worst < 1e-3
     print(f"PASS criterion 6: oracle max deviation {worst:.2e} (< 1e-3), {elapsed:.1f} s")

@@ -459,6 +459,31 @@ def test_initial_covariance_overflow_is_rejected(tmp_path, verb, overlay, keys):
     assert not (tmp_path / "x.csv").exists()
 
 
+# k_B T underflows to 0 below 1.7892514529081849e-301 K, and every rate
+# divides by it
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+@pytest.mark.parametrize(
+    "temperature, accepted",
+    [("5.0e-324", False), ("1.7892514529081847e-301", False),
+     ("1.7892514529081849e-301", True)],
+)
+def test_temperature_whose_k_b_t_underflows_is_rejected(
+    tmp_path, verb, temperature, accepted
+):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"temperature_K: {temperature}\n")
+    out = tmp_path / "x.csv"
+    code, _, stderr = run_cli_in_process(
+        verb, "--preset", "fig2", "--config", str(cfg), "--out", str(out)
+    )
+    if accepted:
+        assert code == 0 and stderr == ""
+        return
+    assert code == 2
+    assert stderr.startswith("error: temperature_K: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("initial_squeezing: 354\n")

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq as scipy_brentq
 
 from phonodec.bec import beta_of
@@ -23,6 +25,7 @@ from phonodec.damping import (
 )
 from phonodec import runs
 from phonodec.runs import (
+    TrajectoryRun,
     brentq,
     rates_report,
     resolve_rate,
@@ -179,6 +182,41 @@ def test_csv_bytes_are_pinned(case):
     assert config.rate_source == "auto"
     text = to_csv(run(config))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def row_by_row_csv(run: TrajectoryRun) -> str:
+    """The reference renderer: one repr-joined line per row."""
+    lines = [f"# {key} = {value}" for key, value in run.header.items()]
+    lines.append(",".join(run.columns))
+    lines.extend(",".join(map(repr, row)) for row in run.rows.tolist())
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, infinities, nan, the subnormal range and the points where
+# repr switches between positional and exponent notation (1e16, 1e-4)
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1e16, -1e16,
+    9999999999999998.0, 1.0000000000000002e16, 1e-4, 0.00010000000000000002,
+    9.999999999999999e-05, 1e-5, -1e-5, 1.7976931348623157e308,
+]
+TABLES = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 40), st.integers(1, 6)),
+    elements=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES)
+@example(np.array([EDGE_FLOATS[:6], EDGE_FLOATS[6:12], EDGE_FLOATS[12:18]]))
+def test_table_csv_equals_the_row_by_row_reference(table):
+    run = TrajectoryRun(
+        header={"kind": "trajectory", "gamma_per_s": 0.7396522778206445},
+        columns=tuple(f"c{i}" for i in range(table.shape[1])),
+        rows=table,
+    )
+    assert to_csv(run) == row_by_row_csv(run)
 
 
 # (f, a, b) bracketing problems: polynomial, tanh and exp roots

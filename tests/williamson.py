@@ -1,4 +1,4 @@
-"""Williamson parameters of a single-mode state, extracted from sigma.
+"""Williamson parameters and purity of a single-mode state, read off sigma.
 
 A reference route independent of the closed-form metrics: the tests
 evolve a covariance and compare what this extraction reads off it with
@@ -43,3 +43,15 @@ def params_from_state(state: GaussianState) -> SingleModeParams:
         psi = math.atan2(2.0 * sigma[0, 1], sigma[0, 0] - sigma[1, 1]) % (2.0 * math.pi)
     occ = k2 * float(np.trace(sigma)) + k2 * float(state.d @ state.d) - 0.5
     return SingleModeParams(mu=mu, r=r, psi=psi, occupation=occ)
+
+
+def purity(state: GaussianState) -> float:
+    """Tr rho^2 = 1/(4 kappa^2 s) with s = sqrt(det sigma), at most 1.
+
+    det sigma is read from the rounded entries, so a state squeezed by r
+    off the squeezing axes loses about cosh^2(2r) eps relative accuracy
+    (at r = 12 the det rounds to <= 0 and the purity reads 1).
+    """
+    # numpy scalars: a det that rounds to <= 0 gives inf, clamped to 1
+    s = np.sqrt(max(np.linalg.det(state.sigma), 0.0))
+    return min(float(1.0 / (4.0 * KAPPA**2 * s)), 1.0)
