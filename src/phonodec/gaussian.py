@@ -22,6 +22,7 @@ OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # single-mode symplectic form
 OMEGA.setflags(write=False)
 
 _UNCERTAINTY_SLACK = 1e-9  # relative clamp for numerical noise on the bound
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class GaussianState:
 
     Construction validates symmetry and the uncertainty bound
     det sigma >= 1/(4 kappa^2)^2; violations within a 1e-9 relative slack
-    are treated as numerical noise.
+    are treated as numerical noise.  A covariance whose determinant leaves
+    the float range raises ``OverflowError``.
     """
 
     d: NDArray[np.float64]
@@ -43,19 +45,27 @@ class GaussianState:
             raise ValueError("displacement must be a real vector of length 2")
         if sigma.shape != (2, 2):
             raise ValueError("covariance must be a 2 x 2 matrix")
-        if not np.all(np.isfinite(d)) or not np.all(np.isfinite(sigma)):
+        # the checks run on Python floats: numpy reductions over a 2 x 2
+        # array cost more than the arithmetic
+        (s00, s01), (s10, s11) = sigma.tolist()
+        if not all(map(math.isfinite, (*d.tolist(), s00, s01, s10, s11))):
             raise ValueError("non-finite entries in state")
-        scale = max(np.abs(sigma).max(), 1.0)
-        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+        scale = max(abs(s00), abs(s01), abs(s10), abs(s11), 1.0)
+        if abs(s01 - s10) > 1e-10 * scale:
             raise ValueError("covariance must be symmetric")
-        sigma = 0.5 * sigma + 0.5 * sigma.T  # halves first: no overflow near max
+        # 0.5 sigma + 0.5 sigma^T, halves first: no overflow near max
+        s00, s11 = 0.5 * s00 + 0.5 * s00, 0.5 * s11 + 0.5 * s11
+        s01 = 0.5 * s01 + 0.5 * s10
+        sigma = np.array([[s00, s01], [s01, s11]])
         bound = VACUUM_VARIANCE
         # det check with a floor for the intrinsic cancellation noise of
-        # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1)
-        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
-        noise = 64.0 * np.finfo(float).eps * (
-            abs(sigma[0, 0] * sigma[1, 1]) + sigma[0, 1] ** 2
-        )
+        # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1);
+        # ** is libm's pow, as numpy's, and raises OverflowError itself
+        diag, off = s00 * s11, s01**2
+        det = diag - off
+        noise = 64.0 * _EPS * (abs(diag) + off)
+        if not math.isfinite(noise):
+            raise OverflowError("det sigma overflows")
         if det < bound * bound * (1.0 - 2.0 * _UNCERTAINTY_SLACK) - noise:
             raise ValueError(
                 f"uncertainty bound violated: det sigma = {det:.6e}"

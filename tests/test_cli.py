@@ -432,6 +432,9 @@ def test_verify_does_not_import_scipy(tmp_path):
          ["initial_purity"]),
         ("sweep", "initial_squeezing: 10\ninitial_purity: 1.0e-300\n",
          ["initial_purity"]),
+        # unsqueezed, every entry 1/(2 mu) is finite and only det sigma overflows
+        ("trajectory", "initial_squeezing: 0\ninitial_purity: 1.0e-160\n",
+         ["initial_purity"]),
         # each key alone is fine; e^(2r)/(2 mu) overflows only for the pair
         ("trajectory", "initial_squeezing: 300\ninitial_purity: 1.0e-100\n",
          ["initial_squeezing", "initial_purity"]),
@@ -444,7 +447,7 @@ def test_verify_does_not_import_scipy(tmp_path):
          ["initial_displacement"]),
     ],
     ids=["355", "356", "356-sweep", "400", "400-sweep", "purity", "purity-sweep",
-         "pair", "displacement", "displacement-edge", "displacement-pair"],
+         "purity-det-only", "pair", "displacement", "displacement-edge", "displacement-pair"],
 )
 def test_initial_covariance_overflow_is_rejected(tmp_path, verb, overlay, keys):
     cfg = tmp_path / "cfg.yaml"
@@ -537,6 +540,25 @@ def run_cli_in_process(*argv: str) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def assert_sweep_in_range(path: Path) -> None:
+    """The fig2 sweep's 20 frequencies per speed: finite rates and times, a
+    ``none`` t_min only where the purity has no minimum, consistent flags."""
+    speeds = (1.7e-3, 3.4e-3, 6.8e-3)
+    header = read_header(path)
+    for c_s in speeds:
+        crossing = header[f"truncation_omega_rad_per_s[c_s={c_s!r}]"]
+        assert crossing == "none" or 1e3 <= float(crossing) <= 1e4
+    _, rows = read_table(path)
+    assert rows.shape == (60, 6)
+    c_s, omega, gamma, t_min, t_half, truncated = rows.T
+    assert set(c_s) == set(speeds)
+    assert np.all((omega >= 1e3 * (1 - 1e-12)) & (omega <= 1e4 * (1 + 1e-12)))
+    assert np.all(np.isfinite(gamma) & (gamma >= 0.0))
+    assert np.all(np.isfinite(t_half) & (t_half > 0.0))
+    assert np.all(np.isnan(t_min) | (np.isfinite(t_min) & (t_min > 0.0)))
+    assert np.array_equal(truncated, (t_min > t_half).astype(float))
+
+
 def decades(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
 
@@ -573,11 +595,12 @@ def test_a_scenario_gives_metrics_in_range_or_one_error_line(overlay):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.yaml", Path(tmp) / "x.csv"
         cfg.write_text(
-            "time_points: 50\n" + "".join(f"{k}: {v!r}\n" for k, v in overlay.items())
+            "time_points: 50\nsweep_points: 20\n"
+            + "".join(f"{k}: {v!r}\n" for k, v in overlay.items())
         )
-        for verb in ("trajectory", "rates"):
+        for verb, preset in (("trajectory", "fig1"), ("rates", "fig1"), ("sweep", "fig2")):
             code, stdout, stderr = run_cli_in_process(
-                verb, "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+                verb, "--preset", preset, "--config", str(cfg), "--out", str(out)
             )
             lines = stderr.splitlines()
             assert all(line.startswith(("warning: ", "error: ")) for line in lines)
@@ -589,8 +612,12 @@ def test_a_scenario_gives_metrics_in_range_or_one_error_line(overlay):
             if verb == "rates":
                 assert "nan" not in stdout
                 continue
+            if verb == "sweep":
+                assert_sweep_in_range(out)
+                continue
             _, rows = read_table(out)
             assert rows.shape == (50, 5) and np.all(np.isfinite(rows))
             _, mu, tau, r, occupation = rows.T
             assert np.all((mu > 0.0) & (mu <= 1.0))
             assert np.all(tau >= 0.0) and np.all(r >= 0.0) and np.all(occupation >= 0.0)
+

@@ -161,3 +161,46 @@ def test_oracle_cutoff_leak_detection():
         lindblad_step_integrate(
             rho, 0.0, 0.5, 0.45, np.linspace(0.0, 12.0, 4)
         )
+
+
+def squeezed_oracle_case(t_grid, r0=0.5, n_th=0.2, gamma=1.0, omega=0.5, n_cut=40):
+    """Oracle trajectory of a squeezed vacuum and the matching closed-form data."""
+    c = squeezed_vacuum_fock(r0, n_cut)
+    rho0 = np.outer(c, c).astype(complex)
+    traj = lindblad_step_integrate(
+        rho0, omega, gamma * (1 + n_th), gamma * n_th, np.asarray(t_grid, dtype=float)
+    )
+    state0 = state_from_params(1.0, r0, math.pi)
+    return rho0, traj, state0, thermal_channel(gamma, n_th, omega)
+
+
+def test_oracle_steps_an_unequal_grid_exactly():
+    # five distinct steps: one stacked exponential each, chained in order
+    grid = [0.0, 0.1, 0.35, 1.2, 2.0, 5.0]
+    _, traj, state0, channel = squeezed_oracle_case(grid)
+    mu_inf = 1.0 / (1.0 + 2.0 * 0.2)
+    for i, t in enumerate(grid):
+        exact = evolve_closed_form(state0, channel, t)
+        assert np.abs(traj.covariance[i] - exact.sigma).max() < 1e-9
+        assert np.abs(traj.displacement[i] - exact.d).max() < 1e-9
+        assert abs(traj.purity[i] - purity_evolution(1.0, 0.5, mu_inf, 1.0, t)) < 1e-9
+        assert abs(traj.occupation[i] - exact.occupation) < 1e-9
+
+
+def test_oracle_end_state_does_not_depend_on_the_steps_taken():
+    _, one_step, _, _ = squeezed_oracle_case([0.0, 5.0])
+    _, ten_steps, state0, channel = squeezed_oracle_case(np.linspace(0.0, 5.0, 11))
+    assert np.abs(one_step.final_rho - ten_steps.final_rho).max() < 1e-12
+    assert np.abs(one_step.covariance[-1] - ten_steps.covariance[-1]).max() < 1e-12
+    exact = evolve_closed_form(state0, channel, 5.0)
+    assert np.abs(ten_steps.covariance[-1] - exact.sigma).max() < 1e-9
+
+
+def test_oracle_on_a_one_point_grid_returns_the_initial_moments():
+    rho0, traj, state0, channel = squeezed_oracle_case([0.0])
+    assert np.array_equal(traj.final_rho, rho0)
+    assert traj.covariance.shape == (1, 2, 2)
+    exact = evolve_closed_form(state0, channel, 0.0)
+    assert np.abs(traj.covariance[0] - exact.sigma).max() < 1e-9
+    assert traj.purity[0] == pytest.approx(1.0, abs=1e-9)
+    assert traj.occupation[0] == pytest.approx(state0.occupation, abs=1e-9)

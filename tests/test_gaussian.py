@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phonodec.gaussian import (
     KAPPA,
@@ -149,3 +150,95 @@ def test_states_are_immutable():
     st = thermal(0.0)
     with pytest.raises((ValueError, RuntimeError)):
         st.sigma[0, 0] = 99.0
+
+
+def numpy_validator(d, sigma):
+    """Reference: ``GaussianState``'s checks as numpy reductions over the arrays.
+
+    It pins the Python-float validator's accept/reject decisions, messages
+    and stored bits.
+    """
+    d = np.atleast_1d(np.array(d, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
+    if d.shape != (2,):
+        raise ValueError("displacement must be a real vector of length 2")
+    if sigma.shape != (2, 2):
+        raise ValueError("covariance must be a 2 x 2 matrix")
+    if not np.all(np.isfinite(d)) or not np.all(np.isfinite(sigma)):
+        raise ValueError("non-finite entries in state")
+    scale = max(np.abs(sigma).max(), 1.0)
+    if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+        raise ValueError("covariance must be symmetric")
+    sigma = 0.5 * sigma + 0.5 * sigma.T
+    bound = VACUUM_VARIANCE
+    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
+    noise = 64.0 * np.finfo(float).eps * (
+        abs(sigma[0, 0] * sigma[1, 1]) + sigma[0, 1] ** 2
+    )
+    if det < bound * bound * (1.0 - 2.0 * 1e-9) - noise:
+        raise ValueError(
+            f"uncertainty bound violated: det sigma = {det:.6e}"
+            f" < {bound * bound:.6e}"
+        )
+    return d, sigma
+
+
+@st.composite
+def near_bound_states(draw):
+    """(d, sigma) whose determinant sits on either side of the bound minus its
+    noise floor, with asymmetry on either side of 1e-10 scale and, sometimes,
+    a non-finite entry.  No product leaves the float range."""
+    log_s00 = draw(st.floats(-70.0, 70.0))
+    log_prod = draw(st.floats(-0.7, 70.0))  # s00 s11 >= 0.2
+    s00, s11 = 10.0**log_s00, 10.0 ** (log_prod - log_s00)
+    prod = s00 * s11
+    floor = 0.25 * (1.0 - 2e-9) - 64.0 * np.finfo(float).eps * 2.0 * prod
+    det = floor + draw(st.floats(-1.0, 1.0)) * max(256.0 * np.finfo(float).eps * prod, 1e-9)
+    s01 = math.sqrt(max(prod - det, 0.0)) * draw(st.sampled_from([1.0, -1.0]))
+    scale = max(s00, s11, abs(s01), 1.0)
+    s10 = s01 + draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) * 1e-10 * scale
+    if draw(st.booleans()):
+        s00, s11 = -s00, -s11  # a negative definite covariance
+    entries = [draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), s00, s01, s10, s11]
+    poisoned = draw(st.integers(0, 17))  # one draw in three has a non-finite entry
+    if poisoned < 6:
+        entries[poisoned] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(entries[:2]), np.array(entries[2:]).reshape(2, 2)
+
+
+def outcome(build, d, sigma):
+    try:
+        return build(d, sigma), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_bound_states())
+# a vacuum: det exactly on the bound
+@example((np.zeros(2), np.array([[0.5, 0.0], [0.0, 0.5]])))
+# asymmetric by exactly 1e-10 of the scale, accepted
+@example((np.zeros(2), np.array([[1.0, 0.0], [1e-10, 1.0]])))
+# entries below 1: the asymmetry is measured against a scale of 1
+@example((np.zeros(2), np.array([[0.6, 0.0], [8e-11, 0.6]])))
+# subnormal off-diagonals: each half rounds to 0 before the sum
+@example((np.zeros(2), np.array([[0.5, 5e-324], [5e-324, 0.5]])))
+def test_state_validation_matches_the_numpy_reference(case):
+    d, sigma = case
+    got, error = outcome(lambda d, s: GaussianState(d=d, sigma=s), d, sigma)
+    ref, ref_error = outcome(numpy_validator, d, sigma)
+    assert error == ref_error
+    if ref is not None:
+        assert got.d.tobytes() == ref[0].tobytes()
+        assert got.sigma.tobytes() == ref[1].tobytes()
+        assert not got.d.flags.writeable and not got.sigma.flags.writeable
+
+
+def test_a_determinant_out_of_float_range_is_an_arithmetic_error():
+    # numpy's validator overflowed in det sigma; under errstate(over="raise"),
+    # as config's initial-state check runs, that was a FloatingPointError
+    for sigma in ([[1e200, 0.0], [0.0, 1e200]], [[1.0, 1e160], [1e160, 1.0]]):
+        with pytest.raises(OverflowError):
+            GaussianState(d=np.zeros(2), sigma=np.array(sigma))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            numpy_validator(np.zeros(2), np.array(sigma))
