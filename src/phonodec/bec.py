@@ -114,7 +114,8 @@ def bogoliubov_uv(k, params: CondensateParams):
     mu = params.chemical_potential
     e = HBAR * omega
     u = np.sqrt((free + mu + e) / (2.0 * e))
-    v = -np.sqrt((free + mu - e) / (2.0 * e))
+    # free + mu - e -> mu^2 / 2e > 0 at large k, where it can round below 0
+    v = -np.sqrt(np.maximum(free + mu - e, 0.0) / (2.0 * e))
     return u, v
 
 
@@ -127,11 +128,23 @@ def beta_of(omega: float, temperature: float) -> float:
     return HBAR * omega / (K_B * temperature)
 
 
-def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1 / (e^beta - 1); exactly 0 at T = 0."""
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
+def thermal_occupation(omega, temperature: float):
+    """Bose-Einstein occupation 1 / (e^beta - 1); 0 above beta = 700 (e^700
+    overflows anyway) and so exactly 0 at T = 0.
+
+    A scalar ``omega`` must be positive and gives a float.  An array gives
+    an array of its shape; its entries are not checked, as the collision
+    integrands pass only positive frequencies and call this hundreds of
+    times per integral.  A scalar takes libm's expm1 and an array numpy's:
+    the two differ by an ulp on a few percent of arguments, and each keeps
+    the bits of the outputs computed with it.
+    """
+    if np.ndim(omega) == 0:
+        if omega <= 0:
+            raise ValueError("frequency must be positive")
+        beta = beta_of(omega, temperature)
+        return 0.0 if beta > 700.0 else 1.0 / math.expm1(beta)
+    if temperature == 0.0:  # beta_of's inf, in the array's shape
+        return np.zeros_like(omega)
     beta = beta_of(omega, temperature)
-    if beta > 700.0:  # includes T = 0; e^700 overflows anyway
-        return 0.0
-    return 1.0 / math.expm1(beta)
+    return np.where(beta > 700.0, 0.0, 1.0 / np.expm1(np.minimum(beta, 700.0)))

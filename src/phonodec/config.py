@@ -136,14 +136,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f"{', '.join(sorted(SPECIES_PRESETS))} or custom)"
         )
 
-    preset = SPECIES_PRESETS.get(species)  # None for custom
+    preset = SPECIES_PRESETS.get(species, {})  # custom has no values
     constants = {}
-    for key, attr in (
-        ("mass_kg", "mass"),
-        ("scattering_length_m", "scattering_length"),
-        ("three_body_l3_m6_per_s", "three_body_l3"),
-    ):
-        value = raw.get(key, getattr(preset, attr, None))
+    for key in ("mass_kg", "scattering_length_m", "three_body_l3_m6_per_s"):
+        value = raw.get(key, preset.get(key))
         if value is None:
             raise ConfigError(f"species {species} requires {key}")
         constants[key] = _number(key, value, positive=True)

@@ -50,24 +50,15 @@ class RegimeWarning(UserWarning):
     """A closed-form rate was evaluated outside its validity region."""
 
 
-@dataclass(frozen=True)
-class InteractionCoefficients:
-    """Dimensionless three-mode vertex factors for a probe mode q.
-
-    ``b`` couples q to the decay q -> k + k', and ``l`` to the collision
-    q + k -> k' (``l`` carries its conventional factor of two).
-    """
-
-    b: float
-    l: float
-
-
 def vertex_coefficients(
     q: float, k: float, kp: float, params: CondensateParams
-) -> InteractionCoefficients:
-    """Vertex factors for the mode triple (q; k, k'), all wavenumbers > 0.
+) -> tuple[float, float]:
+    """Dimensionless vertex factors (b, l) for the mode triple (q; k, k').
 
-    Any argument may be an array; the factors then broadcast.
+    ``b`` couples the probe mode q to the decay q -> k + k', and ``l`` to
+    the collision q + k -> k' (``l`` carries its conventional factor of
+    two).  All wavenumbers must be > 0; any argument may be an array, and
+    the factors then broadcast.
     """
     if min(np.min(q), np.min(k), np.min(kp)) <= 0:
         raise ValueError("wavenumbers must be positive")
@@ -78,7 +69,7 @@ def vertex_coefficients(
     l = 2.0 * (
         uq * (vk * up + uk * up + vk * vp) + vq * (uk * vp + uk * up + vk * vp)
     )
-    return InteractionCoefficients(b=b, l=l)
+    return b, l
 
 
 @dataclass(frozen=True)
@@ -283,13 +274,13 @@ def _gk21_panels(
 
 
 def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Integrals of several integrands over [lo, hi], or over each [lo_i, hi_i].
+    """Integrals of several integrands over each interval [lo_i, hi_i].
 
-    With scalar limits, ``f(x)`` maps an array of abscissae to an array with
-    one extra leading axis, one entry per integrand, and the result holds one
-    integral per integrand.  With 1-D arrays of limits, ``f(x, owner)`` also
-    gets, for each row of ``x``, the index i of the interval the row lies in,
-    and the result has shape (integrands, intervals).
+    ``lo`` and ``hi`` broadcast to one 1-D array of intervals.  ``f(x, owner)``
+    maps a 2-D array of abscissae to an array with one extra leading axis,
+    one entry per integrand; ``owner`` holds, for each row of ``x``, the
+    index i of the interval the row lies in.  The result has shape
+    (integrands, intervals).
 
     Globally adaptive Gauss-Kronrod 21/10 on each interval (QUADPACK's
     ``qag`` strategy): every panel whose |Kronrod - Gauss| exceeds its equal
@@ -301,14 +292,7 @@ def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.n
     split any interval into more than ``cfg.max_subdivisions`` panels raises
     RuntimeError.
     """
-    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
-    a, b = np.broadcast_arrays(np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float))
-    if not batch:
-        one_argument = f
-
-        def f(x, owner):
-            return one_argument(x)
-
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     owner = np.arange(len(a))  # the interval of each panel, ascending
     panels = np.ones(len(a), dtype=int)  # panels per interval
     value, error = _gk21_panels(f, a, b, owner)
@@ -321,7 +305,7 @@ def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.n
         done = np.all(np.add.reduceat(error, starts, axis=1) <= budget, axis=0)
         result[:, owner[starts[done]]] = total[:, done]
         if done.all():
-            return result if batch else result[:, 0]
+            return result
         segment = np.searchsorted(owner[starts], owner)  # each panel's run
         if done.any():
             going = ~done[segment]
@@ -351,14 +335,6 @@ def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.n
         b = np.concatenate((b[keep], new_b))[order]
         value = np.concatenate((value[:, keep], new_value), axis=1)[:, order]
         error = np.concatenate((error[:, keep], new_error), axis=1)[:, order]
-
-
-def _occupations(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """``thermal_occupation`` of each frequency in an array."""
-    if temperature == 0.0:
-        return np.zeros_like(omega)
-    beta = HBAR * omega / (K_B * temperature)
-    return np.where(beta > 700.0, 0.0, 1.0 / np.expm1(np.minimum(beta, 700.0)))
 
 
 def gamma_integral(
@@ -408,8 +384,8 @@ def _gamma_integral(
 
     def pair_terms(k: np.ndarray, owner: np.ndarray, sign: float):
         """k k_l / |dw/dk|_l (0 where the partner mode is closed), the vertex
-        factors, n_k and n_l for the partner at w_l = w_q + sign * w_k, where
-        row i of ``k`` belongs to the frequency ``omegas[owner[i]]``."""
+        factors b and l, n_k and n_l for the partner at w_l = w_q + sign * w_k,
+        where row i of ``k`` belongs to the frequency ``omegas[owner[i]]``."""
         omega_q = omegas[owner][:, None]
         q = qs[owner][:, None]
         omega_k = dispersion(k, params)
@@ -421,15 +397,15 @@ def _gamma_integral(
         weight = np.where(open_, k * kl / group_velocity(kl, params), 0.0)
         return (
             weight,
-            vertex_coefficients(q, k, kl, params),
-            _occupations(omega_k, temperature),
-            _occupations(omega_l, temperature),
+            *vertex_coefficients(q, k, kl, params),
+            thermal_occupation(omega_k, temperature),
+            thermal_occupation(omega_l, temperature),
         )
 
     # Decay channel: q -> k + l, w_l = w_q - w_k, spontaneous plus stimulated.
     def beliaev(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        weight, vertex, nk, nl = pair_terms(k, owner, -1.0)
-        weight = weight * vertex.b**2
+        weight, b, _, nk, nl = pair_terms(k, owner, -1.0)
+        weight = weight * b**2
         return np.stack((weight * (1.0 + nk) * (1.0 + nl), weight * nk * nl))
 
     gb_down, gb_up = prefactor * gauss_kronrod(beliaev, 0.0, qs, cfg)
@@ -443,8 +419,8 @@ def _gamma_integral(
     if k_max > 0.0:
 
         def landau(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            weight, vertex, nk, nl = pair_terms(k, owner, 1.0)
-            weight = 0.5 * weight * vertex.l**2
+            weight, _, l, nk, nl = pair_terms(k, owner, 1.0)
+            weight = 0.5 * weight * l**2
             return np.stack((weight * nk * (1.0 + nl), weight * nl * (1.0 + nk)))
 
         gl_down, gl_up = prefactor * gauss_kronrod(landau, 0.0, np.full_like(qs, k_max), cfg)
@@ -464,31 +440,6 @@ def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float
     """(gamma_1, gamma_2, gamma_total, n_thermal) from a net rate and detailed balance."""
     n_th = thermal_occupation(omega_q, temperature)
     return gamma * (1.0 + n_th), gamma * n_th, gamma * (1.0 + 2.0 * n_th), n_th
-
-
-def damping_result(
-    gamma: float,
-    gamma_beliaev: float,
-    gamma_landau: float,
-    omega_q: float,
-    temperature: float,
-    regime: str,
-    flags: tuple[str, ...] = (),
-) -> DampingResult:
-    """A net rate with its channel parts, completed by the detailed-balance split."""
-    gamma_1, gamma_2, gamma_total, n_th = split_rates(gamma, omega_q, temperature)
-    return DampingResult(
-        gamma=gamma,
-        gamma_beliaev=gamma_beliaev,
-        gamma_landau=gamma_landau,
-        gamma_1=gamma_1,
-        gamma_2=gamma_2,
-        gamma_total=gamma_total,
-        beta_q=beta_of(omega_q, temperature),
-        n_thermal=n_th,
-        regime=regime,
-        flags=flags,
-    )
 
 
 def _regime(omega_q: float, params: CondensateParams, source: str) -> str:
@@ -558,9 +509,21 @@ def select_regime(
             if source == "auto":
                 flags = ("no closed form applies; rates from collision integrals",)
         gamma = gamma_explicit if regime == "explicit" else gamma_b + gamma_l
+        gamma_1, gamma_2, gamma_total, n_th = split_rates(
+            gamma, omega, params.temperature
+        )
         results.append(
-            damping_result(
-                gamma, gamma_b, gamma_l, omega, params.temperature, regime, flags
+            DampingResult(
+                gamma=gamma,
+                gamma_beliaev=gamma_b,
+                gamma_landau=gamma_l,
+                gamma_1=gamma_1,
+                gamma_2=gamma_2,
+                gamma_total=gamma_total,
+                beta_q=beta_of(omega, params.temperature),
+                n_thermal=n_th,
+                regime=regime,
+                flags=flags,
             )
         )
     return results if np.ndim(omega_q) else results[0]

@@ -29,10 +29,10 @@ _EPS = float(np.finfo(float).eps)
 class GaussianState:
     """Single-mode Gaussian state: displacement (2,) and covariance (2, 2).
 
-    Construction validates symmetry and the uncertainty bound
-    det sigma >= 1/(4 kappa^2)^2; violations within a 1e-9 relative slack
-    are treated as numerical noise.  A covariance whose determinant leaves
-    the float range raises ``OverflowError``.
+    Construction validates symmetry, a positive diagonal and the
+    uncertainty bound det sigma >= 1/(4 kappa^2)^2; bound violations within
+    a 1e-9 relative slack are treated as numerical noise.  A covariance
+    whose determinant leaves the float range raises ``OverflowError``.
     """
 
     d: NDArray[np.float64]
@@ -57,6 +57,8 @@ class GaussianState:
         s00, s11 = 0.5 * s00 + 0.5 * s00, 0.5 * s11 + 0.5 * s11
         s01 = 0.5 * s01 + 0.5 * s10
         sigma = np.array([[s00, s01], [s01, s11]])
+        if s00 <= 0.0:  # with det sigma > 0 below, s11 > 0 too
+            raise ValueError("covariance must be positive definite")
         bound = VACUUM_VARIANCE
         # det check with a floor for the intrinsic cancellation noise of
         # strongly squeezed covariances (entries ~ e^{2r} while det ~ 1);

@@ -138,13 +138,16 @@ def rates_report(config: ScenarioConfig) -> str:
 
 
 @dataclass(frozen=True)
-class TrajectoryRun:
+class Run:
+    """A table with its metadata header: an all-float array (trajectory) or
+    a list of row tuples whose cells may be None (sweep)."""
+
     header: dict
     columns: tuple[str, ...]
-    rows: np.ndarray
+    rows: np.ndarray | list[tuple]
 
 
-def run_trajectory(config: ScenarioConfig) -> TrajectoryRun:
+def run_trajectory(config: ScenarioConfig) -> Run:
     """Metric trajectory table for one scenario."""
     params = config.condensate()
     rate = resolve_rate(config, params)
@@ -166,16 +169,9 @@ def run_trajectory(config: ScenarioConfig) -> TrajectoryRun:
         ) from None
     header = {"kind": "trajectory", **run_header(config, params, rate, n0, metrics)}
     rows = np.column_stack([metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation])
-    return TrajectoryRun(
+    return Run(
         header=header, columns=("t_s", "mu", "tau", "r", "occupation"), rows=rows
     )
-
-
-@dataclass(frozen=True)
-class SweepRun:
-    header: dict
-    columns: tuple[str, ...]
-    rows: list[tuple]
 
 
 _BRENT_MIN_RTOL = 4 * np.finfo(float).eps  # also the default, as in scipy
@@ -271,7 +267,7 @@ def brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def run_sweep(config: ScenarioConfig) -> SweepRun:
+def run_sweep(config: ScenarioConfig) -> Run:
     """Decoherence time vs mode frequency for each configured speed of sound.
 
     Rows where the purity-minimum time exceeds the condensate half-life are
@@ -343,7 +339,7 @@ def run_sweep(config: ScenarioConfig) -> SweepRun:
     }
     for c_s in speeds:
         header[f"truncation_omega_rad_per_s[c_s={c_s!r}]"] = truncation[c_s]
-    return SweepRun(
+    return Run(
         header=header,
         columns=(
             "speed_of_sound_m_per_s",
@@ -368,7 +364,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def to_csv(run: TrajectoryRun | SweepRun) -> str:
+def to_csv(run: Run) -> str:
     """Render a run as CSV text with a commented metadata header."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
@@ -381,6 +377,6 @@ def to_csv(run: TrajectoryRun | SweepRun) -> str:
     return head + "".join(",".join(map(_fmt, row)) + "\n" for row in run.rows)
 
 
-def write_csv(run: TrajectoryRun | SweepRun, path) -> None:
+def write_csv(run: Run, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(to_csv(run))

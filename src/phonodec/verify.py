@@ -114,7 +114,10 @@ def check_rate_integrals(tol_scale: float = 1.0) -> CheckResult:
     worst = 0.0
     for temperature, omega, channel, closed_form in cases:
         params = CondensateParams(
-            RB87.mass, RB87.scattering_length, temperature, speed_of_sound=3.4e-3
+            RB87["mass_kg"],
+            RB87["scattering_length_m"],
+            temperature,
+            speed_of_sound=3.4e-3,
         )
         integral = getattr(gamma_integral(omega, params), channel)
         worst = max(worst, abs(integral / closed_form(omega, params) - 1.0))

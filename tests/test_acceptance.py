@@ -74,7 +74,7 @@ def test_criterion_3_three_body_ordering(paper_params):
     t_min = math.log(2.0) / gamma_b
 
     def both():
-        n0, l3 = paper_params.density, RB87.three_body_l3
+        n0, l3 = paper_params.density, RB87["three_body_l3_m6_per_s"]
         return decay_rate(n0, l3), half_life(n0, l3)
 
     (gamma3, t_half), elapsed = timed(both)

@@ -540,6 +540,20 @@ def run_cli_in_process(*argv: str) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+# far above mu / hbar, the free + mu - hbar w of bec.bogoliubov_uv's v_k can
+# round below 0
+@pytest.mark.parametrize("omega", ["1.0e+12", "1.0e+14", "1.0e+16", "1.0e+19"])
+def test_integral_rates_at_a_large_frequency_are_finite(tmp_path, omega):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"rate_source: integral\nmode_frequency_rad_per_s: {omega}\n")
+    code, stdout, stderr = run_cli_in_process(
+        "rates", "--preset", "fig1", "--config", str(cfg)
+    )
+    assert code == 0, stderr
+    report = dict(line.split(maxsplit=1) for line in stdout.splitlines())
+    assert math.isfinite(float(report["gamma_per_s"]))
+
+
 def assert_sweep_in_range(path: Path) -> None:
     """The fig2 sweep's 20 frequencies per speed: finite rates and times, a
     ``none`` t_min only where the purity has no minimum, consistent flags."""

@@ -92,7 +92,8 @@ def test_gauss_kronrod_agrees_with_quad(name, rel_tol):
     f, lo, hi = INTEGRANDS[name]
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=200)
     # two rows on one node array, as the collision integrals use it
-    got = gauss_kronrod(lambda x: np.stack((f(x), -3.0 * f(x))), lo, hi, cfg)
+    integrand = lambda x, owner: np.stack((f(x), -3.0 * f(x)))
+    got = gauss_kronrod(integrand, np.array([lo]), np.array([hi]), cfg)[:, 0]
     reference = quad(
         lambda x: float(f(np.float64(x))), lo, hi, epsabs=0.0, epsrel=1e-13, limit=500
     )[0]
@@ -103,7 +104,12 @@ def test_gauss_kronrod_agrees_with_quad(name, rel_tol):
 def test_gauss_kronrod_nan_integrand_is_an_error_not_a_hang():
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     with pytest.raises(RuntimeError, match="did not converge"):
-        gauss_kronrod(lambda x: np.stack((np.full_like(x, np.nan),)), 0.0, 1.0, cfg)
+        gauss_kronrod(
+            lambda x, owner: np.stack((np.full_like(x, np.nan),)),
+            np.array([0.0]),
+            np.array([1.0]),
+            cfg,
+        )
 
 
 # Batches: one call over many intervals or frequencies, with the semantics of
@@ -143,8 +149,9 @@ def test_batched_gauss_kronrod_equals_single_calls_bit_for_bit(intervals):
 
     singles = []
     for a, b, *params in intervals:
+        single = lambda x, owner: damped_wave(x, *params)
         try:
-            singles.append(gauss_kronrod(lambda x: damped_wave(x, *params), a, b, cfg))
+            singles.append(gauss_kronrod(single, np.array([a]), np.array([b]), cfg)[:, 0])
         except RuntimeError:  # an integral near 0 that no relative tolerance fits
             with pytest.raises(RuntimeError, match=NO_CONVERGENCE):
                 gauss_kronrod(batched, lo, hi, cfg)
@@ -156,19 +163,19 @@ def test_batched_gauss_kronrod_equals_single_calls_bit_for_bit(intervals):
 
 
 def lorentzian(width):
-    return lambda x: np.stack((width / (width * width + x * x),))
+    return lambda x, owner: np.stack((width / (width * width + x * x),))
 
 
 def test_batch_raises_when_one_interval_exceeds_the_cap():
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=12)
     widths = np.array([1.0, 2.0, 1e-7, 0.5])  # only the third is too sharp
     for width in np.delete(widths, 2):
-        gauss_kronrod(lorentzian(width), -1.0, 2.0, cfg)
+        gauss_kronrod(lorentzian(width), np.array([-1.0]), np.array([2.0]), cfg)
     with pytest.raises(RuntimeError) as alone:
-        gauss_kronrod(lorentzian(widths[2]), -1.0, 2.0, cfg)
+        gauss_kronrod(lorentzian(widths[2]), np.array([-1.0]), np.array([2.0]), cfg)
     with pytest.raises(RuntimeError) as batch:
         gauss_kronrod(
-            lambda x, owner: lorentzian(widths[owner][:, None])(x),
+            lambda x, owner: lorentzian(widths[owner][:, None])(x, owner),
             np.full(4, -1.0),
             np.full(4, 2.0),
             cfg,

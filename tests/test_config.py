@@ -87,12 +87,12 @@ def test_custom_species_requires_mass_and_length():
     assert cfg.condensate().mass == 1.4e-25
 
 
-# each species constant: its config key, its Species attribute, and a range
-# of positive values to draw it from
+# each species constant: its config key and a range of positive values to
+# draw it from
 SPECIES_CONSTANTS = (
-    ("mass_kg", "mass", (1e-27, 1e-24)),
-    ("scattering_length_m", "scattering_length", (1e-10, 1e-7)),
-    ("three_body_l3_m6_per_s", "three_body_l3", (1e-44, 1e-38)),
+    ("mass_kg", (1e-27, 1e-24)),
+    ("scattering_length_m", (1e-10, 1e-7)),
+    ("three_body_l3_m6_per_s", (1e-44, 1e-38)),
 )
 
 
@@ -102,7 +102,7 @@ SPECIES_CONSTANTS = (
     st.fixed_dictionaries(
         {},
         optional={
-            key: st.floats(lo, hi) for key, _, (lo, hi) in SPECIES_CONSTANTS
+            key: st.floats(lo, hi) for key, (lo, hi) in SPECIES_CONSTANTS
         },
     ),
 )
@@ -111,11 +111,8 @@ def test_species_constants_are_the_key_else_the_preset(species, keys):
         MINIMAL, species=species, rate_source="explicit", gamma_explicit_per_s=0.5
     )
     raw.update(keys)
-    preset = SPECIES_PRESETS.get(species)
-    expected = {
-        key: keys.get(key, getattr(preset, attr, None))
-        for key, attr, _ in SPECIES_CONSTANTS
-    }
+    preset = SPECIES_PRESETS.get(species, {})
+    expected = {key: keys.get(key, preset.get(key)) for key, _ in SPECIES_CONSTANTS}
     missing = [key for key, value in expected.items() if value is None]
     if missing:
         with pytest.raises(ConfigError, match=f"species {species} requires {missing[0]}"):

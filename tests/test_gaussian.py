@@ -137,6 +137,12 @@ def test_symmetry_enforced_and_violations_rejected():
         GaussianState(d=np.zeros(4), sigma=np.eye(4))  # single mode only
 
 
+def test_negative_definite_covariance_is_rejected():
+    # det sigma = 1 clears the uncertainty bound; the diagonal does not
+    with pytest.raises(ValueError, match="positive definite"):
+        GaussianState(d=np.zeros(2), sigma=-np.eye(2))
+
+
 def test_constructed_states_satisfy_bound():
     for mu in (0.1, 0.5, 1.0):
         for r in (0.0, 1.0, 6.0, 12.0):
@@ -170,6 +176,8 @@ def numpy_validator(d, sigma):
     if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
         raise ValueError("covariance must be symmetric")
     sigma = 0.5 * sigma + 0.5 * sigma.T
+    if sigma[0, 0] <= 0.0:
+        raise ValueError("covariance must be positive definite")
     bound = VACUUM_VARIANCE
     det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
     noise = 64.0 * np.finfo(float).eps * (

@@ -25,7 +25,7 @@ from phonodec.damping import (
 )
 from phonodec import runs
 from phonodec.runs import (
-    TrajectoryRun,
+    Run,
     brentq,
     rates_report,
     resolve_rate,
@@ -184,7 +184,7 @@ def test_csv_bytes_are_pinned(case):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def row_by_row_csv(run: TrajectoryRun) -> str:
+def row_by_row_csv(run: Run) -> str:
     """The reference renderer: one repr-joined line per row."""
     lines = [f"# {key} = {value}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
@@ -211,7 +211,7 @@ TABLES = hnp.arrays(
 @given(TABLES)
 @example(np.array([EDGE_FLOATS[:6], EDGE_FLOATS[6:12], EDGE_FLOATS[12:18]]))
 def test_table_csv_equals_the_row_by_row_reference(table):
-    run = TrajectoryRun(
+    run = Run(
         header={"kind": "trajectory", "gamma_per_s": 0.7396522778206445},
         columns=tuple(f"c{i}" for i in range(table.shape[1])),
         rows=table,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from phonodec.constants import RB87, RB87_L3_UNCERTAINTY
+from phonodec.constants import RB87
 from phonodec.damping import gamma_beliaev_asymptotic
 from phonodec.three_body import decay_rate, half_life
 
-L3 = RB87.three_body_l3
+L3 = RB87["three_body_l3_m6_per_s"]
+RB87_L3_UNCERTAINTY = 1.9e-42  # m^6 / s, one sigma
 
 
 def density_decay(n0, l3, t):
