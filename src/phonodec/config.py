@@ -7,6 +7,7 @@ Unknown keys are rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,6 +40,20 @@ def _number(key: str, value, *, positive=False, nonnegative=False) -> float:
     if nonnegative and value < 0:
         raise ConfigError(f"{key}: must be >= 0")
     return value
+
+
+def _frequency(key: str, value) -> float:
+    omega = _number(key, value, positive=True)
+    if omega * omega < sys.float_info.min:
+        # the collision integrals invert the dispersion through omega**2,
+        # subnormal below 1.49e-154 rad/s, and find no wavenumber at all
+        # below ~3e-160 at fig1's speed of sound; the closed forms divide by
+        # an hbar*omega that underflows below ~7e-290
+        raise ConfigError(
+            f"{key}: omega**2 underflows at {omega!r} rad/s"
+            " (use at least 1.4916681462400413e-154)"
+        )
+    return omega
 
 
 @dataclass(frozen=True)
@@ -167,9 +182,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     if "mode_frequency_rad_per_s" not in raw:
         raise ConfigError("mode_frequency_rad_per_s is required")
-    omega_q = _number(
-        "mode_frequency_rad_per_s", raw["mode_frequency_rad_per_s"], positive=True
-    )
+    omega_q = _frequency("mode_frequency_rad_per_s", raw["mode_frequency_rad_per_s"])
 
     r0 = _number("initial_squeezing", raw.get("initial_squeezing", 0.0), nonnegative=True)
     if "initial_purity" in raw and "initial_thermal_occupation" in raw:
@@ -254,7 +267,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if (sweep_min is None) != (sweep_max is None):
         raise ConfigError("sweep frequency range requires both min and max")
     if sweep_min is not None:
-        sweep_min = _number("sweep_omega_min_rad_per_s", sweep_min, positive=True)
+        sweep_min = _frequency("sweep_omega_min_rad_per_s", sweep_min)
         sweep_max = _number("sweep_omega_max_rad_per_s", sweep_max, positive=True)
         if sweep_max <= sweep_min:
             raise ConfigError("sweep_omega_max_rad_per_s must exceed the minimum")

@@ -1,10 +1,10 @@
 """Scenario execution: rate resolution, trajectory and sweep tables, CSV.
 
 Output is plain CSV with a commented header carrying every physical input
-and derived rate in SI-annotated keys.  Formatting goes through repr so a
-fixed config produces byte-identical files: the trajectory's float table
-is rendered by one ``%r`` format over the whole table, the sweep's table
-cell by cell (its cells may be ``none``).
+and derived rate in SI-annotated keys.  Every number is written as its repr
+so a fixed config produces byte-identical files: the trajectory's float
+table by ``_repr.repr_table``, a numpy kernel whose text equals repr cell
+for cell, the sweep's table cell by cell (its cells may be ``none``).
 """
 
 from __future__ import annotations
@@ -370,10 +370,9 @@ def to_csv(run: Run) -> str:
     lines.append(",".join(run.columns))
     head = "\n".join(lines) + "\n"
     if isinstance(run.rows, np.ndarray):
-        # an all-float table: tolist() yields Python floats, whose %r is repr
-        n_rows, n_cols = run.rows.shape
-        row = ",".join(["%r"] * n_cols) + "\n"
-        return head + (row * n_rows) % tuple(run.rows.ravel().tolist())
+        from ._repr import repr_table  # only the trajectory pays its import
+
+        return head + repr_table(run.rows)
     return head + "".join(",".join(map(_fmt, row)) + "\n" for row in run.rows)
 
 

@@ -419,6 +419,35 @@ def test_verify_does_not_import_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, ["verify"]) == set()
 
 
+# Imports the CLI, then runs verbs, in one fresh interpreter, and prints after
+# each step whether the float-table renderer is loaded.
+RENDERER_LOADED_AFTER = """
+import sys
+from phonodec import cli
+print("renderer loaded:", "phonodec._repr" in sys.modules)
+for argv in {argvs!r}:
+    assert cli.main(argv) == 0, argv
+    print("renderer loaded:", "phonodec._repr" in sys.modules)
+"""
+
+
+def test_only_the_trajectory_loads_the_float_table_renderer(tmp_path):
+    # every verb pays its import otherwise, in setup time
+    argvs = [
+        ["rates", "--preset", "fig1"],
+        ["sweep", "--preset", "fig2"],
+        ["verify"],
+        ["trajectory", "--preset", "fig1"],
+    ]
+    cp = run_python("-c", RENDERER_LOADED_AFTER.format(argvs=argvs), cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    loaded = [
+        line.split()[-1] for line in cp.stdout.splitlines()
+        if line.startswith("renderer loaded:")
+    ]
+    assert loaded == ["False", "False", "False", "False", "True"]
+
+
 @pytest.mark.parametrize(
     "verb, overlay, keys",
     [
@@ -485,6 +514,56 @@ def test_temperature_whose_k_b_t_underflows_is_rejected(
     assert code == 2
     assert stderr.startswith("error: temperature_K: ") and stderr.count("\n") == 1
     assert not out.exists()
+
+
+# omega**2 is subnormal below 1.4916681462400413e-154 rad/s, where the
+# collision integrals lose the wavenumber; the closed forms divide by an
+# hbar*omega that underflows below about 7e-290 rad/s
+FREQUENCY_KEYS = [
+    ("rates", "fig1", "mode_frequency_rad_per_s"),
+    ("trajectory", "fig1", "mode_frequency_rad_per_s"),
+    ("sweep", "fig2", "sweep_omega_min_rad_per_s"),
+]
+
+
+def run_at_frequency(tmp_path, verb, preset, key, omega, temperature):
+    sweep = "sweep_omega_max_rad_per_s: 1.0e-150\n" if verb == "sweep" else ""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"temperature_K: {temperature}\n{key}: {omega}\n{sweep}"
+        "sweep_points: 5\ntime_points: 5\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, stderr = run_cli_in_process(
+        verb, "--preset", preset, "--config", str(cfg), "--out", str(out)
+    )
+    return code, stderr, out
+
+
+@pytest.mark.parametrize("verb, preset, key", FREQUENCY_KEYS)
+@pytest.mark.parametrize("temperature", ["0.0", "0.5e-9"])
+@pytest.mark.parametrize("omega", ["1.0e-300", "3.0e-290", "1.4916681462400412e-154"])
+def test_frequency_whose_square_underflows_is_rejected(
+    tmp_path, verb, preset, key, temperature, omega
+):
+    code, stderr, out = run_at_frequency(tmp_path, verb, preset, key, omega, temperature)
+    assert code == 2
+    assert stderr.startswith(f"error: {key}: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
+# at fig1's temperature the trajectory's thermal occupation at the floor is
+# about 4e155, and its metrics end in the error that names mu_inf
+@pytest.mark.parametrize(
+    "verb, preset, key, temperature",
+    [(*keys, "0.0") for keys in FREQUENCY_KEYS]
+    + [(*keys, "0.5e-9") for keys in FREQUENCY_KEYS if keys[0] != "trajectory"],
+)
+def test_frequency_at_the_floor_runs(tmp_path, verb, preset, key, temperature):
+    code, stderr, _ = run_at_frequency(
+        tmp_path, verb, preset, key, "1.4916681462400413e-154", temperature
+    )
+    assert code == 0 and stderr == ""
 
 
 def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):

@@ -192,13 +192,16 @@ def row_by_row_csv(run: Run) -> str:
     return "\n".join(lines) + "\n"
 
 
-# signed zeros, infinities, nan, the subnormal range and the points where
-# repr switches between positional and exponent notation (1e16, 1e-4)
+# signed zeros, infinities, nan, the subnormal range, the points where
+# repr switches between positional and exponent notation (1e16, 1e-4),
+# powers of two whose lower neighbour is half a gap away (1.0, 2**1023), and
+# the smallest normal 2**-1022, whose lower neighbour is a full gap away
 EDGE_FLOATS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
     2.225073858507201e-308, 2.2250738585072014e-308, 1e16, -1e16,
     9999999999999998.0, 1.0000000000000002e16, 1e-4, 0.00010000000000000002,
     9.999999999999999e-05, 1e-5, -1e-5, 1.7976931348623157e308,
+    1.0, 2.0**-1022, 2.0**1023,
 ]
 TABLES = hnp.arrays(
     np.float64,
