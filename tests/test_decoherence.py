@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from phonodec.decoherence import (
@@ -205,3 +206,37 @@ def test_metric_trajectory_assembly():
     assert traj.occupation[-1] == pytest.approx(
         occupation_evolution(math.sinh(2.0) ** 2, 0.125, 1.5, 4.0)
     )
+
+
+PURITIES = st.floats(1e-12, 1.0) | st.just(1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mu0=PURITIES,
+    r0=st.floats(0.0, 350.0) | st.just(0.0),
+    mu_inf=PURITIES,
+    gamma=st.floats(0.0, 1e3) | st.just(0.0),
+    n0=st.floats(0.0, 1e300),
+    n_thermal=st.floats(0.0, 1e300),
+    t_max=st.floats(0.0, 1e4),
+    points=st.integers(1, 10_000),
+)
+@example(1.0, 10.0, 1.0, 0.738, math.sinh(10.0) ** 2, 0.0, 5.0, 200)
+@example(0.9, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1)
+def test_metric_trajectory_equals_the_public_evolutions_bit_for_bit(
+    mu0, r0, mu_inf, gamma, n0, n_thermal, t_max, points
+):
+    t = np.linspace(0.0, t_max, points)
+    with np.errstate(all="ignore"):  # the far corners overflow, the same way twice
+        traj = metric_trajectory(mu0, r0, mu_inf, gamma, n0, n_thermal, t)
+        expected = {
+            "mu": purity_evolution(mu0, r0, mu_inf, gamma, t),
+            "tau": nonclassical_depth_evolution(mu0, r0, mu_inf, gamma, t),
+            "r": squeezing_evolution(mu0, r0, mu_inf, gamma, t),
+            "occupation": occupation_evolution(n0, n_thermal, gamma, t),
+        }
+    for name, want in expected.items():
+        got = getattr(traj, name)
+        assert got.dtype == np.float64 and got.shape == t.shape, name
+        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes(), name
