@@ -1,8 +1,9 @@
 """CSV text of a float64 table whose every cell is the cell's ``repr``.
 
-``repr_table(rows)`` equals
-``"".join(",".join(map(repr, row)) + "\\n" for row in rows.tolist())``
-byte for byte, computed in numpy over chunks of about 8 K cells.
+``repr_table(rows, head)`` equals ``head +
+"".join(",".join(map(repr, row)) + "\\n" for row in rows.tolist())``
+byte for byte, computed in numpy over chunks of about 8 K cells into one
+buffer that starts with the head's bytes.
 
 Digits.  Each finite nonzero cell's shortest round-trip decimal comes from
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020; the
@@ -18,7 +19,9 @@ its exponent digits into a 32-byte source row that also holds the constant
 characters and the cell's separator.  One gather through a per-layout
 template of source offsets puts Python's layout in place: positional for
 -4 < decpt <= 16 (``.0`` on integers), else ``d.ddde±XX``.  The templates
-pad with the row's zero byte, which one boolean mask drops.
+pad with the row's zero byte, which one boolean mask drops; each chunk
+gathers only as many template columns as its widest cell needs.  Every
+gather is an ``np.take``, which is faster than the same fancy index.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _decimal(be, t):
     np.left_shift(c, u(2), out=cp[1])
     cp[0] = cp[1] - u(2) + irregular
     cp[2] = cp[1] + u(2)
-    vbl, vb, vbr = _rop(_G[:, row], cp)
+    vbl, vb, vbr = _rop(np.take(_G, row, axis=1), cp)
 
     odd = c & u(1)  # an even significand's interval includes its ends
     lower = vbl + odd
@@ -120,13 +123,14 @@ def _decimal(be, t):
     w_in = s4 + u(4) <= upper
     round_up = (vb & u(3)) + (s & u(1)) > 2
     f = np.where(shorter, sp + wp_in, s + np.where(u_in != w_in, w_in, round_up))
-    return f.view(np.int64), _K[row] + shorter
+    return f.view(np.int64), np.take(_K, row) + shorter
 
 
-# A cell's source row.  A-Q are its 17 digits (B-Q eight aligned pairs),
-# Y Z X the exponent's tens, ones and hundreds, ',' its separator and ' ' the
+# A cell's source row.  A-Q are its 17 digits (B-Q four aligned quads), X Y Z
+# the exponent's hundreds, tens and ones (an aligned quad after its leading
+# '0', which also serves as the constant '0'), ',' its separator and ' ' the
 # zero byte; the other characters stand for themselves.
-_SOURCE = "A-BCDEFGHIJKLMNOPQYZX.e+0infa, "
+_SOURCE = "A-.eBCDEFGHIJKLMNOPQ0XYZ+infa, "
 _WIDTH = 25  # the longest repr, '-2.2250738585072014e-308', and a separator
 _N_LAYOUT = 24  # positional with decpt -3..16, then e+XX, e+XXX, e-XX, e-XXX
 _SPECIAL = _N_LAYOUT * 17 * 2  # then 0.0, -0.0, inf, -inf, nan, nan
@@ -146,9 +150,10 @@ def _pattern(layout: int, ndig: int) -> str:
     return digits + "0" * (decpt - ndig) + ".0"
 
 
-def _templates() -> np.ndarray:
+def _templates() -> tuple[list[np.ndarray], np.ndarray]:
     """Source offsets of each layout, at (layout * 17 + ndig - 1) * 2 + the
-    sign bit, then of the special values."""
+    sign bit, then of the special values: as a table w columns wide for each
+    w up to _WIDTH, and each template's width (its text and separator)."""
     patterns = [
         sign + _pattern(layout, ndig)
         for layout in range(_N_LAYOUT)
@@ -159,24 +164,43 @@ def _templates() -> np.ndarray:
     text = "".join((p + ",").ljust(_WIDTH) for p in patterns).encode()
     to_offset = bytes.maketrans(_SOURCE.encode(), bytes(range(len(_SOURCE))))
     offsets = np.frombuffer(text.translate(to_offset), np.uint8)
-    return offsets.reshape(-1, _WIDTH).astype(np.int32)
+    table = offsets.reshape(-1, _WIDTH).astype(np.int32)
+    by_width = [np.ascontiguousarray(table[:, :w]) for w in range(_WIDTH + 1)]
+    return by_width, np.array([len(p) + 1 for p in patterns], np.int8)
 
 
-_TEMPLATES = _templates()
+_TEMPLATES, _TEMPLATE_WIDTH = _templates()
 _P10 = 10 ** np.arange(18, dtype=np.int64)
-_PAIRS = np.frombuffer("".join(f"{p:02d}" for p in range(100)).encode(), "<u2")
-# ndig - 1 when pair j (digits 2j + 1 and 2j + 2) is the last pair not zero,
-# at 100 j + pair
-_LAST = np.array(
-    [2 * j + 1 + (p % 10 != 0) if p else 0 for j in range(8) for p in range(100)],
-    np.uint8,
-)
-_PAIR_ROW = np.arange(0, 800, 100)[:, None]
 
 
-def _render(x, src, base) -> np.ndarray:
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four digit characters of 0-9999 as one uint32, and at
+    10000 j + quad, ndig - 1 when quad j (digits 4j + 1 to 4j + 4) is the
+    last quad not zero."""
+    digit = np.arange(10, dtype=np.uint8)
+    chars = np.empty((10, 10, 10, 10, 4), np.uint8)  # by digit, then place
+    used = np.zeros(10_000, np.uint8)  # places up to the last nonzero digit
+    for place in range(4):
+        shape = [1, 1, 1, 1]
+        shape[place] = 10
+        chars[..., place] = (digit + 48).reshape(shape)
+        nonzero = np.broadcast_to((digit != 0).reshape(shape), chars.shape[:4])
+        used[nonzero.reshape(-1)] = place + 1
+    quad = np.arange(4, dtype=np.uint8)[:, None]
+    last = np.where(used > 0, 4 * quad + used, 0).astype(np.uint8)
+    return chars.view("<u4").reshape(-1), last.reshape(-1)
+
+
+_QUADS, _LAST = _quad_tables()
+_QUAD_ROW = np.arange(0, 40_000, 10_000)[:, None]
+
+
+def _render(x, src, bases) -> np.ndarray:
     """The repr of each cell of ``x`` followed by the separator in its
-    source row, as bytes."""
+    source row (the first ``len(x)`` rows of ``src``), as bytes.  ``bases``
+    maps a template width to each source row's offset repeated that many
+    times, and gains the widths it lacks."""
+    src = src[: len(x)]
     u = np.uint64
     bits = x.view(np.uint64)
     negative = (bits >> u(63)).astype(np.int64)
@@ -189,23 +213,19 @@ def _render(x, src, base) -> np.ndarray:
     decpt = e10 + n
     hi = full // 10**8
     first = hi // 10**8
-    pairs = np.empty((2, 2, 2, len(x)), dtype=np.int64)  # digits 1-16 by two
+    quads = np.empty((2, 2, len(x)), dtype=np.int64)  # digits 1-16 by four
     eight = np.stack([hi - first * 10**8, full - hi * 10**8])
-    four = pairs[:, :, 1]
-    four[:, 0] = eight // 10**4
-    four[:, 1] = eight - four[:, 0] * 10**4
-    pairs[:, :, 0] = four // 100
-    pairs[:, :, 1] -= pairs[:, :, 0] * 100
-    pairs = pairs.reshape(8, -1)
-    ndig_1 = np.take(_LAST, pairs + _PAIR_ROW).max(axis=0)
+    quads[:, 0] = eight // 10**4
+    quads[:, 1] = eight - quads[:, 0] * 10**4
+    quads = quads.reshape(4, -1)
+    ndig_1 = np.take(_LAST, quads + _QUAD_ROW).max(axis=0)
 
     exp = decpt - 1
     mag = np.abs(exp)
-    src16 = src.view("<u2")  # A, then B-Q and YZ as pairs, then X
     src[:, 0] = first + 48
-    src16[:, 1:9] = _PAIRS[pairs].T
-    src16[:, 9] = _PAIRS[mag % 100]
-    src[:, 20] = mag // 100 + 48
+    src32 = src.view("<u4")
+    src32[:, 1:5] = np.take(_QUADS, quads).T  # B-Q
+    src32[:, 5] = np.take(_QUADS, mag)  # 0XYZ, as mag < 1000
 
     exponent_layout = 20 + 2 * (exp < 0) + (mag >= 100)
     layout = np.where((decpt <= -4) | (decpt > 16), exponent_layout, decpt + 3)
@@ -215,30 +235,39 @@ def _render(x, src, base) -> np.ndarray:
         kind = np.where(be == 2047, np.where(t != 0, 4, 2), 0)
         cls = np.where(special, _SPECIAL + kind + negative, cls)
 
-    idx = _TEMPLATES[cls]
-    idx += base
+    # only as many template columns as the chunk's widest cell needs
+    width = int(np.take(_TEMPLATE_WIDTH, cls).max())
+    idx = np.take(_TEMPLATES[width], cls, axis=0)
+    if width not in bases:  # full rows add faster than a broadcast column
+        offsets = np.arange(0, src.size, src.shape[1], dtype=np.int32)
+        bases[width] = np.repeat(offsets, width).reshape(-1, width)
+    idx += bases[width][: len(x)]
     out = np.take(src.reshape(-1), idx)
     return out[out != 0]
 
 
-def repr_table(rows: np.ndarray) -> str:
-    """CSV body of a 2-D float table: each cell's repr, ',' between the
-    cells of a row and '\\n' after each row."""
+def repr_table(rows: np.ndarray, head: str = "") -> str:
+    """``head`` followed by the CSV body of a 2-D float table: each cell's
+    repr, ',' between the cells of a row and '\\n' after each row.
+
+    The head's UTF-8 bytes go into the same buffer as the body's, so the
+    text is decoded once and never copied to be joined."""
     rows = np.asarray(rows, dtype=np.float64)
     _, n_cols = rows.shape
     cells = rows.reshape(-1)
     block = max(1, _CHUNK_CELLS // n_cols) * n_cols  # whole rows
     n = min(block, cells.size)
     row = np.frombuffer(_SOURCE.replace(" ", "\0").encode() + b"\0", np.uint8)
-    src = np.tile(row, (n, 1))  # 32 bytes a row, so that B-Q and YZ align
+    src = np.tile(row, (n, 1))  # 32 bytes a row, so that the quads align
     separators = np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)
     src[:, _SOURCE.index(",")] = np.resize(separators, n)
-    base = (np.arange(n, dtype=np.int32) * src.shape[1])[:, None]
-    text = np.empty(cells.size * _WIDTH, np.uint8)
-    end = 0
+    head_bytes = head.encode()
+    end = len(head_bytes)
+    text = np.empty(end + cells.size * _WIDTH, np.uint8)
+    text[:end] = np.frombuffer(head_bytes, np.uint8)
+    bases = {}
     for start in range(0, cells.size, block):
-        x = cells[start : start + block]
-        chars = _render(x, src[: len(x)], base[: len(x)])
+        chars = _render(cells[start : start + block], src, bases)
         text[end : end + len(chars)] = chars
         end += len(chars)
-    return str(memoryview(text)[:end], "ascii")
+    return str(memoryview(text)[:end], "utf-8")

@@ -4,7 +4,8 @@ Output is plain CSV with a commented header carrying every physical input
 and derived rate in SI-annotated keys.  Every number is written as its repr
 so a fixed config produces byte-identical files: the trajectory's float
 table by ``_repr.repr_table``, a numpy kernel whose text equals repr cell
-for cell, the sweep's table cell by cell (its cells may be ``none``).
+for cell and which also places the header, the sweep's table cell by cell
+(its cells may be ``none``).
 """
 
 from __future__ import annotations
@@ -315,7 +316,7 @@ def run_sweep(config: ScenarioConfig) -> Run:
             if fa == 0.0:
                 truncation[c_s] = float(omegas[i])
                 break
-            if fa * fb < 0.0:
+            if fa < 0.0 < fb or fb < 0.0 < fa:  # a product could overflow
                 root = brentq(
                     lambda w: t_min_of(resolve_rate(config, params, w)) - t_half,
                     omegas[i],
@@ -365,14 +366,18 @@ def _fmt(value) -> str:
 
 
 def to_csv(run: Run) -> str:
-    """Render a run as CSV text with a commented metadata header."""
+    """Render a run as CSV text with a commented metadata header.
+
+    A trajectory's header lines are written into ``repr_table``'s buffer
+    ahead of its float table, so the text is decoded once and not joined.
+    """
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
     head = "\n".join(lines) + "\n"
     if isinstance(run.rows, np.ndarray):
         from ._repr import repr_table  # only the trajectory pays its import
 
-        return head + repr_table(run.rows)
+        return repr_table(run.rows, head)
     return head + "".join(",".join(map(_fmt, row)) + "\n" for row in run.rows)
 
 

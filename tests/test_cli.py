@@ -221,6 +221,19 @@ def test_sweep_output(tmp_path):
     )
 
 
+def test_sweep_far_from_the_crossing_warns_of_nothing(tmp_path):
+    # t_min - t_half exceeds 1e154 at both ends of the first intervals, so
+    # the crossing test must compare signs rather than multiply
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("temperature_K: 0\nsweep_omega_min_rad_per_s: 1.0e-100\n")
+    out = tmp_path / "sweep.csv"
+    cp = run_cli("sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    crossing = read_header(out)["truncation_omega_rad_per_s[c_s=0.0034]"]
+    assert float(crossing) == pytest.approx(8.2e3, rel=0.05)
+
+
 def test_sweep_requires_range(tmp_path):
     cp = run_cli("sweep", "--preset", "fig1", "--out", str(tmp_path / "x.csv"))
     assert cp.returncode == 2

@@ -43,3 +43,22 @@ def test_repr_table_equals_repr_in_bulk():
     ]
     for table in tables:
         assert repr_table(table) == reference(table), table.shape
+
+
+def test_chunks_of_different_widths():
+    # the first chunk's cells all render as '1.0', the second holds the
+    # longest repr, the third (shorter than a chunk) a width of its own
+    assert _CHUNK_CELLS // 5 * 5 == 8190
+    longest = -2.2250738585072014e-308
+    cells = [1.0] * 8190 + [longest] * 5 + [1.0] * 8185 + [0.5, -0.0, 1e22, 1e-5, 7.0]
+    table = np.array(cells).reshape(-1, 5)
+    assert repr_table(table) == reference(table)
+    assert repr_table(table[::-1]) == reference(table[::-1])
+
+
+def test_head_precedes_the_table():
+    head = "# flags = ω ≥ 1e3 rad/s\nt_s,mu\n"
+    table = np.array([[0.0, 1.0], [2.5, -3e-300]])
+    assert repr_table(table, head) == head + reference(table)
+    assert repr_table(np.empty((0, 2)), head) == head
+    assert repr_table(np.empty((0, 2))) == ""
