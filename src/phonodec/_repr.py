@@ -177,30 +177,20 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     """The four digit characters of 0-9999 as one uint32, and at
     10000 j + quad, ndig - 1 when quad j (digits 4j + 1 to 4j + 4) is the
     last quad not zero."""
-    digit = np.arange(10, dtype=np.uint8)
-    chars = np.empty((10, 10, 10, 10, 4), np.uint8)  # by digit, then place
-    used = np.zeros(10_000, np.uint8)  # places up to the last nonzero digit
-    for place in range(4):
-        shape = [1, 1, 1, 1]
-        shape[place] = 10
-        chars[..., place] = (digit + 48).reshape(shape)
-        nonzero = np.broadcast_to((digit != 0).reshape(shape), chars.shape[:4])
-        used[nonzero.reshape(-1)] = place + 1
-    quad = np.arange(4, dtype=np.uint8)[:, None]
-    last = np.where(used > 0, 4 * quad + used, 0).astype(np.uint8)
-    return chars.view("<u4").reshape(-1), last.reshape(-1)
+    digits = np.indices((10,) * 4).reshape(4, -1)  # of 0-9999, thousands first
+    chars = (digits.T + 48).astype(np.uint8, order="C").view("<u4").reshape(-1)
+    used = (np.arange(1, 5)[:, None] * (digits != 0)).max(axis=0)  # to the last nonzero
+    last = np.where(used > 0, 4 * np.arange(4)[:, None] + used, 0)
+    return chars, last.astype(np.uint8).reshape(-1)
 
 
 _QUADS, _LAST = _quad_tables()
 _QUAD_ROW = np.arange(0, 40_000, 10_000)[:, None]
 
 
-def _render(x, src, bases) -> np.ndarray:
+def _render(x, src, base) -> np.ndarray:
     """The repr of each cell of ``x`` followed by the separator in its
-    source row (the first ``len(x)`` rows of ``src``), as bytes.  ``bases``
-    maps a template width to each source row's offset repeated that many
-    times, and gains the widths it lacks."""
-    src = src[: len(x)]
+    source row, as bytes."""
     u = np.uint64
     bits = x.view(np.uint64)
     negative = (bits >> u(63)).astype(np.int64)
@@ -238,10 +228,7 @@ def _render(x, src, bases) -> np.ndarray:
     # only as many template columns as the chunk's widest cell needs
     width = int(np.take(_TEMPLATE_WIDTH, cls).max())
     idx = np.take(_TEMPLATES[width], cls, axis=0)
-    if width not in bases:  # full rows add faster than a broadcast column
-        offsets = np.arange(0, src.size, src.shape[1], dtype=np.int32)
-        bases[width] = np.repeat(offsets, width).reshape(-1, width)
-    idx += bases[width][: len(x)]
+    idx += base
     out = np.take(src.reshape(-1), idx)
     return out[out != 0]
 
@@ -261,13 +248,14 @@ def repr_table(rows: np.ndarray, head: str = "") -> str:
     src = np.tile(row, (n, 1))  # 32 bytes a row, so that the quads align
     separators = np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)
     src[:, _SOURCE.index(",")] = np.resize(separators, n)
+    base = (np.arange(n, dtype=np.int32) * src.shape[1])[:, None]
     head_bytes = head.encode()
     end = len(head_bytes)
     text = np.empty(end + cells.size * _WIDTH, np.uint8)
     text[:end] = np.frombuffer(head_bytes, np.uint8)
-    bases = {}
     for start in range(0, cells.size, block):
-        chars = _render(cells[start : start + block], src, bases)
+        x = cells[start : start + block]
+        chars = _render(x, src[: len(x)], base[: len(x)])
         text[end : end + len(chars)] = chars
         end += len(chars)
     return str(memoryview(text)[:end], "utf-8")
