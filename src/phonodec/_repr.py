@@ -150,10 +150,10 @@ def _pattern(layout: int, ndig: int) -> str:
     return digits + "0" * (decpt - ndig) + ".0"
 
 
-def _templates() -> tuple[list[np.ndarray], np.ndarray]:
+def _templates() -> tuple[np.ndarray, np.ndarray]:
     """Source offsets of each layout, at (layout * 17 + ndig - 1) * 2 + the
-    sign bit, then of the special values: as a table w columns wide for each
-    w up to _WIDTH, and each template's width (its text and separator)."""
+    sign bit, then of the special values; and each template's width (its
+    text and separator)."""
     patterns = [
         sign + _pattern(layout, ndig)
         for layout in range(_N_LAYOUT)
@@ -164,9 +164,8 @@ def _templates() -> tuple[list[np.ndarray], np.ndarray]:
     text = "".join((p + ",").ljust(_WIDTH) for p in patterns).encode()
     to_offset = bytes.maketrans(_SOURCE.encode(), bytes(range(len(_SOURCE))))
     offsets = np.frombuffer(text.translate(to_offset), np.uint8)
-    table = offsets.reshape(-1, _WIDTH).astype(np.int32)
-    by_width = [np.ascontiguousarray(table[:, :w]) for w in range(_WIDTH + 1)]
-    return by_width, np.array([len(p) + 1 for p in patterns], np.int8)
+    widths = np.array([len(p) + 1 for p in patterns], np.int8)
+    return offsets.reshape(-1, _WIDTH).astype(np.int32), widths
 
 
 _TEMPLATES, _TEMPLATE_WIDTH = _templates()
@@ -227,7 +226,7 @@ def _render(x, src, base) -> np.ndarray:
 
     # only as many template columns as the chunk's widest cell needs
     width = int(np.take(_TEMPLATE_WIDTH, cls).max())
-    idx = np.take(_TEMPLATES[width], cls, axis=0)
+    idx = np.take(_TEMPLATES[:, :width], cls, axis=0)
     idx += base
     out = np.take(src.reshape(-1), idx)
     return out[out != 0]
