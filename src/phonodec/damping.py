@@ -353,13 +353,13 @@ def gamma_integral(
     channel for all w_k; if the partner root fell outside the momentum cone
     the contribution would be dropped (returned rate 0).  The overall
     normalization is the amplitude-rate convention of the closed forms,
-    which the net rates reproduce in their validity regions.  Each channel's
-    downward and upward integrands are integrated together by
-    ``gauss_kronrod``.
+    which the net rates reproduce in their validity regions.  Both channels'
+    downward and upward integrands are integrated in one ``gauss_kronrod``
+    call, each channel of each frequency on an interval of its own.
 
     ``omega_q`` may be a 1-D array of frequencies: the result is then one
-    IntegralRates per frequency, from one batched ``gauss_kronrod`` call per
-    channel, and each is bit-identical to the result for that frequency alone.
+    IntegralRates per frequency, from that one batched call, and each is
+    bit-identical to the result for that frequency alone.
     """
     omegas = np.atleast_1d(np.asarray(omega_q, dtype=float))
     if omegas.ndim != 1:
@@ -381,50 +381,46 @@ def _gamma_integral(
         2.0 * math.pi * HBAR**2 * qs
     )
     temperature = params.temperature
+    n = len(omegas)
+    # Interval i < n is frequency i's decay channel (q -> k + l, w_l = w_q -
+    # w_k) on [0, q_i], and interval n + i its collision channel (q + k -> l,
+    # w_l = w_q + w_k) on [0, k_max]; the latter is absent at T = 0, or when
+    # k_max underflows to 0 (an empty interval, as for any quadrature).
+    k_max = 0.0
+    if temperature > 0.0:
+        k_max = invert_dispersion(THERMAL_CUTOFF * K_B * temperature / HBAR, params)
+    his = np.concatenate((qs, np.full_like(qs, k_max))) if k_max > 0.0 else qs
 
-    def pair_terms(k: np.ndarray, owner: np.ndarray, sign: float):
-        """k k_l / |dw/dk|_l (0 where the partner mode is closed), the vertex
-        factors b and l, n_k and n_l for the partner at w_l = w_q + sign * w_k,
-        where row i of ``k`` belongs to the frequency ``omegas[owner[i]]``."""
-        omega_q = omegas[owner][:, None]
-        q = qs[owner][:, None]
+    def integrand(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Downward and upward rates of each row's channel; row r of ``k``
+        belongs to interval ``owner[r]``."""
+        decay = (owner < n)[:, None]
+        omega_q = omegas[owner % n][:, None]
+        q = qs[owner % n][:, None]
         omega_k = dispersion(k, params)
-        omega_l = omega_q + sign * omega_k
+        omega_l = omega_q + np.where(decay, -1.0, 1.0) * omega_k
         open_ = omega_l > 0.0
         omega_l = np.where(open_, omega_l, omega_q)  # a stand-in where closed
         kl = invert_dispersion(omega_l, params)
         open_ &= (np.abs(q - k) <= kl) & (kl <= q + k)
         weight = np.where(open_, k * kl / group_velocity(kl, params), 0.0)
-        return (
-            weight,
-            *vertex_coefficients(q, k, kl, params),
-            thermal_occupation(omega_k, temperature),
-            thermal_occupation(omega_l, temperature),
-        )
+        b, l = vertex_coefficients(q, k, kl, params)
+        # the collision vertex carries a factor 1/2; each row squares only
+        # its own channel's factor
+        weight = np.where(decay, 1.0, 0.5) * weight * np.where(decay, b, l) ** 2
+        nk = thermal_occupation(omega_k, temperature)
+        nl = thermal_occupation(omega_l, temperature)
+        # decay: spontaneous plus stimulated; collision: k absorbed or emitted
+        return np.stack((
+            weight * np.where(decay, 1.0 + nk, nk) * (1.0 + nl),
+            weight * np.where(decay, nk, nl) * np.where(decay, nl, 1.0 + nk),
+        ))
 
-    # Decay channel: q -> k + l, w_l = w_q - w_k, spontaneous plus stimulated.
-    def beliaev(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        weight, b, _, nk, nl = pair_terms(k, owner, -1.0)
-        weight = weight * b**2
-        return np.stack((weight * (1.0 + nk) * (1.0 + nl), weight * nk * nl))
-
-    gb_down, gb_up = prefactor * gauss_kronrod(beliaev, 0.0, qs, cfg)
-
-    # Collision channel: q + k -> l, w_l = w_q + w_k; vanishes at T = 0, and
-    # is 0 when k_max underflows to 0 (an empty interval, as for any quadrature).
-    k_max = 0.0
-    if temperature > 0.0:
-        k_max = invert_dispersion(THERMAL_CUTOFF * K_B * temperature / HBAR, params)
-    gl_down = gl_up = np.zeros_like(qs)
-    if k_max > 0.0:
-
-        def landau(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            weight, _, l, nk, nl = pair_terms(k, owner, 1.0)
-            weight = 0.5 * weight * l**2
-            return np.stack((weight * nk * (1.0 + nl), weight * nl * (1.0 + nk)))
-
-        gl_down, gl_up = prefactor * gauss_kronrod(landau, 0.0, np.full_like(qs, k_max), cfg)
-
+    rates = np.zeros((2, 2 * n))  # (down, up) of every interval, 0 where absent
+    rates[:, : len(his)] = np.tile(prefactor, 2)[: len(his)] * gauss_kronrod(
+        integrand, 0.0, his, cfg
+    )
+    (gb_down, gl_down), (gb_up, gl_up) = rates.reshape(2, 2, n)
     return [
         IntegralRates(
             gamma_beliaev=float(b_down - b_up),

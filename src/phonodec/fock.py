@@ -3,8 +3,8 @@
 Solves the full master equation for the density matrix under the
 two-operator thermal channel (c1 = sqrt(gamma1) b, c2 = sqrt(gamma2) b^dag)
 exactly, stepping every diagonal of rho at once from grid point to grid
-point with one stacked matrix exponential per distinct step, and extracts
-purity and phase-space moments, certifying the Gaussian fast path.  Dense
+point with one stacked matrix exponential per distinct step, and reads
+purity and moments off them, certifying the Gaussian fast path.  Dense
 matrices only; intended for cutoffs up to ~80 and small squeezing
 (r <= 1): the basis cost of validating r = 10 directly would be
 astronomical, so the closed forms are checked here at small r and trusted
@@ -62,22 +62,6 @@ class FockTrajectory:
     final_rho: NDArray[np.complex128]
 
 
-def _moments(rho: NDArray):
-    n_levels = rho.shape[0]
-    n = np.arange(n_levels, dtype=float)
-    sq = np.sqrt(n)
-    eb = complex(np.sum(sq[1:] * np.diagonal(rho, -1)))
-    eb2 = complex(np.sum(sq[1:-1] * sq[2:] * np.diagonal(rho, -2)))
-    en = float(np.real(np.sum(n * np.diagonal(rho))))
-    d1 = eb.real / KAPPA
-    d2 = eb.imag / KAPPA
-    k2 = KAPPA * KAPPA
-    s11 = (2.0 * eb2.real + 2.0 * en + 1.0) / (4.0 * k2) - d1 * d1
-    s22 = (2.0 * en + 1.0 - 2.0 * eb2.real) / (4.0 * k2) - d2 * d2
-    s12 = eb2.imag / (2.0 * k2) - d1 * d2
-    return np.array([d1, d2]), np.array([[s11, s12], [s12, s22]]), en
-
-
 def lindblad_step_integrate(
     rho0: NDArray,
     omega: float,
@@ -95,7 +79,9 @@ def lindblad_step_integrate(
     per distinct value of ``np.diff(t_grid)`` advances every diagonal
     exactly from one grid point to the next, so the cost grows with the
     number of distinct steps (a linspace grid has a few).  The upper
-    diagonals are the conjugates.  Raises on truncation leaks:
+    diagonals are the conjugates, so the purity and the moments of every
+    grid point are read off the evolved lower diagonals, and rho itself is
+    built only for ``final_rho``.  Raises on truncation leaks:
     the initial state must keep the population beyond 0.9 n_cut below
     1e-8, and the top-level population must stay below 1e-6 at every grid
     point.
@@ -142,24 +128,37 @@ def lindblad_step_integrate(
     span = t_grid - t_grid[0]
     diags *= np.exp(-1j * omega * np.arange(size) * span[:, None])[:, :, None]
 
-    rho = np.zeros((t_grid.size, size, size), dtype=complex)
-    kk, jj = np.nonzero(inside)
-    rho[:, jj + kk, jj] = diags[:, kk, jj]
-    upper = kk > 0
-    rho[:, jj[upper], (jj + kk)[upper]] = diags[:, kk[upper], jj[upper]].conj()
-
-    top = np.real(rho[:, n_cut, n_cut])
+    # every grid point's moments, off the lower diagonals at once
+    top = np.real(diags[:, 0, n_cut])
     if np.any(top > 1e-6):
         i = int(np.argmax(top > 1e-6))
         raise RuntimeError(
             f"cutoff leak: top-level population {top[i]:.3e} at t = {t_grid[i]:.6e}"
         )
-    moments = [_moments(r) for r in rho]
+    n = np.arange(size, dtype=float)
+    sq = np.sqrt(n)
+    eb = np.sum(sq[1:] * diags[:, 1, :-1], axis=-1)  # sum sqrt(j+1) rho_{j+1,j}
+    eb2 = np.sum(sq[1:-1] * sq[2:] * diags[:, 2, :-2], axis=-1)
+    en = np.real(np.sum(n * diags[:, 0], axis=-1))
+    d1 = eb.real / KAPPA
+    d2 = eb.imag / KAPPA
+    k2 = KAPPA * KAPPA
+    s11 = (2.0 * eb2.real + 2.0 * en + 1.0) / (4.0 * k2) - d1 * d1
+    s22 = (2.0 * en + 1.0 - 2.0 * eb2.real) / (4.0 * k2) - d2 * d2
+    s12 = eb2.imag / (2.0 * k2) - d1 * d2
+    # Tr rho^2 = sum |rho_mn|^2, each lower diagonal standing for its conjugate too
+    twice = np.where(np.arange(size) > 0, 2.0, 1.0)[:, None]
+    purity = np.sum(twice * (diags.real**2 + diags.imag**2), axis=(1, 2))
+
+    rho = np.zeros((size, size), dtype=complex)
+    kk, jj = np.nonzero(inside)
+    rho[jj, jj + kk] = diags[-1, kk, jj].conj()
+    rho[jj + kk, jj] = diags[-1, kk, jj]  # the main diagonal as evolved
     return FockTrajectory(
         t=t_grid,
-        purity=np.array([np.vdot(r, r).real for r in rho]),
-        displacement=np.array([m[0] for m in moments]),
-        covariance=np.array([m[1] for m in moments]),
-        occupation=np.array([m[2] for m in moments]),
-        final_rho=rho[-1],
+        purity=purity,
+        displacement=np.stack((d1, d2), axis=-1),
+        covariance=np.stack((s11, s12, s12, s22), axis=-1).reshape(-1, 2, 2),
+        occupation=en,
+        final_rho=rho,
     )
