@@ -14,6 +14,8 @@ import numpy as np
 
 from .constants import HBAR, K_B
 
+ZETA_3_2 = 2.612375348685488  # Riemann zeta(3/2)
+
 
 @dataclass(frozen=True)
 class CondensateParams:
@@ -72,6 +74,11 @@ class CondensateParams:
     def chemical_potential(self) -> float:
         """mu = g n = m c_s^2, in J."""
         return self.mass * self.speed_of_sound**2
+
+    @property
+    def critical_temperature(self) -> float:
+        """Ideal-gas condensation temperature (2 pi hbar^2 / (m k_B)) (n / zeta(3/2))^(2/3), in K."""
+        return 2.0 * math.pi * HBAR**2 / (self.mass * K_B) * (self.density / ZETA_3_2) ** (2.0 / 3.0)
 
 
 def dispersion(k, params: CondensateParams):

@@ -278,6 +278,26 @@ def validate_config(raw: dict) -> ScenarioConfig:
         for v in sweep_speeds
     )
 
+    # the Bogoliubov rates need a condensate at every density the config
+    # sets; the slowest speed of sound has the lowest density and T_c
+    sparsest = min(
+        (
+            CondensateParams(
+                constants["mass_kg"], constants["scattering_length_m"], 0.0,
+                speed_of_sound=speed or 0.0, density=density or 0.0,
+            )
+            for speed, density in ((c_s, n), *((c, None) for c in sweep_speeds))
+        ),
+        key=lambda params: params.density,
+    )
+    if temperature >= sparsest.critical_temperature:
+        raise ConfigError(
+            f"temperature_K: {temperature!r} K is at or above T_c ="
+            f" {sparsest.critical_temperature:.4g} K, the ideal-gas condensation"
+            f" temperature at density {sparsest.density:.4g} m^-3; the rates"
+            " need a condensate"
+        )
+
     return ScenarioConfig(
         species=species,
         **constants,

@@ -39,7 +39,7 @@ FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
 # (temperature K, mode frequency rad/s) -> (auto regime, asymptotic regime)
 POINTS = {
     "quantum": ((0.5e-9, 1.0e4), "quantum", "quantum"),
-    "thermal_high": ((4e-6, 1.0e3), "thermal_high", "thermal_high"),
+    "thermal_high": ((6e-7, 1.0e3), "thermal_high", "thermal_high"),
     "thermal_low": ((3e-9, 50.0), "thermal_low", "thermal_low"),
     # k_B T / hbar w = 0.65: no closed form is strictly valid
     "intermediate": ((5e-9, 1.0e3), "integral", "thermal_low"),
