@@ -46,19 +46,23 @@ def _out_path(args, default_name: str) -> Path:
     return out
 
 
-def _cmd_trajectory(args) -> int:
-    run = run_trajectory(_scenario(args))
-    path = _out_path(args, "trajectory.csv")
+def _write_table(args, kind: str):
+    """Run the scenario as a ``kind`` ("trajectory" or "sweep"), write its CSV
+    and report the path; returns the run and the path."""
+    run = (run_trajectory if kind == "trajectory" else run_sweep)(_scenario(args))
+    path = _out_path(args, f"{kind}.csv")
     write_csv(run, path)
     print(f"wrote {path}")
+    return run, path
+
+
+def _cmd_trajectory(args) -> int:
+    _write_table(args, "trajectory")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    run = run_sweep(_scenario(args))
-    path = _out_path(args, "sweep.csv")
-    write_csv(run, path)
-    print(f"wrote {path}")
+    _write_table(args, "sweep")
     return 0
 
 
@@ -105,15 +109,7 @@ plot {plots}
 
 
 def _cmd_plotscript(args) -> int:
-    config = _scenario(args)
-    if args.kind == "trajectory":
-        run = run_trajectory(config)
-        default = "trajectory.csv"
-    else:
-        run = run_sweep(config)
-        default = "sweep.csv"
-    csv_path = _out_path(args, default)
-    write_csv(run, csv_path)
+    run, csv_path = _write_table(args, args.kind)
     gp_path = csv_path.with_suffix(".gp")
     if args.kind == "trajectory":
         script = _TRAJECTORY_GP.format(csv=csv_path.name, stem=csv_path.stem)
@@ -127,7 +123,6 @@ def _cmd_plotscript(args) -> int:
         script = _SWEEP_GP.format(stem=csv_path.stem, plots=plots)
     with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(script)
-    print(f"wrote {csv_path}")
     print(f"wrote {gp_path}")
     return 0
 
