@@ -77,8 +77,10 @@ class CondensateParams:
 
     @property
     def critical_temperature(self) -> float:
-        """Ideal-gas condensation temperature (2 pi hbar^2 / (m k_B)) (n / zeta(3/2))^(2/3), in K."""
-        return 2.0 * math.pi * HBAR**2 / (self.mass * K_B) * (self.density / ZETA_3_2) ** (2.0 / 3.0)
+        """Ideal-gas condensation temperature in K,
+        (2 pi hbar^2 / (m k_B)) (n / zeta(3/2))^(2/3)."""
+        prefactor = 2.0 * math.pi * HBAR**2 / (self.mass * K_B)
+        return prefactor * (self.density / ZETA_3_2) ** (2.0 / 3.0)
 
 
 def dispersion(k, params: CondensateParams):

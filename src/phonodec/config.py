@@ -132,7 +132,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     ``three_body_l3_m6_per_s``) is the given key, else the species preset's
     value; a constant with neither is a ``ConfigError`` naming the key.
     ``custom`` is the species with no preset values.  A key whose value is
-    null is the same as an absent key.
+    null is the same as an absent key.  ``temperature_K`` must lie below the
+    ideal-gas T_c of every condensate the config sets: its own, and one per
+    sweep speed of sound.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")

@@ -16,6 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condensates import rb87
 from phonodec.cli import main as cli_main
 from phonodec.constants import HBAR, K_B, RB87
 
@@ -51,11 +52,11 @@ def assert_rejected_temperature(tmp_path, code: int, stderr: str, t_c: float) ->
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_fig_speeds_critical_temperatures():
-    # 0.346, 0.873 and 2.20 uK at fig2's three speeds of sound
-    assert [round(t_c_at_speed(c) * 1e9) for c in (1.7e-3, 3.4e-3, 6.8e-3)] == [
-        346, 873, 2200
-    ]
+@pytest.mark.parametrize("speed_of_sound, t_c_nk", [(1.7e-3, 346), (3.4e-3, 873), (6.8e-3, 2200)])
+def test_critical_temperature_at_fig2_speeds(speed_of_sound, t_c_nk):
+    t_c = rb87(0.0, speed_of_sound).critical_temperature
+    assert t_c == pytest.approx(t_c_at_speed(speed_of_sound), rel=1e-14, abs=0.0)
+    assert round(t_c * 1e9) == t_c_nk
 
 
 # (verb, preset, overlay): each ran to exit 0, or failed with a line that
