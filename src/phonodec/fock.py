@@ -135,20 +135,19 @@ def lindblad_step_integrate(
         raise RuntimeError(
             f"cutoff leak: top-level population {top[i]:.3e} at t = {t_grid[i]:.6e}"
         )
-    n = np.arange(size, dtype=float)
-    sq = np.sqrt(n)
+    sq = np.sqrt(j)
     eb = np.sum(sq[1:] * diags[:, 1, :-1], axis=-1)  # sum sqrt(j+1) rho_{j+1,j}
     eb2 = np.sum(sq[1:-1] * sq[2:] * diags[:, 2, :-2], axis=-1)
-    en = np.real(np.sum(n * diags[:, 0], axis=-1))
+    en = np.real(np.sum(j * diags[:, 0], axis=-1))
     d1 = eb.real / KAPPA
     d2 = eb.imag / KAPPA
     k2 = KAPPA * KAPPA
     s11 = (2.0 * eb2.real + 2.0 * en + 1.0) / (4.0 * k2) - d1 * d1
     s22 = (2.0 * en + 1.0 - 2.0 * eb2.real) / (4.0 * k2) - d2 * d2
     s12 = eb2.imag / (2.0 * k2) - d1 * d2
-    # Tr rho^2 = sum |rho_mn|^2, each lower diagonal standing for its conjugate too
-    twice = np.where(np.arange(size) > 0, 2.0, 1.0)[:, None]
-    purity = np.sum(twice * (diags.real**2 + diags.imag**2), axis=(1, 2))
+    # Tr rho^2 = sum |rho_mn|^2; a lower diagonal stands for its conjugate too
+    squares = diags.real**2 + diags.imag**2
+    purity = np.sum(np.where(k > 0, 2.0, 1.0) * squares, axis=(1, 2))
 
     rho = np.zeros((size, size), dtype=complex)
     kk, jj = np.nonzero(inside)
