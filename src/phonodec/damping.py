@@ -8,10 +8,11 @@ Three ingredients:
   temperature relative to the chemical potential),
 * the full collision integrals, with the energy delta resolved on the
   Bogoliubov branch and the k integrals done by adaptive Gauss-Kronrod
-  quadrature, vectorized over frequencies and nodes: a sweep resolves
-  every frequency of one speed of sound in one call.  A frequency's
-  panels and sums do not depend on the frequencies resolved with it, so a
-  rate has the same bits whichever verb asked for it.
+  quadrature, vectorized over frequencies, channels and nodes: a sweep
+  resolves both channels of every frequency of one speed of sound in one
+  adaptive pass.  A frequency's panels and sums do not depend on the
+  frequencies resolved with it, so a rate has the same bits whichever verb
+  asked for it.
 
 Conventions: ``gamma`` is the rate appearing in e^{-gamma t} for the
 occupation / covariance relaxation, split into a downward rate ``gamma_1``
