@@ -390,7 +390,7 @@ def _gamma_integral(
     k_max = 0.0
     if temperature > 0.0:
         k_max = invert_dispersion(THERMAL_CUTOFF * K_B * temperature / HBAR, params)
-    his = np.concatenate((qs, np.full_like(qs, k_max))) if k_max > 0.0 else qs
+    upper = np.concatenate((qs, np.full_like(qs, k_max))) if k_max > 0.0 else qs
 
     def integrand(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Downward and upward rates of each row's channel; row r of ``k``
@@ -418,8 +418,8 @@ def _gamma_integral(
         ))
 
     rates = np.zeros((2, 2 * n))  # (down, up) of every interval, 0 where absent
-    rates[:, : len(his)] = np.tile(prefactor, 2)[: len(his)] * gauss_kronrod(
-        integrand, 0.0, his, cfg
+    rates[:, : len(upper)] = np.tile(prefactor, 2)[: len(upper)] * gauss_kronrod(
+        integrand, 0.0, upper, cfg
     )
     (gb_down, gl_down), (gb_up, gl_up) = rates.reshape(2, 2, n)
     return [
