@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bec import CondensateParams
-from .constants import K_B, SPECIES_PRESETS
+from .constants import HBAR, K_B, SPECIES_PRESETS
 from .damping import DEFAULT_QUADRATURE, RATE_SOURCES
 from .gaussian import state_from_params
 
@@ -132,9 +132,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     ``three_body_l3_m6_per_s``) is the given key, else the species preset's
     value; a constant with neither is a ``ConfigError`` naming the key.
     ``custom`` is the species with no preset values.  A key whose value is
-    null is the same as an absent key.  ``temperature_K`` must lie below the
-    ideal-gas T_c of every condensate the config sets: its own, and one per
-    sweep speed of sound.
+    null is the same as an absent key.  Every condensate the config sets,
+    its own and one per sweep speed of sound, must be dilute (n a^3 < 1),
+    and ``temperature_K`` must lie below the ideal-gas T_c of each.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
@@ -280,6 +280,28 @@ def validate_config(raw: dict) -> ScenarioConfig:
         for v in sweep_speeds
     )
 
+    # (key, speed of sound, density) of every condensate the config sets
+    condensates = (
+        ("speed_of_sound_m_per_s" if n is None else "density_per_m3", c_s, n),
+        *(("sweep_speeds_of_sound_m_per_s[]", c, None) for c in sweep_speeds),
+    )
+    # Bogoliubov theory needs a dilute gas, n a^3 << 1.  Products, not **,
+    # which raises OverflowError where a product gives inf; so this comes
+    # before any CondensateParams, which squares c_s with **
+    a = constants["scattering_length_m"]
+    for key, speed, density in condensates:
+        if density is None:  # n = m c_s^2 / g = m^2 c_s^2 / (4 pi hbar^2 a)
+            x = constants["mass_kg"] * speed * a / HBAR
+            gas = x * x / (4.0 * math.pi)
+        else:
+            gas = density * a * a * a
+        if not gas < 1.0:
+            raise ConfigError(
+                f"{key}: the gas parameter n a^3 = {gas:.4g} at"
+                f" {speed if density is None else density!r} is not below 1;"
+                " Bogoliubov theory needs n a^3 << 1"
+            )
+
     # the Bogoliubov rates need a condensate at every density the config
     # sets; the slowest speed of sound has the lowest density and T_c
     sparsest = min(
@@ -288,7 +310,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 constants["mass_kg"], constants["scattering_length_m"], 0.0,
                 speed_of_sound=speed or 0.0, density=density or 0.0,
             )
-            for speed, density in ((c_s, n), *((c, None) for c in sweep_speeds))
+            for _, speed, density in condensates
         ),
         key=lambda params: params.density,
     )

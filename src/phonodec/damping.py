@@ -121,6 +121,10 @@ class DampingResult:
         return 1.0 / (1.0 + 2.0 * self.n_thermal)
 
 
+def _quantum_region(kt: float, e_q: float) -> bool:
+    return kt < QUANTUM_RATIO * e_q
+
+
 def _high_temperature_region(kt: float, mu: float, e_q: float) -> bool:
     return kt > THERMAL_RATIO * mu and mu > THERMAL_RATIO * e_q
 
@@ -141,8 +145,9 @@ def gamma_beliaev_asymptotic(omega_q: float, params: CondensateParams) -> float:
     """
     if omega_q <= 0:
         raise ValueError("frequency must be positive")
-    ratio = K_B * params.temperature / (HBAR * omega_q)
-    if ratio >= QUANTUM_RATIO:
+    kt, e_q = K_B * params.temperature, HBAR * omega_q
+    ratio = kt / e_q
+    if not _quantum_region(kt, e_q):
         _warn_regime(
             f"k_B T / (hbar w_q) = {ratio:.3g} is not << 1; "
             "spontaneous-decay formula is outside its validity region"
@@ -447,7 +452,7 @@ def _regime(omega_q: float, params: CondensateParams, source: str) -> str:
     mu = params.chemical_potential
     e_q = HBAR * omega_q
     nearest = source == "asymptotic"
-    if kt < QUANTUM_RATIO * e_q:
+    if _quantum_region(kt, e_q):
         return "quantum"
     if kt > mu:
         strict = _high_temperature_region(kt, mu, e_q)

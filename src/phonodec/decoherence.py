@@ -26,59 +26,6 @@ def _check_domain(mu0: float, r0: float, mu_inf: float, gamma: float) -> None:
         raise ValueError("damping rate must be finite and >= 0")
 
 
-def _decay(gamma: float, t):
-    """(t, e, 1 - e) with e = e^{-gt}, for times t >= 0, scalar or array."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be >= 0")
-    e = np.exp(-gamma * t)
-    return t, e, 1.0 - e
-
-
-def _check_occupations(n0: float, n_thermal: float, gamma: float) -> None:
-    if n0 < 0 or n_thermal < 0:
-        raise ValueError("occupations must be >= 0")
-    if gamma < 0:
-        raise ValueError("damping rate must be >= 0")
-
-
-def _scalar_or_array(out):
-    return float(out) if out.ndim == 0 else out
-
-
-# Each formula once, on e = e^{-gt} and c = 1 - e; the public evolutions
-# and metric_trajectory both call these.
-def _purity(mu0, r0, mu_inf, e, c):
-    rho = mu0 / mu_inf
-    inner = e * e + rho * rho * c**2 + 2.0 * rho * e * c * math.cosh(2.0 * r0)
-    return np.minimum(mu0 / np.sqrt(inner), 1.0)  # clamp rounding above a pure state
-
-
-def _depth(mu0, r0, mu_inf, e):
-    raw = (e * (1.0 - (mu_inf / mu0) * math.exp(-2.0 * r0)) + mu_inf - 1.0) / (2.0 * mu_inf)
-    return np.maximum(raw, 0.0)
-
-
-def _squeezing(mu0, r0, mu_inf, e, c, mu_t):
-    ch = mu_t * (e * math.cosh(2.0 * r0) / mu0 + c / mu_inf)
-    return 0.5 * np.arccosh(np.maximum(ch, 1.0))  # clamp arccosh noise near r = 0
-
-
-def _occupation(n0, n_thermal, e, c):
-    return e * n0 + c * n_thermal
-
-
-def purity_evolution(mu0: float, r0: float, mu_inf: float, gamma: float, t):
-    """Purity mu(t); accepts scalar or array times.
-
-    mu(t) = mu0 [e^{-2gt} + (mu0/mu_inf)^2 (1-e^{-gt})^2
-                 + 2 (mu0/mu_inf) e^{-gt}(1-e^{-gt}) cosh 2 r0]^{-1/2}
-    """
-    _check_domain(mu0, r0, mu_inf, gamma)
-    _, e, c = _decay(gamma, t)
-    return _scalar_or_array(_purity(mu0, r0, mu_inf, e, c))
-
-
 def purity_minimum_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> float | None:
     """Time of the interior purity minimum, or None when none exists.
 
@@ -104,17 +51,6 @@ def purity_minimum_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> f
     return math.log(arg) / gamma
 
 
-def nonclassical_depth_evolution(mu0: float, r0: float, mu_inf: float, gamma: float, t):
-    """Nonclassical depth tau(t), clamped at zero once the state is classical.
-
-    tau(t) = max{ (1/2 mu_inf)[e^{-gt}(1 - (mu_inf/mu0) e^{-2 r0})
-                                + mu_inf - 1], 0 }
-    """
-    _check_domain(mu0, r0, mu_inf, gamma)
-    _, e, _ = _decay(gamma, t)
-    return _scalar_or_array(_depth(mu0, r0, mu_inf, e))
-
-
 def classicality_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> float:
     """Time at which tau reaches zero; inf when it never does.
 
@@ -130,21 +66,6 @@ def classicality_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> flo
     if mu_inf >= 1.0 or gamma == 0.0:
         return math.inf
     return math.log(num / (1.0 - mu_inf)) / gamma
-
-
-def squeezing_evolution(mu0: float, r0: float, mu_inf: float, gamma: float, t):
-    """Squeezing magnitude r(t) from cosh 2r(t) = mu(t) [...]; phase is constant."""
-    _check_domain(mu0, r0, mu_inf, gamma)
-    _, e, c = _decay(gamma, t)
-    mu_t = _purity(mu0, r0, mu_inf, e, c)
-    return _scalar_or_array(_squeezing(mu0, r0, mu_inf, e, c, mu_t))
-
-
-def occupation_evolution(n0: float, n_thermal: float, gamma: float, t):
-    """Mean occupation N(t) = e^{-gt} N0 + (1 - e^{-gt}) N_th."""
-    _check_occupations(n0, n_thermal, gamma)
-    _, e, c = _decay(gamma, t)
-    return _scalar_or_array(_occupation(n0, n_thermal, e, c))
 
 
 @dataclass(frozen=True)
@@ -170,24 +91,42 @@ def metric_trajectory(
     n_thermal: float,
     t_grid,
 ) -> MetricTrajectory:
-    """Evaluate all four metric evolutions on a common grid.
+    """Evaluate the four metrics on the time grid ``t_grid`` (times >= 0).
 
-    e^{-gt} and its complement are computed once, and mu(t) once for both
-    the purity and the squeezing column; each column equals its public
-    evolution bit for bit.
+    With e = e^{-gt}, c = 1 - e and rho = mu0/mu_inf:
+
+    purity        mu(t) = mu0 [e^2 + rho^2 c^2 + 2 rho e c cosh 2r0]^{-1/2},
+                  clamped at 1 against rounding above a pure state;
+    depth         tau(t) = max{[e (1 - (mu_inf/mu0) e^{-2 r0}) + mu_inf - 1]
+                               / (2 mu_inf), 0};
+    squeezing     cosh 2r(t) = mu(t) [e cosh 2r0 / mu0 + c / mu_inf],
+                  clamped at 1 against arccosh noise near r = 0; the phase
+                  stays constant;
+    occupation    N(t) = e N0 + c N_th.
+
+    e, c, cosh 2r0 and mu(t) are each computed once.  A scalar time is a
+    one-point grid.
     """
     _check_domain(mu0, r0, mu_inf, gamma)
-    t, e, c = _decay(gamma, t_grid)
-    _check_occupations(n0, n_thermal, gamma)
-    mu = _purity(mu0, r0, mu_inf, e, c)
-    tau = _depth(mu0, r0, mu_inf, e)
-    r = _squeezing(mu0, r0, mu_inf, e, c, mu)
+    if n0 < 0 or n_thermal < 0:
+        raise ValueError("occupations must be >= 0")
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if np.any(t < 0):
+        raise ValueError("time must be >= 0")
+    e = np.exp(-gamma * t)
+    c = 1.0 - e
+    cosh_2r0 = math.cosh(2.0 * r0)
+    rho = mu0 / mu_inf
+    inner = e * e + rho * rho * c**2 + 2.0 * rho * e * c * cosh_2r0
+    mu = np.minimum(mu0 / np.sqrt(inner), 1.0)
+    tau = (e * (1.0 - (mu_inf / mu0) * math.exp(-2.0 * r0)) + mu_inf - 1.0) / (2.0 * mu_inf)
+    cosh_2r = mu * (e * cosh_2r0 / mu0 + c / mu_inf)
     return MetricTrajectory(
         t=t,
-        mu=np.atleast_1d(mu),
-        tau=np.atleast_1d(tau),
-        r=np.atleast_1d(r),
-        occupation=np.atleast_1d(_occupation(n0, n_thermal, e, c)),
+        mu=mu,
+        tau=np.maximum(tau, 0.0),
+        r=0.5 * np.arccosh(np.maximum(cosh_2r, 1.0)),
+        occupation=e * n0 + c * n_thermal,
         mu_inf=mu_inf,
         t_min=purity_minimum_time(mu0, r0, mu_inf, gamma),
         t_tau0=classicality_time(mu0, r0, mu_inf, gamma),

@@ -24,7 +24,7 @@ from .damping import (
     gamma_landau_low_temperature,
     split_rates,
 )
-from .decoherence import occupation_evolution, purity_evolution
+from .decoherence import metric_trajectory
 from .fock import lindblad_step_integrate, squeezed_vacuum_fock
 from .gaussian import state_from_params
 from .lyapunov import (
@@ -85,20 +85,14 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
     state0 = state_from_params(1.0, r0, math.pi)
     channel = thermal_channel(gamma, n_th, omega)
     mu_inf = 1.0 / (1.0 + 2.0 * n_th)
-    worst = 0.0
+    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    worst = max(
+        np.abs(oracle.purity - metrics.mu).max(),
+        np.abs(oracle.occupation - metrics.occupation).max(),
+    )
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
         worst = max(worst, np.abs(oracle.covariance[i] - exact.sigma).max())
-        worst = max(
-            worst, abs(oracle.purity[i] - purity_evolution(1.0, r0, mu_inf, gamma, t))
-        )
-        worst = max(
-            worst,
-            abs(
-                oracle.occupation[i]
-                - occupation_evolution(state0.occupation, n_th, gamma, t)
-            ),
-        )
     return CheckResult("fock_oracle", worst, 1e-3 * tol_scale)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: verbs, config validation, output determinism."""
 
+import dataclasses
 import io
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phonodec
+from phonodec import verify
 from phonodec.bec import thermal_occupation
 from phonodec.cli import main as cli_main
 
@@ -249,12 +251,40 @@ def test_rates_breakdown():
     assert "three_body_half_life_s" in cp.stdout
 
 
+def test_the_quantum_regime_at_its_threshold_does_not_warn(tmp_path):
+    # k_B T < 0.3 hbar w_q holds here, while k_B T / (hbar w_q) rounds to 0.3
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "mode_frequency_rad_per_s: 333.75630981492776\n"
+        "temperature_K: 7.647924955801437e-10\n"
+    )
+    cp = run_cli("rates", "--preset", "fig1", "--config", str(cfg))
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert "regime                   quantum\n" in cp.stdout
+
+
 def test_verify_passes_and_tolerance_propagates():
     cp = run_cli("verify", "--tolerance", "0.5")
     assert cp.returncode == 0, cp.stdout + cp.stderr
     assert "tolerance scale 0.5" in cp.stdout
     assert cp.stdout.count("PASS") == 5
     assert "FAIL" not in cp.stdout
+
+
+def test_verify_holds_the_oracle_to_the_metrics_the_trajectory_writes(monkeypatch):
+    # a purity off by 1e-2 in metric_trajectory, which fills the CSV's mu
+    # column, must fail the number-basis oracle (tolerance 1e-3)
+    real = verify.metric_trajectory
+
+    def shifted(*args):
+        metrics = real(*args)
+        return dataclasses.replace(metrics, mu=metrics.mu + 1e-2)
+
+    monkeypatch.setattr(verify, "metric_trajectory", shifted)
+    code, stdout, stderr = run_cli_in_process("verify")
+    assert (code, stderr) == (1, "")
+    assert "FAIL fock_oracle" in stdout
+    assert stdout.count("PASS") == 4
 
 
 def test_plotscript_emits_csv_and_script(tmp_path):

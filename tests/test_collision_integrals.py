@@ -2,11 +2,13 @@
 the adaptive-quadrature reference.
 
 The values below are ``gamma_integral`` as computed with scalar QUADPACK
-quadrature at the default ``quadrature_rel_tol`` (1e-6), at the
-``test_runs.POINTS`` working points, the T = 0 point of
-``verify.check_rate_integrals`` (its other two points are in
-``test_runs.POINTS``), and five fig2 sweep frequencies per speed of sound
-(the 3.4 mm/s, 10 krad/s one is the ``quantum`` point).
+quadrature at the default ``quadrature_rel_tol`` (1e-6), at the three
+points of ``verify.check_rate_integrals`` (T = 0; 3 nK, also the
+``thermal_low`` point of ``test_runs.POINTS``; and 4 uK, its
+high-temperature point, which lies above T_c, so no config reaches it and
+the pin calls ``gamma_integral`` directly), at the ``intermediate`` point
+of ``test_runs.POINTS``, and at five fig2 sweep frequencies per speed of
+sound (the 3.4 mm/s, 10 krad/s one is the ``quantum`` point).
 Any integrator must reproduce them to that tolerance.
 """
 

@@ -1,5 +1,6 @@
-"""The temperature domain: a run needs a condensate, so ``temperature_K``
-must lie below the ideal-gas T_c at every density the config sets; and the
+"""The condensate domain: every density the config sets must be dilute
+(gas parameter n a^3 < 1), and a run needs a condensate, so
+``temperature_K`` must lie below the ideal-gas T_c at each of them; and the
 contract of the integral rate sources over that domain.
 
 T_c = (2 pi hbar^2 / (m k_B)) (n / zeta(3/2))^(2/3) is computed here on its
@@ -112,6 +113,51 @@ def test_sweep_just_below_and_above_the_slowest_speeds_t_c(tmp_path, factor, acc
     assert_rejected_temperature(tmp_path, code, stderr, t_c)
 
 
+# n a^3 = 1 at c_s = sqrt(4 pi) hbar / (m a), about 0.488 m/s for 87Rb
+DILUTE_SPEED = math.sqrt(4.0 * math.pi) * HBAR / (MASS * RB87["scattering_length_m"])
+
+# (verb, preset, overlay, key): each ended in a line that names no key,
+# `error: (34, 'Numerical result out of range')`
+NOT_DILUTE = [
+    ("rates", "fig1", "speed_of_sound_m_per_s: 1.0e+62\n", "speed_of_sound_m_per_s"),
+    ("rates", "fig1", "speed_of_sound_m_per_s: 1.0e+154\n", "speed_of_sound_m_per_s"),
+    (
+        "rates", "fig1", "speed_of_sound_m_per_s: null\ndensity_per_m3: 1.0e+300\n",
+        "density_per_m3",
+    ),
+    (
+        "sweep", "fig2", "sweep_speeds_of_sound_m_per_s: [1.7e-3, 1.0e+62]\n",
+        "sweep_speeds_of_sound_m_per_s[]",
+    ),
+    (
+        "trajectory", "fig1", f"speed_of_sound_m_per_s: {DILUTE_SPEED * (1.0 + 1e-9)!r}\n",
+        "speed_of_sound_m_per_s",
+    ),
+]
+
+
+@pytest.mark.parametrize("verb, preset, overlay, key", NOT_DILUTE)
+def test_a_gas_parameter_of_one_or_more_is_rejected(tmp_path, verb, preset, overlay, key):
+    code, stdout, stderr = run(tmp_path, verb, preset, overlay)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {key}: the gas parameter n a^3 = ")
+    assert stderr.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, preset", [("rates", "fig1"), ("trajectory", "fig1"), ("sweep", "fig2")]
+)
+def test_every_verb_runs_just_below_a_gas_parameter_of_one(tmp_path, verb, preset):
+    speed = DILUTE_SPEED * (1.0 - 1e-9)
+    code, stdout, stderr = run(
+        tmp_path, verb, preset,
+        f"speed_of_sound_m_per_s: {speed!r}\nsweep_speeds_of_sound_m_per_s: [{speed!r}]\n"
+        "time_points: 5\nsweep_points: 5\n",
+    )
+    assert (code, stderr) == (0, "")
+
+
 def decades(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
 
@@ -126,20 +172,46 @@ INTEGRAL_SCENARIOS = st.fixed_dictionaries({
 })
 
 
+GAMMA_KEYS = ("gamma_per_s", "gamma_1_per_s", "gamma_2_per_s")
+
+
+def integral_run_rates(verb: str, scenario: dict) -> tuple[int, str, list[float]]:
+    """(exit code, stderr, the damping rates the run reports): the net and
+    up/down rates that ``rates`` prints or the trajectory header carries, or
+    every row's net rate of the sweep, at the drawn speed of sound."""
+    overlay = "".join(f"{key}: {value!r}\n" for key, value in scenario.items())
+    overlay += (
+        f"sweep_speeds_of_sound_m_per_s: [{scenario['speed_of_sound_m_per_s']!r}]\n"
+        "sweep_points: 3\ntime_points: 5\n"
+    )
+    preset = "fig2" if verb == "sweep" else "fig1"
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, stderr = run(Path(tmp), verb, preset, overlay)
+        if code != 0:
+            return code, stderr, []
+        if verb == "rates":
+            report = dict(line.split(maxsplit=1) for line in stdout.splitlines())
+            return code, stderr, [float(report[key]) for key in GAMMA_KEYS]
+        lines = (Path(tmp) / "x.csv").read_text().splitlines()
+    if verb == "trajectory":
+        header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+        return code, stderr, [float(header[key]) for key in GAMMA_KEYS]
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    column = table[0].index("gamma_per_s")
+    return code, stderr, [float(row[column]) for row in table[1:]]
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
 @settings(max_examples=60, deadline=None)
-@given(INTEGRAL_SCENARIOS)
-def test_integral_rates_are_finite_and_non_negative_or_one_error_line(scenario):
+@given(scenario=INTEGRAL_SCENARIOS)
+def test_integral_rates_are_finite_and_non_negative_or_one_error_line(verb, scenario):
     fraction = scenario.pop("fraction_of_t_c")
     scenario["temperature_K"] = fraction * t_c_at_speed(scenario["speed_of_sound_m_per_s"])
-    with tempfile.TemporaryDirectory() as tmp:
-        overlay = "".join(f"{key}: {value!r}\n" for key, value in scenario.items())
-        code, stdout, stderr = run(Path(tmp), "rates", "fig1", overlay)
+    code, stderr, rates = integral_run_rates(verb, scenario)
     if code == 2:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         return
     assert (code, stderr) == (0, "")
-    report = dict(line.split(maxsplit=1) for line in stdout.splitlines())
-    for key in ("gamma_per_s", "gamma_1_per_s", "gamma_2_per_s"):
-        value = float(report[key])
-        assert math.isfinite(value) and value >= 0.0, (key, value)
-
+    assert rates
+    for value in rates:
+        assert math.isfinite(value) and value >= 0.0, value

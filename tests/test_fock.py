@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phonodec.decoherence import occupation_evolution, purity_evolution
+from phonodec.decoherence import metric_trajectory
 from phonodec.fock import lindblad_step_integrate, squeezed_vacuum_fock
 from phonodec.gaussian import KAPPA, state_from_params
 from phonodec.lyapunov import evolve_closed_form, thermal_channel
@@ -82,17 +82,12 @@ def test_oracle_matches_closed_forms():
     state0 = state_from_params(1.0, r0, math.pi)  # (-tanh r)^n squeezes x1
     channel = thermal_channel(gamma, n_th, omega)
     mu_inf = 1.0 / (1.0 + 2.0 * n_th)
+    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    assert np.abs(traj.purity - metrics.mu).max() < 1e-3
+    assert np.abs(traj.occupation - metrics.occupation).max() < 1e-3
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
         assert np.abs(traj.covariance[i] - exact.sigma).max() < 1e-3
-        assert abs(traj.purity[i] - purity_evolution(1.0, r0, mu_inf, gamma, t)) < 1e-3
-        assert (
-            abs(
-                traj.occupation[i]
-                - occupation_evolution(state0.occupation, n_th, gamma, t)
-            )
-            < 1e-3
-        )
         assert np.abs(traj.displacement[i]).max() < 1e-9
 
 
@@ -108,10 +103,11 @@ def test_oracle_matches_closed_forms_at_envelope_edge():
     state0 = state_from_params(1.0, r0, math.pi)
     channel = thermal_channel(gamma, n_th, omega)
     mu_inf = 1.0 / (1.0 + 2.0 * n_th)
+    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    assert np.abs(traj.purity - metrics.mu).max() < 1e-6
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
         assert np.abs(traj.covariance[i] - exact.sigma).max() < 1e-6
-        assert abs(traj.purity[i] - purity_evolution(1.0, r0, mu_inf, gamma, t)) < 1e-6
 
 
 def test_oracle_unitary_purity_constant():
@@ -179,11 +175,12 @@ def test_oracle_steps_an_unequal_grid_exactly():
     grid = [0.0, 0.1, 0.35, 1.2, 2.0, 5.0]
     _, traj, state0, channel = squeezed_oracle_case(grid)
     mu_inf = 1.0 / (1.0 + 2.0 * 0.2)
+    metrics = metric_trajectory(1.0, 0.5, mu_inf, 1.0, state0.occupation, 0.2, grid)
+    assert np.abs(traj.purity - metrics.mu).max() < 1e-9
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
         assert np.abs(traj.covariance[i] - exact.sigma).max() < 1e-9
         assert np.abs(traj.displacement[i] - exact.d).max() < 1e-9
-        assert abs(traj.purity[i] - purity_evolution(1.0, 0.5, mu_inf, 1.0, t)) < 1e-9
         assert abs(traj.occupation[i] - exact.occupation) < 1e-9
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phonodec.decoherence import purity_evolution, purity_minimum_time
+from phonodec.decoherence import metric_trajectory, purity_minimum_time
 from phonodec.gaussian import KAPPA, OMEGA, state_from_params
 from phonodec.lyapunov import (
     LindbladChannel,
@@ -128,7 +128,7 @@ def test_closed_form_purity_minimum_cross_check():
     t_min = purity_minimum_time(1.0, r0, 1.0, gamma)
     assert t_min == pytest.approx(math.log(2.0) / gamma, rel=1e-12)
     evolved = params_from_state(evolve_closed_form(st, ch, t_min))
-    expected = purity_evolution(1.0, r0, 1.0, gamma, t_min)
+    (expected,) = metric_trajectory(1.0, r0, 1.0, gamma, 0.0, 0.0, t_min).mu
     assert evolved.mu == pytest.approx(expected, rel=1e-10)
 
 
