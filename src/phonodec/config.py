@@ -125,6 +125,16 @@ def _initial_state_is_finite(
     return True
 
 
+def _check_normal(keys: tuple[str, ...], name: str, value: float, at: str) -> None:
+    """ConfigError naming ``keys`` unless ``value`` is a positive normal float."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        names = f"{', '.join(keys[:-1])} and {keys[-1]}" if len(keys) > 1 else keys[0]
+        raise ConfigError(
+            f"{names}: {name} = {value:.4g}{at} is not a positive normal float"
+            " (the rates or the three-body half-life divide by it)"
+        )
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a raw mapping, rejecting anything off-schema.
 
@@ -254,6 +264,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raw.get("quadrature_rel_tol", DEFAULT_QUADRATURE.rel_tol),
         positive=True,
     )
+    if quad_tol >= 1.0:  # the first panel's estimate would pass any integral
+        raise ConfigError("quadrature_rel_tol: must be < 1")
     quad_max = raw.get(
         "quadrature_max_subdivisions", DEFAULT_QUADRATURE.max_subdivisions
     )
@@ -285,22 +297,41 @@ def validate_config(raw: dict) -> ScenarioConfig:
         ("speed_of_sound_m_per_s" if n is None else "density_per_m3", c_s, n),
         *(("sweep_speeds_of_sound_m_per_s[]", c, None) for c in sweep_speeds),
     )
-    # Bogoliubov theory needs a dilute gas, n a^3 << 1.  Products, not **,
-    # which raises OverflowError where a product gives inf; so this comes
-    # before any CondensateParams, which squares c_s with **
-    a = constants["scattering_length_m"]
+    # Every condensate must be dilute, n a^3 << 1 (Bogoliubov theory), and
+    # give positive normal floats for what the outputs divide by: g, n,
+    # mu = m c_s^2 and m n hbar^3 c_s^5 (the smaller of the closed forms'
+    # denominators; the other is m n c_s^5) in the rates, and L3 n^2 in the
+    # three-body half-life.  Each is computed in bec's order with products
+    # for **, which raises OverflowError where a product gives inf; so this
+    # comes before any CondensateParams, which squares c_s with **.
+    m, a = constants["mass_kg"], constants["scattering_length_m"]
+    coupling = 4.0 * math.pi * HBAR**2 * a  # g before the division by m
+    _check_normal(("scattering_length_m",), "4 pi hbar^2 a", coupling, "")
+    g = coupling / m
+    _check_normal(("mass_kg", "scattering_length_m"), "g = 4 pi hbar^2 a / m", g, "")
     for key, speed, density in condensates:
+        at = f" at {speed if density is None else density!r}"
         if density is None:  # n = m c_s^2 / g = m^2 c_s^2 / (4 pi hbar^2 a)
-            x = constants["mass_kg"] * speed * a / HBAR
+            x = m * speed * a / HBAR
             gas = x * x / (4.0 * math.pi)
         else:
             gas = density * a * a * a
         if not gas < 1.0:
             raise ConfigError(
-                f"{key}: the gas parameter n a^3 = {gas:.4g} at"
-                f" {speed if density is None else density!r} is not below 1;"
+                f"{key}: the gas parameter n a^3 = {gas:.4g}{at} is not below 1;"
                 " Bogoliubov theory needs n a^3 << 1"
             )
+        sets_c = (key, "mass_kg", "scattering_length_m")  # the keys setting c_s
+        if density is None:
+            density, sets_n = m * (speed * speed) / g, sets_c
+        else:
+            speed, sets_n = math.sqrt(g * density / m), (key,)
+        _check_normal(sets_n, "n", density, at)
+        _check_normal(sets_c, "m c_s^2", m * (speed * speed), at)
+        c5 = speed * speed * speed * speed * speed
+        _check_normal(sets_c, "m n hbar^3 c_s^5", m * density * HBAR**3 * c5, at)
+        l3_n2 = constants["three_body_l3_m6_per_s"] * density * density
+        _check_normal((*sets_n, "three_body_l3_m6_per_s"), "L3 n^2", l3_n2, at)
 
     # the Bogoliubov rates need a condensate at every density the config
     # sets; the slowest speed of sound has the lowest density and T_c

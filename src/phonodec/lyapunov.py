@@ -1,15 +1,14 @@
-"""Evolution of Gaussian states under a Lindblad channel.
+"""Evolution of Gaussian states under the single-mode thermal channel.
 
 First and second moments obey
 
     dd/dt     = A d
     dsigma/dt = A sigma + sigma A^T + D
 
-with drift A and diffusion D.  For the constant single-mode thermal channel
-(A = -gamma/2 I + w' Omega, D = gamma sigma_inf) the solution is closed
-form.  ``evolve_numeric`` solves the same equations by an independent,
-equally exact route for any constant A and D: one matrix exponential of
-the vectorized equations (Van Loan's block form).
+with drift A = -gamma/2 I + w' Omega and diffusion D = gamma sigma_inf.
+The solution is closed form.  ``evolve_numeric`` solves the same equations
+by an independent, equally exact route for any constant A and D: one
+matrix exponential of the vectorized equations (Van Loan's block form).
 """
 
 from __future__ import annotations
@@ -26,43 +25,26 @@ from .gaussian import OMEGA, VACUUM_VARIANCE, GaussianState
 
 
 @dataclass(frozen=True)
-class LindbladChannel:
-    """Drift/diffusion pair, with the thermal-channel scalars when applicable."""
+class ThermalChannel:
+    """The thermal channel's scalars, asymptotic covariance, drift and diffusion."""
 
+    gamma: float
+    omega_prime: float
+    sigma_inf: NDArray[np.float64]
     a: NDArray[np.float64]
     d: NDArray[np.float64]
-    gamma: float | None = None
-    omega_prime: float | None = None
-    sigma_inf: NDArray[np.float64] | None = None
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        if a.shape != d.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("drift and diffusion must be equal square matrices")
-        if np.abs(d - d.T).max() > 1e-10 * max(np.abs(d).max(), 1.0):
-            raise ValueError("diffusion matrix must be symmetric")
-        d = 0.5 * (d + d.T)
-        if np.linalg.eigvalsh(d).min() < -1e-10 * max(np.abs(d).max(), 1.0):
-            raise ValueError("diffusion matrix must be positive semidefinite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def is_thermal(self) -> bool:
-        return self.gamma is not None and self.sigma_inf is not None
 
 
 def thermal_channel(
     gamma: float,
     n_thermal: float,
     omega_prime: float,
-) -> LindbladChannel:
+) -> ThermalChannel:
     """Single-mode thermal channel: A = -gamma/2 I + w' Omega, D = gamma sigma_inf."""
     if gamma < 0 or n_thermal < 0:
         raise ValueError("gamma and thermal occupation must be >= 0")
     sigma_inf = (1.0 + 2.0 * n_thermal) * VACUUM_VARIANCE * np.eye(2)
-    return LindbladChannel(
+    return ThermalChannel(
         a=-0.5 * gamma * np.eye(2) + omega_prime * OMEGA,
         d=gamma * sigma_inf,
         gamma=gamma,
@@ -77,7 +59,7 @@ def _rotation(omega_prime: float, t: float) -> NDArray[np.float64]:
 
 
 def evolve_closed_form(
-    state: GaussianState, channel: LindbladChannel, t: float
+    state: GaussianState, channel: ThermalChannel, t: float
 ) -> GaussianState:
     """Exact state at time t under the constant single-mode thermal channel.
 
@@ -86,8 +68,6 @@ def evolve_closed_form(
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    if not channel.is_thermal:
-        raise ValueError("closed form requires the single-mode thermal channel")
     decay = math.exp(-channel.gamma * t)
     rot = _rotation(channel.omega_prime, t)
     d_t = math.sqrt(decay) * rot @ state.d
@@ -95,17 +75,15 @@ def evolve_closed_form(
     return GaussianState(d=d_t, sigma=sigma_t)
 
 
-def fixed_point_residual(channel: LindbladChannel) -> float:
+def fixed_point_residual(channel: ThermalChannel) -> float:
     """Max-norm of A sigma_inf + sigma_inf A^T + D (zero for the thermal channel)."""
-    if channel.sigma_inf is None:
-        raise ValueError("channel carries no asymptotic state")
     res = channel.a @ channel.sigma_inf + channel.sigma_inf @ channel.a.T + channel.d
     return float(np.abs(res).max())
 
 
 def evolve_numeric(
     state: GaussianState,
-    channel: LindbladChannel,
+    channel: ThermalChannel,
     t_grid: Sequence[float],
 ) -> list[GaussianState]:
     """Solve the moment equations over ``t_grid`` (strictly increasing).
@@ -121,8 +99,8 @@ def evolve_numeric(
     maps (vec sigma0, 1, d0) to (vec sigma(t), 1, d(t)) under its
     exponential, so one stacked Padé exponential over ``t - t_grid[0]``
     gives every grid point exactly, for any constant drift and diffusion.
-    The covariance is symmetrized and the uncertainty bound is enforced at
-    every grid point.
+    It reads only ``channel.a`` and ``channel.d``.  The covariance is
+    symmetrized and the uncertainty bound is enforced at every grid point.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):

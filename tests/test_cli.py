@@ -287,6 +287,22 @@ def test_verify_holds_the_oracle_to_the_metrics_the_trajectory_writes(monkeypatc
     assert stdout.count("PASS") == 4
 
 
+def test_verify_holds_the_closed_form_to_the_block_exponential(monkeypatch):
+    # a covariance 1e-6 too large in evolve_closed_form must fail the
+    # moment-equation check (tolerance 1e-8); the oracle's 1e-3 still holds
+    real = verify.evolve_closed_form
+
+    def scaled(*args):
+        state = real(*args)
+        return dataclasses.replace(state, sigma=state.sigma * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verify, "evolve_closed_form", scaled)
+    code, stdout, stderr = run_cli_in_process("verify")
+    assert (code, stderr) == (1, "")
+    assert "FAIL lyapunov_closed_vs_numeric" in stdout
+    assert stdout.count("PASS") == 4
+
+
 def test_plotscript_emits_csv_and_script(tmp_path):
     out = tmp_path / "traj.csv"
     cp = run_cli(

@@ -1,7 +1,9 @@
 """The condensate domain: every density the config sets must be dilute
 (gas parameter n a^3 < 1), and a run needs a condensate, so
-``temperature_K`` must lie below the ideal-gas T_c at each of them; and the
-contract of the integral rate sources over that domain.
+``temperature_K`` must lie below the ideal-gas T_c at each of them; what
+the outputs divide by must be positive normal floats, which bounds the
+condensate keys from below at T = 0; and the contracts of the integral rate
+sources over that domain and of every verb at T = 0.
 
 T_c = (2 pi hbar^2 / (m k_B)) (n / zeta(3/2))^(2/3) is computed here on its
 own, with zeta(3/2) from mpmath and n = m c_s^2 / g.
@@ -215,3 +217,180 @@ def test_integral_rates_are_finite_and_non_negative_or_one_error_line(verb, scen
     assert rates
     for value in rates:
         assert math.isfinite(value) and value >= 0.0, value
+
+
+# The lower ends at T = 0, where the T_c rule bounds nothing.  Each case
+# ended in a line that names no key (`error: float division by zero`, or two
+# numpy warnings and `error: damping rate must be finite and >= 0`), or ran
+# and printed a rate that had lost digits to a subnormal (c_s = 1e-46 m/s,
+# a = 1e-255 m), or printed an infinite three-body loss rate (a = 1e-255 m).
+DENSITY_ONLY = "speed_of_sound_m_per_s: null\ndensity_per_m3: "
+LOWER_ENDS = [
+    ("speed_of_sound_m_per_s", "speed_of_sound_m_per_s: 1.0e-47\n"),
+    ("speed_of_sound_m_per_s", "speed_of_sound_m_per_s: 1.0e-46\n"),
+    ("density_per_m3", f"{DENSITY_ONLY}1.0e-70\n"),
+    ("density_per_m3", f"{DENSITY_ONLY}1.0e-150\n"),
+    ("mass_kg", "mass_kg: 1.0e-110\n"),
+    ("scattering_length_m", "scattering_length_m: 1.0e-255\n"),
+    ("scattering_length_m", "scattering_length_m: 1.0e-259\n"),
+    ("scattering_length_m", f"{DENSITY_ONLY}1.0e+20\nscattering_length_m: 1.0e-134\n"),
+]
+
+
+def assert_rejected_naming(tmp_path, code: int, stdout: str, stderr: str, key: str) -> None:
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert key in stderr[len("error: "):].split(": ", 1)[0], stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+@pytest.mark.parametrize("key, overlay", LOWER_ENDS)
+def test_a_condensate_key_below_its_lower_end_is_rejected(tmp_path, verb, key, overlay):
+    preset = "fig2" if verb == "sweep" else "fig1"
+    code, stdout, stderr = run(tmp_path, verb, preset, f"temperature_K: 0\n{overlay}")
+    assert_rejected_naming(tmp_path, code, stdout, stderr, key)
+
+
+@pytest.mark.parametrize("rate_source", ["asymptotic", "integral"])
+def test_a_sweep_speed_below_its_lower_end_is_rejected(tmp_path, rate_source):
+    code, stdout, stderr = run(
+        tmp_path, "sweep", "fig2",
+        f"temperature_K: 0\nrate_source: {rate_source}\n"
+        "sweep_speeds_of_sound_m_per_s: [1.7e-3, 1.0e-47]\n",
+    )
+    assert_rejected_naming(tmp_path, code, stdout, stderr, "sweep_speeds_of_sound_m_per_s")
+
+
+def test_the_scattering_length_at_fig1s_temperature_is_rejected(tmp_path):
+    code, stdout, stderr = run(tmp_path, "rates", "fig1", "scattering_length_m: 1.0e-300\n")
+    assert_rejected_naming(tmp_path, code, stdout, stderr, "scattering_length_m")
+
+
+# The smallest accepted value of each key over fig1's condensate at T = 0,
+# found by bisection on floats: the next float down is rejected.  m n hbar^3
+# c_s^5 sets each bound but the scattering length's at fixed c_s, where L3 n^2
+# overflows.  The sweep runs at the config's own speed of sound.
+JUST_INSIDE = [
+    ("speed_of_sound_m_per_s", 3.34484105758067e-30, ""),
+    ("density_per_m3", 3.1399574945985393e-34, "speed_of_sound_m_per_s: null\n"),
+    ("mass_kg", 1.389121006413321e-88, ""),
+    ("scattering_length_m", 3.094435039343026e-163, ""),
+    ("scattering_length_m", 6.618930147597396e-84, f"{DENSITY_ONLY}1.0e+20\n"),
+]
+
+
+def lower_end_overlay(verb: str, key: str, value: float, extra: str) -> str:
+    overlay = f"{extra}{key}: {value!r}\n"
+    if verb == "sweep" and "density_per_m3" not in overlay:
+        speed = value if key == "speed_of_sound_m_per_s" else 3.4e-3
+        overlay += f"sweep_speeds_of_sound_m_per_s: [{speed!r}]\n"
+    return overlay
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+@pytest.mark.parametrize("rate_source", ["auto", "integral"])
+@pytest.mark.parametrize("key, value, extra", JUST_INSIDE)
+def test_every_verb_runs_at_a_condensate_keys_lower_end(
+    tmp_path, verb, rate_source, key, value, extra
+):
+    preset = "fig2" if verb == "sweep" else "fig1"
+    base = f"temperature_K: 0\nrate_source: {rate_source}\ntime_points: 5\nsweep_points: 5\n"
+    code, stdout, stderr = run(
+        tmp_path, verb, preset, base + lower_end_overlay(verb, key, value, extra)
+    )
+    assert (code, stderr) == (0, "")
+    (tmp_path / "x.csv").unlink(missing_ok=True)
+    below = math.nextafter(value, 0.0)
+    code, stdout, stderr = run(
+        tmp_path, verb, preset, base + lower_end_overlay(verb, key, below, extra)
+    )
+    assert_rejected_naming(tmp_path, code, stdout, stderr, key)
+
+
+@pytest.mark.parametrize("verb", ["rates", "sweep"])
+@pytest.mark.parametrize("tolerance", ["1.0", "1.0e+290"])
+def test_a_quadrature_tolerance_of_one_or_more_is_rejected(tmp_path, verb, tolerance):
+    # from 1 the first panel's estimate passes; near 1e290 the run ended in
+    # `error: overflow encountered in multiply`
+    code, stdout, stderr = run(
+        tmp_path, verb, "fig2" if verb == "sweep" else "fig1",
+        f"rate_source: integral\nquadrature_rel_tol: {tolerance}\n",
+    )
+    assert_rejected_naming(tmp_path, code, stdout, stderr, "quadrature_rel_tol")
+
+
+def test_a_quadrature_tolerance_just_below_one_runs(tmp_path):
+    code, stdout, stderr = run(
+        tmp_path, "rates", "fig1",
+        f"rate_source: integral\nquadrature_rel_tol: {math.nextafter(1.0, 0.0)!r}\n",
+    )
+    assert (code, stderr) == (0, "")
+
+
+CONDENSATE_KEYS = (
+    "mass_kg", "scattering_length_m", "speed_of_sound_m_per_s", "density_per_m3",
+    "sweep_speeds_of_sound_m_per_s",
+)
+# the outputs that must be finite: rates and header values, or table cells
+FINITE_KEYS = (
+    "speed_of_sound_m_per_s", "density_per_m3", *GAMMA_KEYS, "gamma_total_per_s",
+    "mu_inf", "three_body_gamma0_per_s", "three_body_half_life_s",
+)
+
+
+def down_to_1e_300(lo: float, hi: float):
+    """Log-uniform down to 1e-300, or (as often) over the decades [lo, hi]
+    of laboratory condensates, so that a fair share of draws run."""
+    return st.one_of(decades(-300.0, hi), decades(lo, hi))
+
+
+# Species constants and a condensate at T = 0.
+ZERO_T_SCENARIOS = st.fixed_dictionaries({
+    "mass_kg": down_to_1e_300(-27.0, -23.0),
+    "scattering_length_m": down_to_1e_300(-10.0, -7.0),
+    "condensate": st.one_of(
+        st.tuples(st.just("speed_of_sound_m_per_s"), down_to_1e_300(-5.0, -1.0)),
+        st.tuples(st.just("density_per_m3"), down_to_1e_300(15.0, 22.0)),
+    ),
+})
+
+
+def zero_t_run(verb: str, scenario: dict) -> tuple[int, str, list[float]]:
+    """(exit code, stderr, the outputs that must be finite) of one run."""
+    key, value = scenario.pop("condensate")
+    overlay = "temperature_K: 0\ntime_points: 5\nsweep_points: 3\n"
+    overlay += "".join(f"{k}: {v!r}\n" for k, v in scenario.items())
+    if key == "density_per_m3":
+        overlay += f"speed_of_sound_m_per_s: null\ndensity_per_m3: {value!r}\n"
+    else:
+        overlay += f"speed_of_sound_m_per_s: {value!r}\n"
+        overlay += f"sweep_speeds_of_sound_m_per_s: [{value!r}]\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, stderr = run(Path(tmp), verb, "fig2" if verb == "sweep" else "fig1", overlay)
+        if code != 0:
+            return code, stderr, []
+        if verb == "rates":
+            report = dict(line.split(maxsplit=1) for line in stdout.splitlines())
+            return code, stderr, [float(report[k]) for k in FINITE_KEYS]
+        lines = (Path(tmp) / "x.csv").read_text().splitlines()
+    table = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    cells = [cell for row in table for cell in row if cell != "none"]
+    if verb == "trajectory":
+        header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+        cells += [header[k] for k in FINITE_KEYS]
+    return code, stderr, [float(cell) for cell in cells]
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+@settings(max_examples=80, deadline=None)
+@given(scenario=ZERO_T_SCENARIOS)
+def test_condensates_at_zero_temperature_give_finite_output_or_name_a_key(verb, scenario):
+    code, stderr, outputs = zero_t_run(verb, scenario)
+    if code == 2:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        named = stderr[len("error: "):].split(": ", 1)[0]
+        assert any(key in named for key in CONDENSATE_KEYS), stderr
+        return
+    assert (code, stderr) == (0, "")
+    assert outputs and all(math.isfinite(value) for value in outputs), outputs

@@ -1,14 +1,16 @@
 """Channel construction, closed-form solution, numerical Lyapunov integration."""
 
+import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from phonodec.decoherence import metric_trajectory, purity_minimum_time
 from phonodec.gaussian import KAPPA, OMEGA, state_from_params
 from phonodec.lyapunov import (
-    LindbladChannel,
     evolve_closed_form,
     evolve_numeric,
     fixed_point_residual,
@@ -19,7 +21,15 @@ from williamson import params_from_state, purity
 VACUUM = state_from_params(1.0, 0.0)
 
 
-def channel_from_lindblad_ops(c_matrix: np.ndarray) -> LindbladChannel:
+class DriftDiffusion(NamedTuple):
+    """A constant drift A and diffusion D, all that ``evolve_numeric`` reads,
+    for the channels that are not thermal."""
+
+    a: np.ndarray
+    d: np.ndarray
+
+
+def channel_from_lindblad_ops(c_matrix: np.ndarray) -> DriftDiffusion:
     """Single-mode channel from jump operators c_i = C_ij x_j.
 
     D = Omega Re(C^dag C) Omega^T / (4 kappa^4)
@@ -34,7 +44,7 @@ def channel_from_lindblad_ops(c_matrix: np.ndarray) -> LindbladChannel:
     kappa2 = KAPPA**2
     diffusion = OMEGA @ np.real(gram) @ OMEGA.T / (4.0 * kappa2**2)
     drift = OMEGA @ np.imag(gram) / (2.0 * kappa2)
-    return LindbladChannel(a=drift, d=diffusion)
+    return DriftDiffusion(a=drift, d=diffusion)
 
 
 def thermal_ops_matrix(gamma1: float, gamma2: float) -> np.ndarray:
@@ -84,12 +94,8 @@ def test_fixed_point_identity_and_sign_flip_sabotage():
     ch = thermal_channel(0.739, 0.4, 1e4)
     assert fixed_point_residual(ch) <= 1e-16 * np.abs(ch.d).max()
     # flipping the damping sign must break the stationarity identity
-    flipped = LindbladChannel(
-        a=+0.5 * 0.739 * np.eye(2) + 1e4 * OMEGA,
-        d=ch.d,
-        gamma=-0.739,
-        omega_prime=1e4,
-        sigma_inf=ch.sigma_inf,
+    flipped = dataclasses.replace(
+        ch, a=+0.5 * 0.739 * np.eye(2) + 1e4 * OMEGA, gamma=-0.739
     )
     assert fixed_point_residual(flipped) > 0.5 * np.abs(ch.d).max()
 
@@ -110,14 +116,10 @@ def test_closed_form_asymptote():
     assert np.abs(out.d).max() < 1e-10
 
 
-def test_closed_form_rejects_negative_time_and_nonthermal():
-    st = VACUUM
+def test_closed_form_rejects_negative_time():
     ch = thermal_channel(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        evolve_closed_form(st, ch, -0.1)
-    bare = LindbladChannel(a=-0.5 * np.eye(2), d=0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        evolve_closed_form(st, bare, 1.0)
+        evolve_closed_form(VACUUM, ch, -0.1)
 
 
 def test_closed_form_purity_minimum_cross_check():
@@ -147,7 +149,7 @@ def test_numeric_matches_closed_form():
 
 def test_numeric_unitary_preserves_purity():
     st = state_from_params(1.0, 1.0, 0.3)
-    ch = LindbladChannel(a=3.0 * OMEGA, d=np.zeros((2, 2)))
+    ch = DriftDiffusion(a=3.0 * OMEGA, d=np.zeros((2, 2)))
     grid = np.linspace(0.0, 4.0, 60)
     for out in evolve_numeric(st, ch, grid):
         assert purity(out) == pytest.approx(1.0, abs=1e-10)
@@ -196,7 +198,7 @@ def test_thermal_trajectory_purity_bounded():
 def test_numeric_detects_unphysical_contraction():
     # pure contraction without diffusion dives below the vacuum bound
     st = VACUUM
-    bad = LindbladChannel(a=-0.5 * np.eye(2), d=np.zeros((2, 2)))
+    bad = DriftDiffusion(a=-0.5 * np.eye(2), d=np.zeros((2, 2)))
     with pytest.raises(RuntimeError):
         evolve_numeric(st, bad, np.linspace(0.0, 5.0, 6))
 
@@ -213,3 +215,25 @@ def test_thermal_channel_matches_thermal_state():
     assert np.allclose(ch.sigma_inf, state_from_params(1.0 / 3.0, 0.0).sigma)
     with pytest.raises(ValueError):
         thermal_channel(-1.0, 0.1, 0.0)
+
+
+def decades(lo: float, hi: float):
+    return strategies.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+# zero, or a decade in which no product of the channel or its residual
+# leaves the normal float range
+ZERO_OR_DECADE = strategies.one_of(strategies.just(0.0), decades(-150.0, 150.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=ZERO_OR_DECADE, n_thermal=ZERO_OR_DECADE, omega_prime=ZERO_OR_DECADE)
+def test_thermal_diffusion_is_positive_semidefinite_and_stationary(
+    gamma, n_thermal, omega_prime
+):
+    # D symmetric with no negative eigenvalue, and sigma_inf its fixed point
+    # up to rounding, over the domain thermal_channel accepts
+    ch = thermal_channel(gamma, n_thermal, omega_prime)
+    assert np.array_equal(ch.d, ch.d.T)
+    assert np.linalg.eigvalsh(ch.d).min() >= 0.0
+    assert fixed_point_residual(ch) <= 1e-15 * np.abs(ch.d).max()
