@@ -12,6 +12,7 @@ directory; the PHONODEC_OUTDIR environment variable relocates them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -127,6 +128,20 @@ def _cmd_plotscript(args) -> int:
     return 0
 
 
+def _tolerance_scale(text: str) -> float:
+    """``--tolerance``: a positive finite number; inf would pass every check
+    and nan or a negative one fail every check, whatever the physics."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phonodec",
@@ -138,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(sp):
-        sp.add_argument("--config", type=Path, help="YAML scenario file")
+        sp.add_argument("--config", type=Path, help="YAML or JSON scenario file")
         sp.add_argument(
             "--preset", choices=sorted(PRESETS), help="shipped scenario preset"
         )
@@ -159,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the self-verification suite")
     sp.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance_scale,
         default=1.0,
         help="scale factor applied to every check tolerance",
     )

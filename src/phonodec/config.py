@@ -1,11 +1,13 @@
 """Scenario configuration: schema, validation, and the shipped presets.
 
-Configs are flat YAML mappings with unit-annotated keys (always SI).
-Unknown keys are rejected so typos cannot silently change a run.
+Configs are flat mappings with unit-annotated keys (always SI), read from a
+YAML or JSON file.  Unknown keys are rejected so typos cannot silently
+change a run.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -15,7 +17,13 @@ import numpy as np
 
 from .bec import CondensateParams
 from .constants import HBAR, K_B, SPECIES_PRESETS
-from .damping import DEFAULT_QUADRATURE, RATE_SOURCES
+from .damping import (
+    DEFAULT_QUADRATURE,
+    RATE_SOURCES,
+    gamma_beliaev_asymptotic,
+    regime_of,
+    split_rates,
+)
 from .gaussian import state_from_params
 
 
@@ -132,6 +140,38 @@ def _check_normal(keys: tuple[str, ...], name: str, value: float, at: str) -> No
         raise ConfigError(
             f"{names}: {name} = {value:.4g}{at} is not a positive normal float"
             " (the rates or the three-body half-life divide by it)"
+        )
+
+
+def _check_rate_in_range(
+    key: str, omega: float, params: CondensateParams, source: str
+) -> None:
+    """ConfigError naming ``key`` unless the rate formula that ``source``
+    takes at ``omega`` (``damping.regime_of``) stays in the float range;
+    each rate grows with the frequency.
+
+    The quantum closed form raises w to the fifth power (Python's ``**``
+    raises OverflowError above 4.476546622757235e61 rad/s, numpy's gives
+    inf) and divides by m n c_s^5, and its split multiplies by 1 + 2 N_th;
+    the collision integrals invert the dispersion through 2 w**2.
+    """
+    regime = regime_of(omega, params, source)
+    if regime == "quantum":
+        try:
+            rates = split_rates(
+                gamma_beliaev_asymptotic(omega, params), omega, params.temperature
+            )
+        except OverflowError:
+            rates = (math.inf,)
+        if not all(map(math.isfinite, rates)):
+            raise ConfigError(
+                f"{key}: the quantum rate (3/640 pi) hbar w^5 / (m n c_s^5)"
+                f" overflows at {omega!r} rad/s"
+            )
+    elif regime == "integral" and 2.0 * (omega * omega) > sys.float_info.max:
+        raise ConfigError(
+            f"{key}: the collision integrals' 2 w^2 overflows at {omega!r} rad/s"
+            " (use at most 9.480751908109176e+153)"
         )
 
 
@@ -333,18 +373,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
         l3_n2 = constants["three_body_l3_m6_per_s"] * density * density
         _check_normal((*sets_n, "three_body_l3_m6_per_s"), "L3 n^2", l3_n2, at)
 
+    # every condensate the config sets, built as the verbs build it
+    built = [
+        CondensateParams(
+            m, a, temperature, speed_of_sound=speed or 0.0, density=density or 0.0
+        )
+        for _, speed, density in condensates
+    ]
     # the Bogoliubov rates need a condensate at every density the config
     # sets; the slowest speed of sound has the lowest density and T_c
-    sparsest = min(
-        (
-            CondensateParams(
-                constants["mass_kg"], constants["scattering_length_m"], 0.0,
-                speed_of_sound=speed or 0.0, density=density or 0.0,
-            )
-            for _, speed, density in condensates
-        ),
-        key=lambda params: params.density,
-    )
+    sparsest = min(built, key=lambda params: params.density)
     if temperature >= sparsest.critical_temperature:
         raise ConfigError(
             f"temperature_K: {temperature!r} K is at or above T_c ="
@@ -352,6 +390,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f" temperature at density {sparsest.density:.4g} m^-3; the rates"
             " need a condensate"
         )
+
+    # the highest frequency each condensate runs at: the mode frequency on
+    # the config's own, the sweep's top on each sweep speed of sound, or on
+    # the own speed of sound without a list
+    _check_rate_in_range("mode_frequency_rad_per_s", omega_q, built[0], rate_source)
+    if sweep_max is not None:
+        swept = built[1:] or [
+            CondensateParams(m, a, temperature, speed_of_sound=built[0].speed_of_sound)
+        ]
+        for params in swept:
+            _check_rate_in_range(
+                "sweep_omega_max_rad_per_s", sweep_max, params, rate_source
+            )
 
     return ScenarioConfig(
         species=species,
@@ -377,17 +428,36 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 
 def read_config_file(path: str | Path) -> dict:
-    """The raw mapping of a YAML scenario file; an empty file is an empty mapping.
+    """The raw mapping of a YAML or JSON scenario file; an empty file is an
+    empty mapping.
 
-    A YAML syntax error is a one-line ``ConfigError`` naming the file, the
-    1-based line and column, and the parser's problem.  PyYAML is imported
-    here, so a run from presets alone does not load it.
+    The file is read once, as UTF-8 text (else a ``ConfigError`` naming it).
+    Text that the standard library's ``json`` parses is taken as parsed;
+    other text goes to PyYAML.  JSON is a subset of YAML, and both readings
+    of a JSON document validate to the same config: YAML 1.1 reads ``1e5``
+    as a string, which ``_number`` converts and the integer keys reject as
+    they reject the float.  ``json`` alone accepts tabs as whitespace and
+    raw non-printable characters (DEL) in strings.  A YAML syntax error is a
+    one-line ``ConfigError`` naming the file, the 1-based line and column,
+    and the parser's problem.  Each parser is imported when first needed, so
+    a run from presets alone loads neither and a JSON file no PyYAML.
     """
-    import yaml
+    import json
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        import yaml
+
+        stream = io.StringIO(text)
+        stream.name = str(path)  # which PyYAML's reader errors name
+        try:
+            raw = yaml.safe_load(stream)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             at = f" line {mark.line + 1}, column {mark.column + 1}:" if mark else ""

@@ -444,7 +444,7 @@ def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float
     return gamma * (1.0 + n_th), gamma * n_th, gamma * (1.0 + 2.0 * n_th), n_th
 
 
-def _regime(omega_q: float, params: CondensateParams, source: str) -> str:
+def regime_of(omega_q: float, params: CondensateParams, source: str) -> str:
     """The formula that ``source`` picks for one mode (see ``select_regime``)."""
     if source in ("integral", "explicit"):
         return source
@@ -491,7 +491,7 @@ def select_regime(
     omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
     if any(omega <= 0 for omega in omegas):
         raise ValueError("frequency must be positive")
-    regimes = [_regime(omega, params, source) for omega in omegas]
+    regimes = [regime_of(omega, params, source) for omega in omegas]
     integrated = [omega for omega, regime in zip(omegas, regimes) if regime == "integral"]
     integrals = iter(gamma_integral(np.array(integrated), params, cfg) if integrated else ())
 

@@ -271,6 +271,15 @@ def test_verify_passes_and_tolerance_propagates():
     assert "FAIL" not in cp.stdout
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0", "many"])
+def test_verify_tolerance_must_be_positive_and_finite(tolerance, capsys):
+    # inf passed every check and nan or -1 failed every check, exiting 0 or 1
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["verify", "--tolerance", tolerance])
+    assert excinfo.value.code == 2
+    assert "--tolerance: expected a positive finite number" in capsys.readouterr().err
+
+
 def test_verify_holds_the_oracle_to_the_metrics_the_trajectory_writes(monkeypatch):
     # a purity off by 1e-2 in metric_trajectory, which fills the CSV's mu
     # column, must fail the number-basis oracle (tolerance 1e-3)
@@ -412,27 +421,50 @@ def test_bare_import_loads_no_numpy_and_no_submodule():
     assert cp.stdout.split() == ["phonodec"]
 
 
-# Runs `rates` from a preset, then from a --config file, in one fresh
-# interpreter, and prints the yaml modules loaded after each.
-YAML_MODULES_AFTER = """
+# Runs `rates` from a preset, then from a JSON and a YAML --config file, in
+# one fresh interpreter, and prints the parser modules loaded after each.
+PARSER_MODULES_AFTER = """
 import sys
 from phonodec import cli
-for argv in (["rates", "--preset", "fig1"], ["rates", "--preset", "fig1", "--config", "c.yaml"]):
-    assert cli.main(argv) == 0, argv
-    loaded = [m for m in sorted(sys.modules) if m.split(".")[0] in ("yaml", "_yaml")]
+for config in ([], ["--config", "c.json"], ["--config", "c.yaml"]):
+    assert cli.main(["rates", "--preset", "fig1", *config]) == 0, config
+    loaded = [m for m in sorted(sys.modules) if m.split(".")[0] in ("yaml", "_yaml", "json")]
     print("loaded:", *loaded)
 """
 
 
 def test_preset_only_rates_does_not_import_yaml(tmp_path):
+    (tmp_path / "c.json").write_text('{"initial_squeezing": 9.0}\n')
     (tmp_path / "c.yaml").write_text("initial_squeezing: 9.0\n")
-    cp = run_python("-c", YAML_MODULES_AFTER, cwd=tmp_path)
+    cp = run_python("-c", PARSER_MODULES_AFTER, cwd=tmp_path)
     assert cp.returncode == 0, cp.stderr
-    preset_only, with_config = [
+    preset_only, with_json, with_yaml = [
         line.split()[1:] for line in cp.stdout.splitlines() if line.startswith("loaded:")
     ]
     assert preset_only == []
-    assert "yaml" in with_config
+    assert "json" in with_json and "yaml" not in with_json
+    assert "yaml" in with_yaml
+
+
+def test_a_scenario_file_that_is_not_utf8_is_named(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"\xfftime_points: 5\n")
+    code, _, stderr = run_cli_in_process("rates", "--preset", "fig1", "--config", str(cfg))
+    assert code == 2
+    assert stderr.startswith(f"error: {cfg}: not UTF-8 text (") and stderr.count("\n") == 1
+
+
+def test_a_tab_indented_json_scenario_runs(tmp_path):
+    # PyYAML rejects the tabs; the standard library's json reads the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{\n\t"rate_source": "asymptotic",\n\t"initial_squeezing": 9.0\n}\n')
+    out = tmp_path / "x.csv"
+    code, _, stderr = run_cli_in_process(
+        "trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    header = read_header(out)
+    assert (header["rate_source"], header["initial_squeezing"]) == ("asymptotic", "9.0")
 
 
 # Runs CLI verbs in one fresh interpreter, then prints the scipy modules loaded.
@@ -623,6 +655,72 @@ def test_frequency_at_the_floor_runs(tmp_path, verb, preset, key, temperature):
         tmp_path, verb, preset, key, "1.4916681462400413e-154", temperature
     )
     assert code == 0 and stderr == ""
+
+
+# At fig1's condensate the quantum closed form's w**5 (auto, asymptotic)
+# overflows above 4.476546622757235e61 rad/s, and the collision integrals'
+# 2 w**2 (integral) above 9.480751908109176e153; explicit takes no formula.
+TOP_FREQUENCIES = {
+    "auto": 4.476546622757235e61,
+    "asymptotic": 4.476546622757235e61,
+    "integral": 9.480751908109176e153,
+}
+TOP_KEYS = [
+    ("rates", "fig1", "mode_frequency_rad_per_s"),
+    ("trajectory", "fig1", "mode_frequency_rad_per_s"),
+    ("sweep", "fig2", "sweep_omega_max_rad_per_s"),
+]
+
+
+def run_at_top(tmp_path, verb, preset, key, source, omega, extra=""):
+    sweep = "sweep_omega_min_rad_per_s: 1.0e+61\n" if verb == "sweep" else ""
+    explicit = "gamma_explicit_per_s: 0.5\n" if source == "explicit" else ""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"rate_source: {source}\n{key}: {omega!r}\n{sweep}{explicit}{extra}"
+        "sweep_points: 5\ntime_points: 5\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, stderr = run_cli_in_process(
+        verb, "--preset", preset, "--config", str(cfg), "--out", str(out)
+    )
+    return code, stderr, out
+
+
+@pytest.mark.parametrize("verb, preset, key", TOP_KEYS)
+@pytest.mark.parametrize("source", sorted(TOP_FREQUENCIES))
+def test_a_frequency_above_its_rate_formulas_range_is_rejected(
+    tmp_path, verb, preset, key, source
+):
+    omega = math.nextafter(TOP_FREQUENCIES[source], math.inf)
+    code, stderr, out = run_at_top(tmp_path, verb, preset, key, source, omega)
+    assert code == 2
+    assert stderr.startswith(f"error: {key}: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, preset, key", TOP_KEYS)
+@pytest.mark.parametrize(
+    "source, omega", [*TOP_FREQUENCIES.items(), ("explicit", 1.0e300)]
+)
+def test_a_frequency_at_the_top_of_its_rate_formulas_range_runs(
+    tmp_path, verb, preset, key, source, omega
+):
+    code, stderr, _ = run_at_top(tmp_path, verb, preset, key, source, omega)
+    assert (code, stderr) == (0, "")
+
+
+def test_a_quantum_rate_that_overflows_in_its_division_is_rejected(tmp_path):
+    # at c_s = 1 um/s, m n c_s^5 is small enough that the closed form
+    # overflows to inf below the w**5 limit: `rates` printed gamma_per_s inf
+    slow = "speed_of_sound_m_per_s: 1.0e-6\ntemperature_K: 0.0\n"
+    key = "mode_frequency_rad_per_s"
+    inside, above = 5.4083788817159085e60, 5.408378881715909e60
+    code, stderr, _ = run_at_top(tmp_path, "rates", "fig1", key, "asymptotic", inside, slow)
+    assert (code, stderr) == (0, "")
+    code, stderr, _ = run_at_top(tmp_path, "rates", "fig1", key, "asymptotic", above, slow)
+    assert code == 2
+    assert stderr.startswith(f"error: {key}: ") and stderr.count("\n") == 1
 
 
 def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):

@@ -1,6 +1,12 @@
-"""Scenario schema validation and presets."""
+"""Scenario schema validation, presets and the scenario file reader."""
+
+import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from phonodec.config import (
@@ -201,3 +207,152 @@ def test_null_purity_lets_a_thermal_occupation_overlay_a_preset():
     assert preset_config("fig1", overlay).initial_purity == 0.2
     with pytest.raises(ConfigError, match="not both"):
         preset_config("fig1", {"initial_thermal_occupation": 2})
+
+
+# --- the scenario file reader: JSON by the standard library, else PyYAML ---
+
+
+def key_words(message: str) -> set[str]:
+    """The config keys a ConfigError message names."""
+    return set(re.findall(r"[a-z0-9_]+", message)) & _KNOWN_KEYS
+
+
+def outcome_of(raw) -> object:
+    """The validated config's repr (every float's bits), else the error's
+    type and the keys its message names."""
+    try:
+        return repr(validate_config(raw))
+    except ConfigError as exc:
+        return "ConfigError", key_words(str(exc))
+    except ArithmeticError as exc:  # an integer beyond the float range
+        return type(exc).__name__
+
+
+def number_forms(value: float) -> list[str]:
+    """``value`` written as JSON numbers in several forms, some rounding it."""
+    mantissa, exponent = f"{value:.15e}".split("e")
+    mantissa = mantissa.rstrip("0").rstrip(".")
+    return [
+        repr(value),  # what json.dumps writes: 0.0034, 1e-05, 1e+16
+        f"{mantissa}e{int(exponent)}",  # 3.4e-3: a string to YAML 1.1
+        f"{mantissa}E{int(exponent):+d}",  # 3.4E-3, 1E+4
+        f"{value:.6e}",  # 3.400000e-03: a float to YAML 1.1
+        f"{value:.17g}",
+    ]
+
+
+# JSON numbers from their grammar: 1e5, 1.0e+4, -0.0, 12345678901234567890, ...
+JSON_NUMBERS = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,3})?([eE][-+]?[0-9]{1,3})?", fullmatch=True
+)
+# strings with escapes; json.dumps writes DEL raw, which PyYAML rejects
+STRINGS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x7f"),
+    max_size=8,
+).map(json.dumps)
+SCALARS = st.one_of(
+    JSON_NUMBERS,
+    # the forms above at integer keys, and zero with a sign
+    st.sampled_from(["5e2", "500.0", "5.0E+2", "1e5", "1.0e+4", "-0.0", "-0"]),
+    st.sampled_from(["true", "false", "null"]),
+    STRINGS,
+    st.sampled_from(["rb87", "RB87", "yb174", "custom", "auto", "asymptotic",
+                     "integral", "explicit"]).map(json.dumps),
+)
+VALUES = st.one_of(
+    SCALARS, st.lists(JSON_NUMBERS, max_size=3).map(lambda xs: f"[{', '.join(xs)}]")
+)
+# fig2 with every key it lacks: the mode's initial state, a thermal
+# occupation, a displacement and the quadrature controls
+SCENARIO = {
+    **PRESETS["fig2"],
+    "initial_displacement": [0.5, -0.25],
+    "quadrature_rel_tol": 1e-6,
+    "quadrature_max_subdivisions": 200,
+}
+
+
+def written(value) -> st.SearchStrategy[str]:
+    """A JSON text of ``value``: a float in one of its written forms."""
+    if isinstance(value, list):
+        return st.tuples(*map(written, value)).map(lambda xs: f"[{', '.join(xs)}]")
+    if isinstance(value, float):
+        return st.sampled_from(number_forms(value))
+    return st.just(json.dumps(value))
+
+
+@st.composite
+def scenario_documents(draw) -> str:
+    """A flat scenario mapping as a JSON document: fig2's keys in written
+    forms, a few replaced, dropped or added with any JSON value."""
+    texts = {key: draw(written(value)) for key, value in SCENARIO.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(_KNOWN_KEYS)), max_size=3)):
+        replacement = draw(st.one_of(st.none(), VALUES))
+        if replacement is None:
+            texts.pop(key, None)
+        else:
+            texts[key] = replacement
+    separator = draw(st.sampled_from([", ", ",\n  ", ","]))
+    return "{" + separator.join(f"{json.dumps(k)}: {v}" for k, v in texts.items()) + "}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_documents())
+def test_a_json_scenario_validates_as_its_yaml_reading(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(document, encoding="utf-8")
+        raw = read_config_file(path)
+    assert raw == json.loads(document)
+    assert outcome_of(raw) == outcome_of(yaml.safe_load(document))
+
+
+# (file text, the reader's mapping or the ConfigError it raises), each what
+# PyYAML alone gives for the text
+AS_BEFORE = [
+    ("", {}),
+    ("null\n", {}),
+    ("[1, 2]\n", "config must be a mapping"),
+    ("NaN\n", "config must be a mapping"),
+    ('\ufeff{"time_points": 5}\n', {"time_points": 5}),  # json rejects the BOM
+    ('{"time_points": 5,}\n', {"time_points": 5}),  # and the trailing comma
+    ("time_points: 1e5\n", {"time_points": "1e5"}),  # YAML 1.1's string
+]
+
+
+@pytest.mark.parametrize("text, expected", AS_BEFORE)
+def test_a_scenario_file_reads_as_before(tmp_path, text, expected):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    if isinstance(expected, dict):
+        assert read_config_file(path) == expected
+    else:
+        with pytest.raises(ConfigError, match=expected):
+            read_config_file(path)
+
+
+def test_json_accepts_what_yaml_rejects(tmp_path):
+    # the two documented differences: a tab as whitespace, and a raw DEL in
+    # a string, which PyYAML rejects as a non-printable character
+    for text, raw in [
+        ('{\n\t"time_points": 5\n}\n', {"time_points": 5}),
+        ('{"species": "rb\x7f"}\n', {"species": "rb\x7f"}),
+    ]:
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(text)
+        assert read_config_file(path) == raw
+    with pytest.raises(ConfigError, match="^species: "):
+        validate_config({"species": "rb\x7f"})
+
+
+def test_a_yaml_reader_error_names_the_file(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_text("species: rb\x7f\n")
+    with pytest.raises(ConfigError) as excinfo:
+        read_config_file(path)
+    assert str(excinfo.value) == (
+        f"{path}: unacceptable character #x007f: special characters are not"
+        f' allowed in "{path}", position 11'
+    )
