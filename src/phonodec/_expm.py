@@ -8,8 +8,12 @@ identity exactly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 # Padé-13 numerator coefficients b_0..b_13, divided by b_0 so that the zero
 # matrix gives V - U = V + U = I and the solve returns I bit for bit, and

@@ -152,22 +152,21 @@ def _check_rate_in_range(
 
     The quantum closed form raises w to the fifth power (Python's ``**``
     raises OverflowError above 4.476546622757235e61 rad/s, numpy's gives
-    inf) and divides by m n c_s^5, and its split multiplies by 1 + 2 N_th;
+    inf) and divides by m n c_s^5, and its split multiplies by 1 + 2 N_th
+    (``split_rates`` raises OverflowError when that is not finite);
     the collision integrals invert the dispersion through 2 w**2.
     """
     regime = regime_of(omega, params, source)
     if regime == "quantum":
         try:
-            rates = split_rates(
+            split_rates(
                 gamma_beliaev_asymptotic(omega, params), omega, params.temperature
             )
         except OverflowError:
-            rates = (math.inf,)
-        if not all(map(math.isfinite, rates)):
             raise ConfigError(
                 f"{key}: the quantum rate (3/640 pi) hbar w^5 / (m n c_s^5)"
                 f" overflows at {omega!r} rad/s"
-            )
+            ) from None
     elif regime == "integral" and 2.0 * (omega * omega) > sys.float_info.max:
         raise ConfigError(
             f"{key}: the collision integrals' 2 w^2 overflows at {omega!r} rad/s"

@@ -439,8 +439,17 @@ def _gamma_integral(
 
 
 def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float, float, float, float]:
-    """(gamma_1, gamma_2, gamma_total, n_thermal) from a net rate and detailed balance."""
+    """(gamma_1, gamma_2, gamma_total, n_thermal) from a net rate and detailed balance.
+
+    OverflowError when gamma_total = gamma (1 + 2 n_th), the largest of the
+    three, is not finite; the check multiplies Python floats, which do not warn.
+    """
     n_th = thermal_occupation(omega_q, temperature)
+    if not math.isfinite(float(gamma) * (1.0 + 2.0 * n_th)):
+        raise OverflowError(
+            f"the Lindblad split of gamma = {float(gamma)!r} 1/s at n_th = {n_th!r}"
+            " overflows: gamma (1 + 2 n_th) is not finite"
+        )
     return gamma * (1.0 + n_th), gamma * n_th, gamma * (1.0 + 2.0 * n_th), n_th
 
 

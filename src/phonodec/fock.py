@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from ._expm import expm
 from .gaussian import KAPPA
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 
 def squeezed_vacuum_fock(r: float, n_cut: int) -> NDArray[np.float64]:

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 KAPPA = 1.0 / math.sqrt(2.0)
 VACUUM_VARIANCE = 1.0 / (4.0 * KAPPA**2)

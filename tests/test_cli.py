@@ -1,9 +1,11 @@
 """End-to-end CLI coverage: verbs, config validation, output determinism."""
 
 import dataclasses
+import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -511,32 +513,147 @@ def test_verify_does_not_import_scipy(tmp_path):
 
 
 # Imports the CLI, then runs verbs, in one fresh interpreter, and prints after
-# each step whether the float-table renderer is loaded.
-RENDERER_LOADED_AFTER = """
+# each step whether a module is loaded.
+LOADED_AFTER = """
 import sys
 from phonodec import cli
-print("renderer loaded:", "phonodec._repr" in sys.modules)
+print("module loaded:", {module!r} in sys.modules)
 for argv in {argvs!r}:
     assert cli.main(argv) == 0, argv
-    print("renderer loaded:", "phonodec._repr" in sys.modules)
+    print("module loaded:", {module!r} in sys.modules)
 """
+
+
+def loaded_after(tmp_path, module: str, *argvs) -> list[str]:
+    script = LOADED_AFTER.format(module=module, argvs=argvs)
+    cp = run_python("-c", script, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    return [
+        line.split()[-1] for line in cp.stdout.splitlines()
+        if line.startswith("module loaded:")
+    ]
 
 
 def test_only_the_trajectory_loads_the_float_table_renderer(tmp_path):
     # every verb pays its import otherwise, in setup time
-    argvs = [
+    loaded = loaded_after(
+        tmp_path,
+        "phonodec._repr",
         ["rates", "--preset", "fig1"],
         ["sweep", "--preset", "fig2"],
         ["verify"],
         ["trajectory", "--preset", "fig1"],
-    ]
-    cp = run_python("-c", RENDERER_LOADED_AFTER.format(argvs=argvs), cwd=tmp_path)
-    assert cp.returncode == 0, cp.stderr
-    loaded = [
-        line.split()[-1] for line in cp.stdout.splitlines()
-        if line.startswith("renderer loaded:")
-    ]
+    )
     assert loaded == ["False", "False", "False", "False", "True"]
+
+
+def test_no_verb_loads_numpy_typing(tmp_path):
+    # the annotations are strings; NDArray is imported for type checkers only
+    loaded = loaded_after(
+        tmp_path,
+        "numpy.typing",
+        ["rates", "--preset", "fig1"],
+        ["trajectory", "--preset", "fig1"],
+        ["sweep", "--preset", "fig2"],
+        ["verify"],
+    )
+    assert loaded == ["False"] * 5
+
+
+# Each case: the argv, with {out} for the output directory, and its exit code.
+EXIT_PATH_CASES = {
+    "rates": (["rates", "--preset", "fig1"], 0),
+    "trajectory": (["trajectory", "--preset", "fig1", "--out", "{out}/t.csv"], 0),
+    "sweep": (["sweep", "--preset", "fig2", "--out", "{out}/s.csv"], 0),
+    "plotscript_trajectory": (
+        ["plotscript", "--preset", "fig1", "--kind", "trajectory", "--out", "{out}/p.csv"], 0
+    ),
+    "plotscript_sweep": (
+        ["plotscript", "--preset", "fig2", "--kind", "sweep", "--out", "{out}/p.csv"], 0
+    ),
+    "verify": (["verify"], 0),
+    "verify_fails": (["verify", "--tolerance", "1e-300"], 1),
+    "regime_warning": (["rates", "--preset", "fig1", "--config", "{cfg}/outside.json"], 0),
+    "config_error": (["rates", "--preset", "fig1", "--config", "{cfg}/unknown.json"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_PATH_CASES))
+def test_python_m_phonodec_ends_as_cli_main_returns(tmp_path, case):
+    # the process entry point adds only a gc.freeze() after main returns
+    template, expected_code = EXIT_PATH_CASES[case]
+    (tmp_path / "outside.json").write_text(
+        '{"rate_source": "asymptotic", "temperature_K": 5.0e-9,'
+        ' "mode_frequency_rad_per_s": 1.0e+3}\n'
+    )
+    (tmp_path / "unknown.json").write_text('{"no_such_key": 1}\n')
+    runs = {}
+    for side in ("process", "main"):
+        out = tmp_path / side
+        out.mkdir()
+        argv = [arg.format(out=out, cfg=tmp_path) for arg in template]
+        if side == "process":
+            # block-buffered stdout, as in a pipe, so that a lost flush shows
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+            cp = run_cli(*argv, env=env)
+            code, stdout, stderr = cp.returncode, cp.stdout, cp.stderr
+        else:
+            code, stdout, stderr = run_cli_in_process(*argv)
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        runs[side] = (code, stdout.replace(str(out), "{out}"), stderr, files)
+    assert runs["process"] == runs["main"]
+    code, stdout, stderr, files = runs["main"]
+    assert code == expected_code
+    if case == "regime_warning":
+        assert stderr.startswith("warning: ") and stderr.count("\n") == 1
+    elif case == "config_error":
+        assert (stdout, files) == ("", {})
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    else:
+        assert stderr == ""
+        assert bool(files) == ("--out" in template)
+
+
+# Runs `rates` through one entry point in a fresh interpreter, then prints the
+# exit code and the number of objects in the collector's permanent generation.
+FREEZE_COUNT_AFTER = """
+import gc, importlib, runpy, sys
+entry = sys.argv[1]
+sys.argv = ["phonodec", "rates", "--preset", "fig1"]
+if entry == "runpy":
+    try:
+        runpy.run_module("phonodec", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    module, _, name = entry.partition(":")
+    code = getattr(importlib.import_module(module), name)()
+print("exit", code, "frozen", gc.get_freeze_count())
+"""
+
+
+def console_script() -> str:
+    text = (Path(SRC).parent / "pyproject.toml").read_text()
+    match = re.search(r'^phonodec = "([\w.:]+)"$', text, re.MULTILINE)
+    assert match, "pyproject.toml has no phonodec console script"
+    return match.group(1)
+
+
+@pytest.mark.parametrize("entry", ["runpy", "script"])
+def test_a_cli_process_freezes_the_collector_after_main(tmp_path, entry):
+    entry = console_script() if entry == "script" else entry
+    cp = run_python("-c", FREEZE_COUNT_AFTER, entry, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    _, code, _, frozen = cp.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert int(frozen) > 0
+
+
+def test_cli_main_does_not_freeze_the_collector():
+    # tests and library callers run main in a process that goes on
+    assert gc.get_freeze_count() == 0
+    assert run_cli_in_process("rates", "--preset", "fig1")[0] == 0
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize(

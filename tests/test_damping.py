@@ -226,6 +226,20 @@ def test_split_rate_identities(paper_params):
     assert (g1, g2, gt) == (0.7, 0.0, 0.7)
 
 
+# n_th = 130919.83920784293 at 1 rad/s and 1 uK, so gamma (1 + 2 n_th) leaves
+# the float range above gamma of about 6.9e302 1/s
+@pytest.mark.parametrize("gamma", [1.0e303, np.float64(1.0e305), math.inf])
+def test_split_rates_that_overflow_name_the_rate_and_n_th(gamma):
+    with pytest.raises(ArithmeticError) as excinfo:
+        split_rates(gamma, 1.0, 1e-6)
+    assert f"gamma = {float(gamma)!r} 1/s at n_th = 130919.83920784293" in str(excinfo.value)
+
+
+def test_split_rates_just_inside_the_float_range_are_finite():
+    rates = split_rates(6.8e302, 1.0, 1e-6)
+    assert all(map(math.isfinite, rates))
+
+
 def test_select_regime_gamma_positive_across_inputs():
     for temperature in (0.0, 0.5e-9, 5e-9, 100e-9, 4e-6):
         params = rb87(temperature)
