@@ -10,8 +10,8 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def _frequency(key: str, value) -> float:
     return omega
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated scenario: condensate, probe mode, initial state, run controls."""
 
     species: str
@@ -110,9 +109,7 @@ class ScenarioConfig:
         return self.sweep_omega_min_rad_per_s is not None
 
 
-_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)} | {
-    "initial_thermal_occupation"
-}
+_KNOWN_KEYS = {*ScenarioConfig._fields, "initial_thermal_occupation"}
 
 
 def _initial_state_is_finite(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def vertex_coefficients(
     return b, l
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(NamedTuple):
     """Adaptive-quadrature controls for the collision integrals: the relative
     error each integral must reach, and the most Gauss-Kronrod panels one
     integral may be split into."""
@@ -86,8 +85,7 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class IntegralRates:
+class IntegralRates(NamedTuple):
     """Collision-integral result: net channel rates plus the up/down split."""
 
     gamma_beliaev: float
@@ -96,8 +94,7 @@ class IntegralRates:
     gamma_2: float
 
 
-@dataclass(frozen=True)
-class DampingResult:
+class DampingResult(NamedTuple):
     """Damping rate of a phonon mode with its Lindblad split.
 
     ``gamma_total`` is gamma_1 + gamma_2 = gamma (1 + 2 N_th), the rate
@@ -113,7 +110,7 @@ class DampingResult:
     beta_q: float
     n_thermal: float
     regime: str
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
     @property
     def mu_inf(self) -> float:

@@ -11,8 +11,7 @@ enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -71,8 +70,7 @@ def classicality_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> flo
     return math.log(num / (1.0 - mu_inf)) / gamma
 
 
-@dataclass(frozen=True)
-class MetricTrajectory:
+class MetricTrajectory(NamedTuple):
     """Time series of the four metrics plus the decoherence timestamps."""
 
     t: NDArray[np.float64]
@@ -116,7 +114,10 @@ def metric_trajectory(
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
-    e = np.exp(-gamma * t)
+    with np.errstate(over="ignore"):
+        # past the float range gamma t is inf and e = 0.0 exactly; every
+        # other overflow keeps the caller's error state
+        e = np.exp(-gamma * t)
     c = 1.0 - e
     cosh_2r0 = math.cosh(2.0 * r0)
     rho = mu0 / mu_inf

@@ -14,8 +14,7 @@ by structure at large r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -53,8 +52,7 @@ def squeezed_vacuum_fock(r: float, n_cut: int) -> NDArray[np.float64]:
     return c
 
 
-@dataclass(frozen=True)
-class FockTrajectory:
+class FockTrajectory(NamedTuple):
     """Per-grid-point purity and phase-space moments, plus the final matrix."""
 
     t: NDArray[np.float64]

@@ -14,8 +14,7 @@ matrix exponential of the vectorized equations (Van Loan's block form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
 
-@dataclass(frozen=True)
-class ThermalChannel:
+class ThermalChannel(NamedTuple):
     """The thermal channel's scalars, asymptotic covariance, drift and diffusion."""
 
     gamma: float

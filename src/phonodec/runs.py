@@ -2,17 +2,17 @@
 
 Output is plain CSV with a commented header carrying every physical input
 and derived rate in SI-annotated keys.  Every number is written as its repr
-so a fixed config produces byte-identical files: the trajectory's float
-table by ``_repr.repr_table``, a numpy kernel whose text equals repr cell
-for cell and which also places the header, the sweep's table cell by cell
-(its cells may be ``none``).
+so a fixed config produces byte-identical files: a trajectory's float table
+above ``SMALL_TABLE_CELLS`` by ``_repr.repr_table``, a numpy kernel whose
+text equals repr cell for cell and which also places the header, and every
+other table cell by cell (a sweep's cells may be ``none``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def rates_report(config: ScenarioConfig) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """A table with its metadata header: an all-float array (trajectory) or
     a list of row tuples whose cells may be None (sweep)."""
 
@@ -365,20 +364,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The most cells of a float table that ``to_csv`` writes cell by cell, one
+# chunk of ``_repr``: below it, importing the kernel costs more than the
+# ``repr`` of every cell (a 500-point trajectory has 2 500).
+SMALL_TABLE_CELLS = 8192
+
+
 def to_csv(run: Run) -> str:
     """Render a run as CSV text with a commented metadata header.
 
-    A trajectory's header lines are written into ``repr_table``'s buffer
-    ahead of its float table, so the text is decoded once and not joined.
+    A large trajectory's header lines are written into ``repr_table``'s
+    buffer ahead of its float table, so the text is decoded once and not
+    joined.
     """
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
     head = "\n".join(lines) + "\n"
-    if isinstance(run.rows, np.ndarray):
-        from ._repr import repr_table  # only the trajectory pays its import
+    rows, cell = run.rows, _fmt
+    if isinstance(rows, np.ndarray):
+        if rows.size > SMALL_TABLE_CELLS:
+            from ._repr import repr_table  # only a large trajectory pays its import
 
-        return repr_table(run.rows, head)
-    return head + "".join(",".join(map(_fmt, row)) + "\n" for row in run.rows)
+            return repr_table(rows, head)
+        rows, cell = rows.tolist(), repr  # the text repr_table gives
+    return head + "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 def write_csv(run: Run, path) -> None:

@@ -289,7 +289,7 @@ def test_verify_holds_the_oracle_to_the_metrics_the_trajectory_writes(monkeypatc
 
     def shifted(*args):
         metrics = real(*args)
-        return dataclasses.replace(metrics, mu=metrics.mu + 1e-2)
+        return metrics._replace(mu=metrics.mu + 1e-2)
 
     monkeypatch.setattr(verify, "metric_trajectory", shifted)
     code, stdout, stderr = run_cli_in_process("verify")
@@ -535,7 +535,9 @@ def loaded_after(tmp_path, module: str, *argvs) -> list[str]:
 
 
 def test_only_the_trajectory_loads_the_float_table_renderer(tmp_path):
-    # every verb pays its import otherwise, in setup time
+    # every verb pays its import otherwise, in setup time; fig1's 500 points
+    # are 2 500 cells, and 1 639 points the first above runs.SMALL_TABLE_CELLS
+    (tmp_path / "large.yaml").write_text("time_points: 1639\n")
     loaded = loaded_after(
         tmp_path,
         "phonodec._repr",
@@ -543,8 +545,75 @@ def test_only_the_trajectory_loads_the_float_table_renderer(tmp_path):
         ["sweep", "--preset", "fig2"],
         ["verify"],
         ["trajectory", "--preset", "fig1"],
+        ["plotscript", "--preset", "fig1", "--kind", "trajectory"],
+        ["trajectory", "--preset", "fig1", "--config", "large.yaml"],
     )
-    assert loaded == ["False", "False", "False", "False", "True"]
+    assert loaded == ["False"] * 6 + ["True"]
+
+
+@pytest.mark.parametrize("module", ["phonodec.fock", "phonodec.lyapunov", "phonodec._expm"])
+def test_only_verify_loads_the_self_check_modules(tmp_path, module):
+    # phonodec.cli holds phonodec.verify as a lazy module, whose body (and
+    # with it these three) runs on the first use of a verify name
+    loaded = loaded_after(
+        tmp_path,
+        module,
+        ["rates", "--preset", "fig1"],
+        ["trajectory", "--preset", "fig1"],
+        ["sweep", "--preset", "fig2"],
+        ["plotscript", "--preset", "fig1", "--kind", "trajectory"],
+        ["plotscript", "--preset", "fig2", "--kind", "sweep"],
+        ["verify"],
+    )
+    assert loaded == ["False"] * 6 + ["True"]
+
+
+# Imports phonodec.verify before or after phonodec.cli, then makes its suite
+# fail: the CLI must run the module the import gave, bound on the package.
+ONE_VERIFY_MODULE = """
+import sys
+order = sys.argv[1]
+if order == "verify_first":
+    import phonodec.verify
+    verify = phonodec.verify
+import phonodec.cli
+if order == "cli_first":
+    import phonodec.verify
+    verify = phonodec.verify
+assert verify is phonodec.verify is sys.modules["phonodec.verify"] is phonodec.cli.verify
+verify.ALL_CHECKS = (lambda scale: verify.CheckResult("broken", 1.0, 0.0),)
+print("exit", phonodec.cli.main(["verify"]))
+"""
+
+
+@pytest.mark.parametrize("order", ["verify_first", "cli_first"])
+def test_the_cli_runs_the_verify_module_every_importer_sees(tmp_path, order):
+    cp = run_python("-c", ONE_VERIFY_MODULE, order, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "exit 1"
+    assert "FAIL broken" in cp.stdout
+
+
+# Imports the CLI as perfbench/tracer.py does, installs the tracer, and
+# prints what it could not find and whether it wrapped every verify check.
+TRACER_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import phonodec.cli
+import tracer
+t = tracer.Tracer("job")
+tracer.install(t)
+checks = sys.modules["phonodec.verify"].ALL_CHECKS
+print("missing", t.missing)
+print("wrapped", len(checks), all(hasattr(check, "__wrapped__") for check in checks))
+"""
+
+
+def test_the_benchmark_tracer_wraps_the_lazy_verify_module(tmp_path):
+    perfbench = str(Path(SRC).parent / "perfbench")
+    cp = run_python("-c", TRACER_INSTALL, perfbench, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines() == ["missing []", "wrapped 5 True"]
 
 
 def test_no_verb_loads_numpy_typing(tmp_path):
@@ -891,6 +960,22 @@ def run_cli_in_process(*argv: str) -> tuple[int, str, str]:
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli_main(list(argv))
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_a_trajectory_at_a_rate_whose_gamma_t_overflows_reaches_mu_inf(tmp_path):
+    # gamma t = 1e308 * t leaves the float range; e^(-gamma t) is 0.0 there
+    # and not an overflow error
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("rate_source: explicit\ngamma_explicit_per_s: 1.0e+308\n")
+    out = tmp_path / "t.csv"
+    code, stdout, stderr = run_cli_in_process(
+        "trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    columns, rows = read_table(out)
+    assert np.isfinite(rows).all()
+    mu_inf = float(read_header(out)["mu_inf"])
+    assert (rows[1:, columns.index("mu")] == mu_inf).all()
 
 
 # far above mu / hbar, the free + mu - hbar w of bec.bogoliubov_uv's v_k can

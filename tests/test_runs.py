@@ -1,7 +1,6 @@
 """Rate resolution per rate_source, pinned one point per temperature regime,
 the CSV bytes of the shipped presets, and the sweep's root finder."""
 
-import dataclasses
 import hashlib
 import math
 import warnings
@@ -23,7 +22,8 @@ from phonodec.damping import (
     gamma_landau_low_temperature,
     split_rates,
 )
-from phonodec import runs
+from phonodec import _repr, runs
+from phonodec._repr import repr_table
 from phonodec.runs import (
     Run,
     brentq,
@@ -222,6 +222,32 @@ def test_table_csv_equals_the_row_by_row_reference(table):
     assert to_csv(run) == row_by_row_csv(run)
 
 
+@pytest.mark.parametrize("extra_rows", [0, 1])
+def test_table_csv_at_the_small_table_limit_equals_the_kernel(monkeypatch, extra_rows):
+    # SMALL_TABLE_CELLS cells go cell by cell, one row more through
+    # _repr.repr_table; both give the kernel's bytes
+    n_cols = 4
+    n_rows = runs.SMALL_TABLE_CELLS // n_cols + extra_rows
+    rng = np.random.default_rng(20)
+    table = rng.integers(0, 2**64, size=n_rows * n_cols, dtype=np.uint64).view(np.float64)
+    table[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    table = table.reshape(n_rows, n_cols)
+    run = Run(
+        header={"kind": "trajectory"},
+        columns=tuple(f"c{i}" for i in range(n_cols)),
+        rows=table,
+    )
+    calls = []
+
+    def spy(rows, head=""):
+        calls.append(rows.size)
+        return repr_table(rows, head)
+
+    monkeypatch.setattr(_repr, "repr_table", spy)
+    assert to_csv(run) == repr_table(table, "# kind = trajectory\nc0,c1,c2,c3\n")
+    assert calls == ([n_rows * n_cols] if extra_rows else [])
+
+
 # (f, a, b) bracketing problems: polynomial, tanh and exp roots
 ROOT_PROBLEMS = {
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
@@ -276,7 +302,7 @@ def bits(res):
     """Every field of a DampingResult, floats by their exact bits."""
     return [
         (type(v).__name__, float(v).hex()) if isinstance(v, float) else v
-        for v in (getattr(res, f.name) for f in dataclasses.fields(res))
+        for v in (getattr(res, name) for name in res._fields)
     ]
 
 

@@ -17,7 +17,9 @@ with the first line of its stderr, or ``none`` for either.
     PYTHONPATH=src python tools/domain_scan.py temperature_K --up --regime-warnings
 
 Each ``--set KEY=VALUE`` adds one YAML line to every run's overlay; every
-run also sets ``time_points: 5`` and ``sweep_points: 5``.  A list key such
+run also sets ``time_points: 5`` and ``sweep_points: 5``, and under
+``rate_source: explicit`` ``gamma_explicit_per_s: 0.5`` unless that is the
+scanned key (a later YAML key would win over it).  A list key such
 as ``sweep_speeds_of_sound_m_per_s`` takes the value as a one-entry list.
 With ``--regime-warnings``, stderr made only of the ``warning: ...`` lines
 that a closed form evaluated outside its validity region prints (a
@@ -102,7 +104,7 @@ def scan(
         value = float(f"1e{exponent}")
         text = f"[{value!r}]" if key in LIST_KEYS else repr(value)
         overlay = f"{base}rate_source: {source}\n{EXTRA.get(key, '')}{key}: {text}\n"
-        if source == "explicit":
+        if source == "explicit" and key != "gamma_explicit_per_s":
             overlay += "gamma_explicit_per_s: 0.5\n"
         code, stderr = run_once(verb, overlay)
         if code == 2 and names_key(stderr, key):
