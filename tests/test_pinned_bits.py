@@ -1,6 +1,7 @@
 """Bit-level pins of the numerical references: the collision integrals with
-both channels open, the 3 x 150 integral sweep's CSV, the Fock oracle's
-moments and final matrix, and the text of ``verify``.
+both channels open, the 3 x 150 integral sweep's CSV, the data rows of the
+pinned CSVs, the Fock oracle's moments and final matrix, and the text of
+``verify``.
 
 A refactor of ``damping.gamma_integral`` or of the Fock oracle must keep
 every one of these bits.  Like the other byte pins, they hold for the CPU
@@ -18,7 +19,7 @@ from phonodec.cli import main as cli_main
 from phonodec.config import preset_config
 from phonodec.damping import gamma_integral
 from phonodec.fock import lindblad_step_integrate, squeezed_vacuum_fock
-from phonodec.runs import run_sweep, to_csv
+from phonodec.runs import run_sweep, run_trajectory, to_csv
 
 FIELDS = ("gamma_beliaev", "gamma_landau", "gamma_1", "gamma_2")
 
@@ -72,6 +73,42 @@ def test_integral_sweep_csv_bytes_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "362369140fa5a65ac19beae5d62dfe1cec0dc3f04ffd199068c216091e92b8c9"
     )
+
+
+# SHA-256 of the data rows only (everything after the column line) of each
+# (preset, overrides, run): a change that moves only a header leaves these
+DATA_ROWS_SHA256 = {
+    "fig1": (
+        "fig1", None, run_trajectory,
+        "e48e0e91da0d65ed4902e4742ac93b7c3392c09fcd9b8a955d0dca23cc6f0a15",
+    ),
+    "fig2": (
+        "fig2", None, run_sweep,
+        "214895813ef68014b814c2f25168c1751a69ead9942668fb94c9b87bd5a97a8d",
+    ),
+    "fig1_1e5_points": (
+        "fig1", {"time_points": 100000}, run_trajectory,
+        "f28aff9bcbd9c5976c3751b86cf6b55cdf15380f2d1395b720347e5b0cc8564d",
+    ),
+    "integral_sweep": (
+        "fig2", {"rate_source": "integral", "sweep_points": 150}, run_sweep,
+        "38b532e3807155ef74933a4de3a8d4eabba8b74d27cd2e0fd9a9250da9fc1670",
+    ),
+}
+
+
+def data_rows(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    column = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[column + 1 :])
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ROWS_SHA256))
+def test_csv_data_rows_are_pinned(case):
+    preset, overrides, run, digest = DATA_ROWS_SHA256[case]
+    rows = data_rows(to_csv(run(preset_config(preset, overrides))))
+    assert rows.count("\n") > 1
+    assert hashlib.sha256(rows.encode("utf-8")).hexdigest() == digest
 
 
 def coherent(alpha: complex, n_cut: int) -> np.ndarray:
