@@ -327,6 +327,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
         _number("sweep_speeds_of_sound_m_per_s[]", v, positive=True)
         for v in sweep_speeds
     )
+    # each speed is one block of rows and one truncation key of the header
+    repeated = [c for i, c in enumerate(sweep_speeds) if c in sweep_speeds[:i]]
+    if repeated:
+        raise ConfigError(
+            f"sweep_speeds_of_sound_m_per_s: {repeated[0]!r} is listed more than once"
+        )
 
     # (key, speed of sound, density) of every condensate the config sets
     condensates = (

@@ -8,11 +8,11 @@ Three ingredients:
   temperature relative to the chemical potential),
 * the full collision integrals, with the energy delta resolved on the
   Bogoliubov branch and the k integrals done by adaptive Gauss-Kronrod
-  quadrature, vectorized over frequencies, channels and nodes: a sweep
-  resolves both channels of every frequency of one speed of sound in one
-  adaptive pass.  A frequency's panels and sums do not depend on the
-  frequencies resolved with it, so a rate has the same bits whichever verb
-  asked for it.
+  quadrature of each channel's net rate, vectorized over frequencies,
+  channels and nodes: a sweep resolves both channels of every frequency of
+  one speed of sound in one adaptive pass.  A frequency's panels and sums
+  do not depend on the frequencies resolved with it, so a rate has the
+  same bits whichever verb asked for it.
 
 Conventions: ``gamma`` is the rate appearing in e^{-gamma t} for the
 occupation / covariance relaxation, split into a downward rate ``gamma_1``
@@ -86,12 +86,10 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class IntegralRates(NamedTuple):
-    """Collision-integral result: net channel rates plus the up/down split."""
+    """Collision-integral result: the net rate of each channel."""
 
     gamma_beliaev: float
     gamma_landau: float
-    gamma_1: float
-    gamma_2: float
 
 
 class DampingResult(NamedTuple):
@@ -262,7 +260,7 @@ _KRONROD_MINUS_GAUSS = GK21_WEIGHTS - G10_WEIGHTS
 def _gk21_panels(
     f, a: np.ndarray, b: np.ndarray, owner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimates and |Kronrod - Gauss| of each row of ``f`` on each panel.
+    """Kronrod estimate and |Kronrod - Gauss| of ``f`` on each panel.
 
     Each panel's 21-term sums are reduced on their own (not by a matrix
     product, whose blocking depends on the number of panels), so a panel's
@@ -277,18 +275,18 @@ def _gk21_panels(
 
 
 def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Integrals of several integrands over each interval [lo_i, hi_i].
+    """Integral of ``f`` over each interval [lo_i, hi_i].
 
     ``lo`` and ``hi`` broadcast to one 1-D array of intervals.  ``f(x, owner)``
-    maps a 2-D array of abscissae to an array with one extra leading axis,
-    one entry per integrand; ``owner`` holds, for each row of ``x``, the
-    index i of the interval the row lies in.  The result has shape
-    (integrands, intervals).
+    maps a 2-D array of abscissae to an array of the same shape; ``owner``
+    holds, for each row of ``x``, the index i of the interval the row lies
+    in, so ``f`` may be a different function on each interval.  The result
+    has shape (intervals,).
 
     Globally adaptive Gauss-Kronrod 21/10 on each interval (QUADPACK's
     ``qag`` strategy): every panel whose |Kronrod - Gauss| exceeds its equal
-    share of some integrand's budget is bisected, until for every integrand
-    the summed difference is at most ``cfg.rel_tol`` times |integral|.  The
+    share of the interval's budget is bisected, until the summed difference
+    is at most ``cfg.rel_tol`` times |integral|.  The
     intervals are refined together, one round of numpy calls at a time, and
     an interval stops when it converges; its panels, and so its result, are
     the same bits as when it is integrated alone.  A refinement that would
@@ -299,23 +297,23 @@ def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.n
     owner = np.arange(len(a))  # the interval of each panel, ascending
     panels = np.ones(len(a), dtype=int)  # panels per interval
     value, error = _gk21_panels(f, a, b, owner)
-    result = np.empty((len(value), len(a)))
+    result = np.empty(len(a))
     while True:
         # each live interval's sums, over its run of panels in order
         starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        total = np.add.reduceat(value, starts, axis=1)
+        total = np.add.reduceat(value, starts)
         budget = cfg.rel_tol * np.abs(total)
-        done = np.all(np.add.reduceat(error, starts, axis=1) <= budget, axis=0)
-        result[:, owner[starts[done]]] = total[:, done]
+        done = np.add.reduceat(error, starts) <= budget
+        result[owner[starts[done]]] = total[done]
         if done.all():
             return result
         segment = np.searchsorted(owner[starts], owner)  # each panel's run
         if done.any():
             going = ~done[segment]
             a, b, owner, segment = a[going], b[going], owner[going], segment[going]
-            value, error = value[:, going], error[:, going]
+            value, error = value[going], error[going]
         # written so that a nan estimate is split too, and ends at the cap
-        split = ~np.all(error * panels[owner] <= budget[:, segment], axis=0)
+        split = ~(error * panels[owner] <= budget[segment])
         panels += np.bincount(owner[split], minlength=len(panels))
         if np.any(panels > cfg.max_subdivisions):
             raise RuntimeError(
@@ -336,8 +334,8 @@ def gauss_kronrod(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.n
         owner = owner[order]
         a = np.concatenate((a[keep], new_a))[order]
         b = np.concatenate((b[keep], new_b))[order]
-        value = np.concatenate((value[:, keep], new_value), axis=1)[:, order]
-        error = np.concatenate((error[:, keep], new_error), axis=1)[:, order]
+        value = np.concatenate((value[keep], new_value))[order]
+        error = np.concatenate((error[keep], new_error))[order]
 
 
 def gamma_integral(
@@ -356,9 +354,10 @@ def gamma_integral(
     channel for all w_k; if the partner root fell outside the momentum cone
     the contribution would be dropped (returned rate 0).  The overall
     normalization is the amplitude-rate convention of the closed forms,
-    which the net rates reproduce in their validity regions.  Both channels'
-    downward and upward integrands are integrated in one ``gauss_kronrod``
-    call, each channel of each frequency on an interval of its own.
+    which the net rates reproduce in their validity regions.  The integrand
+    is each channel's net rate, downward less upward, held to ``cfg.rel_tol``
+    on its own: both channels are integrated in one ``gauss_kronrod`` call,
+    each channel of each frequency on an interval of its own.
 
     ``omega_q`` may be a 1-D array of frequencies: the result is then one
     IntegralRates per frequency, from that one batched call, and each is
@@ -395,8 +394,8 @@ def _gamma_integral(
     upper = np.concatenate((qs, np.full_like(qs, k_max))) if k_max > 0.0 else qs
 
     def integrand(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Downward and upward rates of each row's channel; row r of ``k``
-        belongs to interval ``owner[r]``."""
+        """Net rate of each row's channel; row r of ``k`` belongs to
+        interval ``owner[r]``."""
         decay = (owner < n)[:, None]
         omega_q = omegas[owner % n][:, None]
         q = qs[owner % n][:, None]
@@ -413,25 +412,16 @@ def _gamma_integral(
         weight = np.where(decay, 1.0, 0.5) * weight * np.where(decay, b, l) ** 2
         nk = thermal_occupation(omega_k, temperature)
         nl = thermal_occupation(omega_l, temperature)
-        # decay: spontaneous plus stimulated; collision: k absorbed or emitted
-        return np.stack((
-            weight * np.where(decay, 1.0 + nk, nk) * (1.0 + nl),
-            weight * np.where(decay, nk, nl) * np.where(decay, nl, 1.0 + nk),
-        ))
+        # down less up: (1 + n_k)(1 + n_l) - n_k n_l; n_k (1 + n_l) - (1 + n_k) n_l
+        return weight * np.where(decay, 1.0 + nk + nl, nk - nl)
 
-    rates = np.zeros((2, 2 * n))  # (down, up) of every interval, 0 where absent
-    rates[:, : len(upper)] = np.tile(prefactor, 2)[: len(upper)] * gauss_kronrod(
+    rates = np.zeros(2 * n)  # every interval's rate, 0 where absent
+    rates[: len(upper)] = np.tile(prefactor, 2)[: len(upper)] * gauss_kronrod(
         integrand, 0.0, upper, cfg
     )
-    (gb_down, gl_down), (gb_up, gl_up) = rates.reshape(2, 2, n)
     return [
-        IntegralRates(
-            gamma_beliaev=float(b_down - b_up),
-            gamma_landau=float(l_down - l_up),
-            gamma_1=float(b_down + l_down),
-            gamma_2=float(b_up + l_up),
-        )
-        for b_down, b_up, l_down, l_up in zip(gb_down, gb_up, gl_down, gl_up)
+        IntegralRates(gamma_beliaev=float(b), gamma_landau=float(l))
+        for b, l in zip(rates[:n], rates[n:])
     ]
 
 

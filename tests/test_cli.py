@@ -1073,3 +1073,34 @@ def test_a_scenario_gives_metrics_in_range_or_one_error_line(overlay):
             assert np.all((mu > 0.0) & (mu <= 1.0))
             assert np.all(tau >= 0.0) and np.all(r >= 0.0) and np.all(occupation >= 0.0)
 
+
+def test_integral_sweep_through_5e4_rad_per_s_at_half_a_nanokelvin_runs(tmp_path):
+    # its second frequency, 1e5 rad/s, brackets the points near 5.0e4 rad/s
+    # where a relative budget on each channel's upward integral stopped the
+    # quadrature (50 905.759 rad/s at 1.7 mm/s, 50 032.030 at 6.8 mm/s)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "rate_source: integral\nsweep_points: 5\nsweep_omega_max_rad_per_s: 1.0e+11\n"
+    )
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run_cli_in_process(
+        "sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    _, rows = read_table(out)
+    assert rows.shape == (15, 6) and np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("speeds", ["[3.4e-3, 3.4e-3]", "[1.7e-3, 3.4e-3, 0.0034]"])
+def test_a_repeated_sweep_speed_is_one_error_line(tmp_path, speeds):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"sweep_speeds_of_sound_m_per_s: {speeds}\n")
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run_cli_in_process(
+        "sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out)
+    )
+    assert code == 2
+    assert stderr == (
+        "error: sweep_speeds_of_sound_m_per_s: 0.0034 is listed more than once\n"
+    )
+    assert not out.exists()
