@@ -1,16 +1,14 @@
 """Uniform-condensate microphysics.
 
-Coupling constant, speed of sound / density duality, Bogoliubov dispersion
-and transformation coefficients, and the thermal occupation of
-quasi-particle modes.  Everything is SI.
+Coupling constant, speed of sound / density duality, the rate scale of the
+collision integrals, and the thermal occupation of a mode.  Everything is
+SI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .constants import HBAR, K_B
 
@@ -82,50 +80,16 @@ class CondensateParams:
         prefactor = 2.0 * math.pi * HBAR**2 / (self.mass * K_B)
         return prefactor * (self.density / ZETA_3_2) ** (2.0 / 3.0)
 
+    @property
+    def rate_scale(self) -> float:
+        """s = (mu / hbar) sqrt(n a^3) in 1/s, the scale of every damping
+        rate: each is s times a function of k_B T / mu and hbar w / mu.
 
-def dispersion(k, params: CondensateParams):
-    """Bogoliubov frequency omega(k) = sqrt((c_s k)^2 + (hbar k^2 / 2m)^2).
-
-    ``k`` may be an array, as may the arguments of ``group_velocity``,
-    ``invert_dispersion`` and ``bogoliubov_uv``; each returns the same shape.
-    """
-    if np.min(k) <= 0:
-        raise ValueError("wavenumber must be positive")
-    return np.hypot(params.speed_of_sound * k, HBAR * k * k / (2.0 * params.mass))
-
-
-def group_velocity(k, params: CondensateParams):
-    """d omega / d k on the Bogoliubov branch."""
-    c2 = params.speed_of_sound**2
-    h2m = HBAR / (2.0 * params.mass)
-    return k * (c2 + 2.0 * h2m * h2m * k * k) / dispersion(k, params)
-
-
-def invert_dispersion(omega, params: CondensateParams):
-    """Wavenumber of the mode with frequency ``omega``.
-
-    Closed-form root of the quadratic in k^2, written so the phonon limit
-    does not suffer cancellation.
-    """
-    if np.min(omega) <= 0:
-        raise ValueError("frequency must be positive")
-    c2 = params.speed_of_sound**2
-    h2m = HBAR / (2.0 * params.mass)
-    # k^2 = 2 w^2 / (c^2 + sqrt(c^4 + 4 (hbar/2m)^2 w^2))
-    k2 = 2.0 * omega**2 / (c2 + np.hypot(c2, 2.0 * h2m * omega))
-    return np.sqrt(k2)
-
-
-def bogoliubov_uv(k, params: CondensateParams):
-    """Transformation coefficients (u_k, v_k), with u > 0 > v and u^2 - v^2 = 1."""
-    omega = dispersion(k, params)
-    free = HBAR**2 * k * k / (2.0 * params.mass)
-    mu = params.chemical_potential
-    e = HBAR * omega
-    u = np.sqrt((free + mu + e) / (2.0 * e))
-    # free + mu - e -> mu^2 / 2e > 0 at large k, where it can round below 0
-    v = -np.sqrt(np.maximum(free + mu - e, 0.0) / (2.0 * e))
-    return u, v
+        sqrt(n a^3) is taken as m c_s a / (2 sqrt(pi) hbar), which follows
+        from n = m c_s^2 / g and does not cube a.
+        """
+        root_gas = self.mass * self.speed_of_sound * self.scattering_length / HBAR
+        return self.chemical_potential / HBAR * root_gas / (2.0 * math.sqrt(math.pi))
 
 
 def beta_of(omega: float, temperature: float) -> float:
@@ -137,23 +101,11 @@ def beta_of(omega: float, temperature: float) -> float:
     return HBAR * omega / (K_B * temperature)
 
 
-def thermal_occupation(omega, temperature: float):
-    """Bose-Einstein occupation 1 / (e^beta - 1); 0 above beta = 700 (e^700
-    overflows anyway) and so exactly 0 at T = 0.
-
-    A scalar ``omega`` must be positive and gives a float.  An array gives
-    an array of its shape; its entries are not checked, as the collision
-    integrands pass only positive frequencies and call this hundreds of
-    times per integral.  A scalar takes libm's expm1 and an array numpy's:
-    the two differ by an ulp on a few percent of arguments, and each keeps
-    the bits of the outputs computed with it.
-    """
-    if np.ndim(omega) == 0:
-        if omega <= 0:
-            raise ValueError("frequency must be positive")
-        beta = beta_of(omega, temperature)
-        return 0.0 if beta > 700.0 else 1.0 / math.expm1(beta)
-    if temperature == 0.0:  # beta_of's inf, in the array's shape
-        return np.zeros_like(omega)
+def thermal_occupation(omega: float, temperature: float) -> float:
+    """Bose-Einstein occupation 1 / (e^beta - 1) of a mode of positive
+    frequency ``omega``; 0 above beta = 700 (e^700 overflows anyway) and so
+    exactly 0 at T = 0."""
+    if omega <= 0:
+        raise ValueError("frequency must be positive")
     beta = beta_of(omega, temperature)
-    return np.where(beta > 700.0, 0.0, 1.0 / np.expm1(np.minimum(beta, 700.0)))
+    return 0.0 if beta > 700.0 else 1.0 / math.expm1(beta)

@@ -20,6 +20,7 @@ from .constants import HBAR, K_B, SPECIES_PRESETS
 from .damping import (
     DEFAULT_QUADRATURE,
     RATE_SOURCES,
+    condensate_units,
     gamma_beliaev_asymptotic,
     regime_of,
     split_rates,
@@ -53,10 +54,9 @@ def _number(key: str, value, *, positive=False, nonnegative=False) -> float:
 def _frequency(key: str, value) -> float:
     omega = _number(key, value, positive=True)
     if omega * omega < sys.float_info.min:
-        # the collision integrals invert the dispersion through omega**2,
-        # subnormal below 1.49e-154 rad/s, and find no wavenumber at all
-        # below ~3e-160 at fig1's speed of sound; the closed forms divide by
-        # an hbar*omega that underflows below ~7e-290
+        # the schema's floor for every rate source: omega**2 is subnormal
+        # below 1.49e-154 rad/s, and the closed forms divide by an
+        # hbar*omega that underflows below ~7e-290
         raise ConfigError(
             f"{key}: omega**2 underflows at {omega!r} rad/s"
             " (use at least 1.4916681462400413e-154)"
@@ -150,10 +150,14 @@ def _check_rate_in_range(
     The quantum closed form raises w to the fifth power (Python's ``**``
     raises OverflowError above 4.476546622757235e61 rad/s, numpy's gives
     inf) and divides by m n c_s^5, and its split multiplies by 1 + 2 N_th
-    (``split_rates`` raises OverflowError when that is not finite);
-    the collision integrals invert the dispersion through 2 w**2.
+    (``split_rates`` raises OverflowError when that is not finite).  The
+    collision integrals give s G(theta, eps), which needs eps = hbar w / mu
+    finite; G stays below the larger of its free-particle law sqrt(8 pi eps)
+    and its high-temperature law (3 pi^(3/2)/4) theta eps (to 0.99999878 of
+    it, measured over theta from 1e-3 to 1e6 and eps from 1e-3 to 1e8).
     """
-    regime = regime_of(omega, params, source)
+    theta, eps = condensate_units(omega, params)
+    regime = regime_of(theta, eps, source)
     if regime == "quantum":
         try:
             split_rates(
@@ -164,11 +168,15 @@ def _check_rate_in_range(
                 f"{key}: the quantum rate (3/640 pi) hbar w^5 / (m n c_s^5)"
                 f" overflows at {omega!r} rad/s"
             ) from None
-    elif regime == "integral" and 2.0 * (omega * omega) > sys.float_info.max:
-        raise ConfigError(
-            f"{key}: the collision integrals' 2 w^2 overflows at {omega!r} rad/s"
-            " (use at most 9.480751908109176e+153)"
-        )
+    elif regime == "integral":
+        free = math.sqrt(8.0 * math.pi) * math.sqrt(eps)  # 8 pi eps may overflow
+        law = max(free, 3.0 * math.pi**1.5 / 4.0 * theta * eps)
+        if not max(eps, params.rate_scale * law) <= sys.float_info.max:
+            raise ConfigError(
+                f"{key}: the collision integrals leave the float range at {omega!r}"
+                f" rad/s, where eps = hbar w / mu = {eps:.4g} (eps and"
+                " s max(sqrt(8 pi eps), (3 pi^(3/2)/4) theta eps) must be finite)"
+            )
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -315,7 +323,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("sweep_points: expected an integer >= 2")
     sweep_speeds = raw.get("sweep_speeds_of_sound_m_per_s", [])
     if (sweep_min is None) != (sweep_max is None):
-        raise ConfigError("sweep frequency range requires both min and max")
+        keys = ("sweep_omega_min_rad_per_s", "sweep_omega_max_rad_per_s")
+        missing, given = keys if sweep_min is None else keys[::-1]
+        raise ConfigError(f"{missing}: required when {given} is set")
     if sweep_min is not None:
         sweep_min = _frequency("sweep_omega_min_rad_per_s", sweep_min)
         sweep_max = _number("sweep_omega_max_rad_per_s", sweep_max, positive=True)

@@ -30,15 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bec import (
-    CondensateParams,
-    beta_of,
-    bogoliubov_uv,
-    dispersion,
-    group_velocity,
-    invert_dispersion,
-    thermal_occupation,
-)
+from .bec import CondensateParams, beta_of, thermal_occupation
 from .constants import HBAR, K_B
 
 QUANTUM_RATIO = 0.3  # k_B T / (hbar w_q) below this: spontaneous decay dominates
@@ -51,26 +43,57 @@ class RegimeWarning(UserWarning):
     """A closed-form rate was evaluated outside its validity region."""
 
 
-def vertex_coefficients(
-    q: float, k: float, kp: float, params: CondensateParams
-) -> tuple[float, float]:
+def condensate_units(omega_q, params: CondensateParams):
+    """(theta, eps) = (k_B T / mu, hbar w_q / mu): the temperature and the mode
+    energy in units of the chemical potential.  ``omega_q`` may be an array,
+    and ``eps`` then has its shape."""
+    mu = params.chemical_potential
+    return K_B * params.temperature / mu, HBAR * omega_q / mu
+
+
+def _energy(x):
+    """E = hbar w / mu = x sqrt(1 + x^2/4) of the mode at x = hbar k / (m c_s)."""
+    return x * np.sqrt(1.0 + 0.25 * x * x)
+
+
+def _momentum(e):
+    """The x of energy ``e``, x^2 = 2 E^2 / (1 + sqrt(1 + E^2)), written
+    without squares so that it holds over the whole float range."""
+    return e * np.sqrt(2.0 / (1.0 + np.hypot(1.0, e)))
+
+
+def _free_ratio(x, e):
+    """S = (x^2/2) / E = (u + v)^2 of the mode at ``x`` with energy ``e``,
+    written so that x^2 does not underflow."""
+    return 0.5 * x / (e / x)
+
+
+def _vertices(sq, sk, sl):
+    """(b, l) from S of the three modes; see vertex_coefficients."""
+    product = sq * sk * sl
+    cubic, root = 3.0 * product, np.sqrt(product)
+    return (cubic + sk + sl - sq) / (4.0 * root), (cubic + sq + sk - sl) / (2.0 * root)
+
+
+def vertex_coefficients(xq, xk, xl) -> tuple[float, float]:
     """Dimensionless vertex factors (b, l) for the mode triple (q; k, k').
 
-    ``b`` couples the probe mode q to the decay q -> k + k', and ``l`` to
-    the collision q + k -> k' (``l`` carries its conventional factor of
-    two).  All wavenumbers must be > 0; any argument may be an array, and
-    the factors then broadcast.
+    Each mode is given by its x = hbar k / (m c_s).  ``b`` couples the probe
+    mode q to the decay q -> k + k', and ``l`` to the collision q + k -> k'
+    (``l`` carries its conventional factor of two):
+    b = u_q (u_k u_k' + v_k u_k' + u_k v_k') + v_q (v_k v_k' + v_k u_k' + u_k v_k')
+    and l = 2 [u_q (v_k u_k' + u_k u_k' + v_k v_k') + v_q (u_k v_k' + u_k u_k' +
+    v_k v_k')], with u, v = (+-) sqrt((x^2/2 + 1 +- E) / 2E).  Since
+    (x^2/2 + 1)^2 - E^2 = 1, u, v = (s +- 1/s) / 2 with s^2 = S = (x^2/2) / E,
+    so b = (3 S_q S_k S_k' + S_k + S_k' - S_q) / (4 sqrt(S_q S_k S_k')) and
+    l = (3 S_q S_k S_k' + S_q + S_k - S_k') / (2 sqrt(S_q S_k S_k')), as they
+    are evaluated: for phonons the u/v products are of order x^(-3/2) and
+    cancel to b, l of order x^(3/2).  All arguments must be > 0; any may be
+    an array, and the factors then broadcast.
     """
-    if min(np.min(q), np.min(k), np.min(kp)) <= 0:
+    if min(np.min(xq), np.min(xk), np.min(xl)) <= 0:
         raise ValueError("wavenumbers must be positive")
-    uq, vq = bogoliubov_uv(q, params)
-    uk, vk = bogoliubov_uv(k, params)
-    up, vp = bogoliubov_uv(kp, params)
-    b = uq * (uk * up + vk * up + uk * vp) + vq * (vk * vp + vk * up + uk * vp)
-    l = 2.0 * (
-        uq * (vk * up + uk * up + vk * vp) + vq * (uk * vp + uk * up + vk * vp)
-    )
-    return b, l
+    return _vertices(*(_free_ratio(x, _energy(x)) for x in (xq, xk, xl)))
 
 
 class QuadratureConfig(NamedTuple):
@@ -116,16 +139,16 @@ class DampingResult(NamedTuple):
         return 1.0 / (1.0 + 2.0 * self.n_thermal)
 
 
-def _quantum_region(kt: float, e_q: float) -> bool:
-    return kt < QUANTUM_RATIO * e_q
+def _quantum_region(theta: float, eps: float) -> bool:
+    return theta < QUANTUM_RATIO * eps
 
 
-def _high_temperature_region(kt: float, mu: float, e_q: float) -> bool:
-    return kt > THERMAL_RATIO * mu and mu > THERMAL_RATIO * e_q
+def _high_temperature_region(theta: float, eps: float) -> bool:
+    return theta > THERMAL_RATIO and 1.0 > THERMAL_RATIO * eps
 
 
-def _low_temperature_region(kt: float, mu: float, e_q: float) -> bool:
-    return mu > THERMAL_RATIO * kt and kt > THERMAL_RATIO * e_q
+def _low_temperature_region(theta: float, eps: float) -> bool:
+    return 1.0 > THERMAL_RATIO * theta and theta > THERMAL_RATIO * eps
 
 
 def _warn_regime(message: str) -> None:
@@ -142,7 +165,7 @@ def gamma_beliaev_asymptotic(omega_q: float, params: CondensateParams) -> float:
         raise ValueError("frequency must be positive")
     kt, e_q = K_B * params.temperature, HBAR * omega_q
     ratio = kt / e_q
-    if not _quantum_region(kt, e_q):
+    if not _quantum_region(*condensate_units(omega_q, params)):
         _warn_regime(
             f"k_B T / (hbar w_q) = {ratio:.3g} is not << 1; "
             "spontaneous-decay formula is outside its validity region"
@@ -163,7 +186,7 @@ def gamma_landau_high_temperature(omega_q: float, params: CondensateParams) -> f
         raise ValueError("frequency must be positive")
     kt = K_B * params.temperature
     mu = params.chemical_potential
-    if not _high_temperature_region(kt, mu, HBAR * omega_q):
+    if not _high_temperature_region(*condensate_units(omega_q, params)):
         _warn_regime(
             "high-temperature collisional formula outside its validity region "
             f"(k_B T/mu = {kt / mu:.3g}, mu/hbar w_q = {mu / (HBAR * omega_q):.3g})"
@@ -185,7 +208,7 @@ def gamma_landau_low_temperature(omega_q: float, params: CondensateParams) -> fl
         raise ValueError("frequency must be positive")
     kt = K_B * params.temperature
     mu = params.chemical_potential
-    if not _low_temperature_region(kt, mu, HBAR * omega_q):
+    if not _low_temperature_region(*condensate_units(omega_q, params)):
         _warn_regime(
             "low-temperature collisional formula outside its validity region "
             f"(mu/k_B T = {mu / kt if kt else math.inf:.3g}, "
@@ -343,86 +366,93 @@ def gamma_integral(
     params: CondensateParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> IntegralRates | list[IntegralRates]:
-    """Full collision integrals for the decay and collisional channels.
-
-    The pair sums are reduced to one-dimensional integrals over the
-    environment-mode wavenumber k: momentum conservation fixes the angle
-    between q and k, converting the energy delta into the factor
-    k_l / (q k |dw/dk|_l) with the partner wavenumber k_l solved on the
-    Bogoliubov branch (w_l = w_q -+ w_k).  For the convex branch the decay
-    channel is kinematically open for all w_k in (0, w_q) and the collision
-    channel for all w_k; if the partner root fell outside the momentum cone
-    the contribution would be dropped (returned rate 0).  The overall
-    normalization is the amplitude-rate convention of the closed forms,
-    which the net rates reproduce in their validity regions.  The integrand
-    is each channel's net rate, downward less upward, held to ``cfg.rel_tol``
-    on its own: both channels are integrated in one ``gauss_kronrod`` call,
-    each channel of each frequency on an interval of its own.
+    """Full collision integrals for the decay and collisional channels: s G,
+    with s = ``params.rate_scale`` and G from ``_gamma_integral``.
 
     ``omega_q`` may be a 1-D array of frequencies: the result is then one
-    IntegralRates per frequency, from that one batched call, and each is
-    bit-identical to the result for that frequency alone.
+    IntegralRates per frequency, from one batched ``gauss_kronrod`` call,
+    and each is bit-identical to the result for that frequency alone.
     """
     omegas = np.atleast_1d(np.asarray(omega_q, dtype=float))
     if omegas.ndim != 1:
         raise ValueError("frequencies must be a scalar or a 1-D array")
     if np.any(omegas <= 0):
         raise ValueError("frequency must be positive")
+    theta, eps = condensate_units(omegas, params)
     # numpy's overflow, invalid and divide-by-zero warnings raise
     # FloatingPointError here, as the scalar math they replace did
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        rates = _gamma_integral(omegas, params, cfg)
+        g_b, g_l = params.rate_scale * _gamma_integral(theta, eps, cfg)
+        rates = [IntegralRates(float(b), float(l)) for b, l in zip(g_b, g_l)]
     return rates if np.ndim(omega_q) else rates[0]
 
 
-def _gamma_integral(
-    omegas: np.ndarray, params: CondensateParams, cfg: QuadratureConfig
-) -> list[IntegralRates]:
-    qs = invert_dispersion(omegas, params)
-    prefactor = params.coupling**2 * params.density / (
-        2.0 * math.pi * HBAR**2 * qs
-    )
-    temperature = params.temperature
-    n = len(omegas)
-    # Interval i < n is frequency i's decay channel (q -> k + l, w_l = w_q -
-    # w_k) on [0, q_i], and interval n + i its collision channel (q + k -> l,
-    # w_l = w_q + w_k) on [0, k_max]; the latter is absent at T = 0, or when
-    # k_max underflows to 0 (an empty interval, as for any quadrature).
-    k_max = 0.0
-    if temperature > 0.0:
-        k_max = invert_dispersion(THERMAL_CUTOFF * K_B * temperature / HBAR, params)
-    upper = np.concatenate((qs, np.full_like(qs, k_max))) if k_max > 0.0 else qs
+def _occupation(e: np.ndarray, theta: float) -> np.ndarray:
+    """Bose-Einstein occupation 1 / (e^{E/theta} - 1) of energies ``e``; 0
+    above E/theta = 700, as ``bec.thermal_occupation``, and at theta = 0."""
+    if theta == 0.0:
+        return np.zeros_like(e)
+    beta = e / theta
+    return np.where(beta > 700.0, 0.0, 1.0 / np.expm1(np.minimum(beta, 700.0)))
 
-    def integrand(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Net rate of each row's channel; row r of ``k`` belongs to
+
+def _gamma_integral(
+    theta: float, eps: np.ndarray, cfg: QuadratureConfig
+) -> np.ndarray:
+    """The rows (G_B, G_L): the net Beliaev and Landau rates over s at
+    theta = k_B T / mu, one column per mode energy eps = hbar w_q / mu.
+
+    The pair sums reduce to one-dimensional integrals over the environment
+    mode's x = hbar k / (m c_s): momentum conservation fixes the angle
+    between q and k, converting the energy delta into the factor
+    x_l / (x_q x |dE/dx|_l) with the partner x_l solved on the Bogoliubov
+    branch (E_l = eps -+ E_k).  For the convex branch the decay channel is
+    kinematically open for all E_k in (0, eps) and the collision channel
+    for all E_k; if the partner root fell outside the momentum cone the
+    contribution would be dropped (returned rate 0).  The overall
+    normalization is the amplitude-rate convention of the closed forms,
+    which the net rates reproduce in their validity regions.  The
+    integrand is each channel's net rate, downward less upward, held to
+    ``cfg.rel_tol`` on its own: both channels are integrated in one
+    ``gauss_kronrod`` call, each channel of each mode on an interval of its
+    own.  Each node evaluates E_k, E_l, x_l and their two S once.
+    """
+    n = len(eps)
+    xq = _momentum(eps)
+    sq = _free_ratio(xq, eps)
+    # Interval i < n is mode i's decay channel (q -> k + l, E_l = eps_i - E_k)
+    # on [0, x_q], and interval n + i its collision channel (q + k -> l,
+    # E_l = eps_i + E_k) on [0, x_max], with E(x_max) = THERMAL_CUTOFF theta;
+    # the latter is absent at theta = 0, or when x_max underflows to 0 (an
+    # empty interval, as for any quadrature).
+    x_max = _momentum(THERMAL_CUTOFF * theta)
+    upper = np.concatenate((xq, np.full_like(xq, x_max))) if x_max > 0.0 else xq
+
+    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Net rate of each row's channel; row r of ``x`` belongs to
         interval ``owner[r]``."""
         decay = (owner < n)[:, None]
-        omega_q = omegas[owner % n][:, None]
-        q = qs[owner % n][:, None]
-        omega_k = dispersion(k, params)
-        omega_l = omega_q + np.where(decay, -1.0, 1.0) * omega_k
-        open_ = omega_l > 0.0
-        omega_l = np.where(open_, omega_l, omega_q)  # a stand-in where closed
-        kl = invert_dispersion(omega_l, params)
-        open_ &= (np.abs(q - k) <= kl) & (kl <= q + k)
-        weight = np.where(open_, k * kl / group_velocity(kl, params), 0.0)
-        b, l = vertex_coefficients(q, k, kl, params)
+        mode = owner % n
+        e_q, x_q = eps[mode][:, None], xq[mode][:, None]
+        e_k = _energy(x)
+        e_l = e_q + np.where(decay, -e_k, e_k)
+        open_ = e_l > 0.0
+        e_l = np.where(open_, e_l, e_q)  # a stand-in where closed
+        x_l = _momentum(e_l)
+        open_ &= (np.abs(x_q - x) <= x_l) & (x_l <= x_q + x)
+        # x x_l / |dE/dx|_l, with dE/dx = x (1 + x^2 / 2) / E
+        weight = np.where(open_, x * (e_l / (1.0 + 0.5 * x_l * x_l)), 0.0)
+        b, l = _vertices(sq[mode][:, None], _free_ratio(x, e_k), _free_ratio(x_l, e_l))
         # the collision vertex carries a factor 1/2; each row squares only
         # its own channel's factor
         weight = np.where(decay, 1.0, 0.5) * weight * np.where(decay, b, l) ** 2
-        nk = thermal_occupation(omega_k, temperature)
-        nl = thermal_occupation(omega_l, temperature)
+        nk, nl = _occupation(e_k, theta), _occupation(e_l, theta)
         # down less up: (1 + n_k)(1 + n_l) - n_k n_l; n_k (1 + n_l) - (1 + n_k) n_l
         return weight * np.where(decay, 1.0 + nk + nl, nk - nl)
 
-    rates = np.zeros(2 * n)  # every interval's rate, 0 where absent
-    rates[: len(upper)] = np.tile(prefactor, 2)[: len(upper)] * gauss_kronrod(
-        integrand, 0.0, upper, cfg
-    )
-    return [
-        IntegralRates(gamma_beliaev=float(b), gamma_landau=float(l))
-        for b, l in zip(rates[:n], rates[n:])
-    ]
+    g = np.zeros(2 * n)  # every interval's integral, 0 where absent
+    g[: len(upper)] = gauss_kronrod(integrand, 0.0, upper, cfg)
+    return g.reshape(2, n) * (4.0 * math.sqrt(math.pi) / xq)  # the normalization
 
 
 def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float, float, float, float]:
@@ -440,20 +470,18 @@ def split_rates(gamma: float, omega_q: float, temperature: float) -> tuple[float
     return gamma * (1.0 + n_th), gamma * n_th, gamma * (1.0 + 2.0 * n_th), n_th
 
 
-def regime_of(omega_q: float, params: CondensateParams, source: str) -> str:
-    """The formula that ``source`` picks for one mode (see ``select_regime``)."""
+def regime_of(theta: float, eps: float, source: str) -> str:
+    """The formula that ``source`` picks for one mode at theta = k_B T / mu
+    and eps = hbar w_q / mu (see ``select_regime``)."""
     if source in ("integral", "explicit"):
         return source
-    kt = K_B * params.temperature
-    mu = params.chemical_potential
-    e_q = HBAR * omega_q
     nearest = source == "asymptotic"
-    if _quantum_region(kt, e_q):
+    if _quantum_region(theta, eps):
         return "quantum"
-    if kt > mu:
-        strict = _high_temperature_region(kt, mu, e_q)
+    if theta > 1.0:
+        strict = _high_temperature_region(theta, eps)
         return "thermal_high" if nearest or strict else "integral"
-    strict = _low_temperature_region(kt, mu, e_q)
+    strict = _low_temperature_region(theta, eps)
     return "thermal_low" if nearest or strict else "integral"
 
 
@@ -487,7 +515,7 @@ def select_regime(
     omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
     if any(omega <= 0 for omega in omegas):
         raise ValueError("frequency must be positive")
-    regimes = [regime_of(omega, params, source) for omega in omegas]
+    regimes = [regime_of(*condensate_units(omega, params), source) for omega in omegas]
     integrated = [omega for omega, regime in zip(omegas, regimes) if regime == "integral"]
     integrals = iter(gamma_integral(np.array(integrated), params, cfg) if integrated else ())
 

@@ -96,21 +96,23 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
 
 
 def check_rate_integrals(tol_scale: float = 1.0) -> CheckResult:
-    # (temperature K, omega rad/s, gamma_integral field, closed form), built
-    # per call so the closed forms resolve to the module globals that
-    # perfbench/tracer.py wraps
+    # (speed of sound m/s, temperature K, omega rad/s, gamma_integral field,
+    # closed form), built per call so the closed forms resolve to the module
+    # globals that perfbench/tracer.py wraps.  The thermal_high row is at
+    # k_B T / mu = 33.1 and hbar w / mu = 0.0632, at 0.80 T_c
+    scale = (0.25 / 3.4) ** 2
     cases = (
-        (0.0, 1e2, "gamma_beliaev", gamma_beliaev_asymptotic),
-        (3e-9, 50.0, "gamma_landau", gamma_landau_low_temperature),
-        (4e-6, 1e3, "gamma_landau", gamma_landau_high_temperature),
+        (3.4e-3, 0.0, 1e2, "gamma_beliaev", gamma_beliaev_asymptotic),
+        (3.4e-3, 3e-9, 50.0, "gamma_landau", gamma_landau_low_temperature),
+        (0.25e-3, 4e-6 * scale, 1e3 * scale, "gamma_landau", gamma_landau_high_temperature),
     )
     worst = 0.0
-    for temperature, omega, channel, closed_form in cases:
+    for speed_of_sound, temperature, omega, channel, closed_form in cases:
         params = CondensateParams(
             RB87["mass_kg"],
             RB87["scattering_length_m"],
             temperature,
-            speed_of_sound=3.4e-3,
+            speed_of_sound=speed_of_sound,
         )
         integral = getattr(gamma_integral(omega, params), channel)
         worst = max(worst, abs(integral / closed_form(omega, params) - 1.0))

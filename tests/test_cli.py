@@ -844,12 +844,18 @@ def test_frequency_at_the_floor_runs(tmp_path, verb, preset, key, temperature):
 
 
 # At fig1's condensate the quantum closed form's w**5 (auto, asymptotic)
-# overflows above 4.476546622757235e61 rad/s, and the collision integrals'
-# 2 w**2 (integral) above 9.480751908109176e153; explicit takes no formula.
+# overflows above 4.476546622757235e61 rad/s; explicit takes no formula.  The
+# collision integrals (integral) need hbar w / mu finite, which every float
+# frequency meets at fig1's speed of sound; at c_s = 1 um/s and T = 0 they
+# run up to 2.4601078767933298e305 rad/s.
 TOP_FREQUENCIES = {
     "auto": 4.476546622757235e61,
     "asymptotic": 4.476546622757235e61,
-    "integral": 9.480751908109176e153,
+    "integral": 2.4601078767933298e305,
+}
+TOP_CONDENSATE = {
+    "integral": "speed_of_sound_m_per_s: 1.0e-6\n"
+    "sweep_speeds_of_sound_m_per_s: [1.0e-6]\ntemperature_K: 0.0\n",
 }
 TOP_KEYS = [
     ("rates", "fig1", "mode_frequency_rad_per_s"),
@@ -879,7 +885,8 @@ def test_a_frequency_above_its_rate_formulas_range_is_rejected(
     tmp_path, verb, preset, key, source
 ):
     omega = math.nextafter(TOP_FREQUENCIES[source], math.inf)
-    code, stderr, out = run_at_top(tmp_path, verb, preset, key, source, omega)
+    extra = TOP_CONDENSATE.get(source, "")
+    code, stderr, out = run_at_top(tmp_path, verb, preset, key, source, omega, extra)
     assert code == 2
     assert stderr.startswith(f"error: {key}: ") and stderr.count("\n") == 1
     assert not out.exists()
@@ -892,7 +899,8 @@ def test_a_frequency_above_its_rate_formulas_range_is_rejected(
 def test_a_frequency_at_the_top_of_its_rate_formulas_range_runs(
     tmp_path, verb, preset, key, source, omega
 ):
-    code, stderr, _ = run_at_top(tmp_path, verb, preset, key, source, omega)
+    extra = TOP_CONDENSATE.get(source, "")
+    code, stderr, _ = run_at_top(tmp_path, verb, preset, key, source, omega, extra)
     assert (code, stderr) == (0, "")
 
 
@@ -978,8 +986,7 @@ def test_a_trajectory_at_a_rate_whose_gamma_t_overflows_reaches_mu_inf(tmp_path)
     assert (rows[1:, columns.index("mu")] == mu_inf).all()
 
 
-# far above mu / hbar, the free + mu - hbar w of bec.bogoliubov_uv's v_k can
-# round below 0
+# far above mu / hbar, where the Bogoliubov coefficient v_k tends to 0
 @pytest.mark.parametrize("omega", ["1.0e+12", "1.0e+14", "1.0e+16", "1.0e+19"])
 def test_integral_rates_at_a_large_frequency_are_finite(tmp_path, omega):
     cfg = tmp_path / "cfg.yaml"
@@ -1104,3 +1111,18 @@ def test_a_repeated_sweep_speed_is_one_error_line(tmp_path, speeds):
         "error: sweep_speeds_of_sound_m_per_s: 0.0034 is listed more than once\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "given, missing",
+    [
+        ("sweep_omega_max_rad_per_s", "sweep_omega_min_rad_per_s"),
+        ("sweep_omega_min_rad_per_s", "sweep_omega_max_rad_per_s"),
+    ],
+)
+def test_a_lone_sweep_frequency_key_names_the_missing_one(tmp_path, given, missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{given}": 1e5}}')
+    code, stdout, stderr = run_cli_in_process("rates", "--preset", "fig1", "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {missing}: required when {given} is set\n"

@@ -2,13 +2,13 @@
 the adaptive-quadrature reference.
 
 The values below are ``gamma_integral`` as computed with scalar QUADPACK
-quadrature at the default ``quadrature_rel_tol`` (1e-6), at the three
-points of ``verify.check_rate_integrals`` (T = 0; 3 nK, also the
-``thermal_low`` point of ``test_runs.POINTS``; and 4 uK, its
-high-temperature point, which lies above T_c, so no config reaches it and
-the pin calls ``gamma_integral`` directly), at the ``intermediate`` point
-of ``test_runs.POINTS``, and at five fig2 sweep frequencies per speed of
-sound (the 3.4 mm/s, 10 krad/s one is the ``quantum`` point).
+quadrature at the default ``quadrature_rel_tol`` (1e-6), at two points of
+``verify.check_rate_integrals`` (T = 0, and 3 nK, also the ``thermal_low``
+point of ``test_runs.POINTS``), at the ``intermediate`` point of
+``test_runs.POINTS``, and at five fig2 sweep frequencies per speed of sound
+(the 3.4 mm/s, 10 krad/s one is the ``quantum`` point).  At ``verify``'s
+high-temperature point (0.25 mm/s, at 0.80 T_c) the value is
+``tools/integral_reference.py``'s 40-digit G times the rate scale.
 Any integrator must reproduce them to that tolerance.
 """
 
@@ -31,7 +31,7 @@ REL_TOL = 1e-6
 # (speed of sound m/s, temperature K, mode frequency rad/s) ->
 # (gamma_beliaev, gamma_landau) in 1/s
 PINNED = [
-    ((0.0034, 4e-06, 1000.0), (0.019302171388583034, 938.1766269712243)),
+    ((0.00025, 2.162629757785467e-08, 5.406574394463668), (7.67342835200777e-06, 0.37296483300493155)),
     ((0.0034, 3e-09, 50.0), (9.080705898775846e-11, 1.3298510048086022e-05)),
     ((0.0034, 5e-09, 1000.0), (2.5053551093051766e-05, 0.0019527908347560415)),
     ((0.0034, 0.0, 100.0), (7.396281716316423e-11, 0.0)),

@@ -7,11 +7,20 @@ import numpy as np
 import pytest
 
 from condensates import rb87
-from phonodec.bec import beta_of, invert_dispersion
-from phonodec.constants import HBAR
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
+from scipy.optimize import brentq
+
+from phonodec.bec import CondensateParams, beta_of
+from phonodec.constants import HBAR, K_B, RB87, YB174
 from phonodec.damping import (
+    DEFAULT_QUADRATURE,
     QuadratureConfig,
     RegimeWarning,
+    _energy,
+    _free_ratio,
+    _momentum,
+    condensate_units,
     gamma_beliaev_asymptotic,
     gamma_integral,
     gamma_landau_high_temperature,
@@ -25,40 +34,128 @@ GAMMA_B_PAPER = 0.739652485292398  # 87Rb, c_s 3.4 mm/s, T 0.5 nK, w 1e4
 GAMMA_L_LOW_GOLDEN = 5.418705429151004e-06  # T = 2 nK, w = 1e2, frozen at first run
 
 
-def test_vertex_symmetry(paper_params):
+# The Bogoliubov branch in the condensate's units: x = hbar k / (m c_s) and
+# E = hbar w / mu
+
+
+def test_energy_phonon_and_free_particle_limits():
+    assert _energy(1e-3) == pytest.approx(1e-3, rel=1e-6)  # w -> c_s k
+    assert _energy(1e3) == pytest.approx(0.5e6, rel=1e-5)  # hbar k^2 / 2m
+
+
+def test_energy_worked_value():
+    # spec-sheet mass value at k = 2.94e6 1/m; the free-particle term
+    # contributes ~5% here
+    mass, c_s = 1.4432e-25, 3.4e-3
+    omega = mass * c_s**2 / HBAR * _energy(HBAR * 2.94e6 / (mass * c_s))
+    assert omega == pytest.approx(10482.990037499592, rel=1e-12)
+    phonon_part = c_s * 2.94e6
+    assert 0.03 < (omega - phonon_part) / omega < 0.07
+
+
+def test_energy_relation_and_monotonicity():
+    x = np.geomspace(1e-6, 1e6, 200)
+    e = _energy(x)
+    assert np.all(np.diff(e) > 0)
+    np.testing.assert_allclose(e * e, x * x + x**4 / 4, rtol=1e-14)
+
+
+def test_momentum_inverts_energy_over_the_float_range():
+    e = np.geomspace(1e-300, 1e300, 601)
+    x = _momentum(e)
+    assert np.all(x > 0)
+    # round trip wherever x^2 / 4 is finite; the phonon and free limits beyond
+    inner = (e > 1e-150) & (e < 1e150)
+    np.testing.assert_allclose(_energy(x[inner]), e[inner], rtol=1e-14)
+    assert _momentum(1e-300) == pytest.approx(1e-300, rel=1e-15)
+    assert _momentum(1e300) == pytest.approx(math.sqrt(2e300), rel=1e-15)
+
+
+def test_momentum_worked_value_and_bisection():
+    x = _momentum(0.6)  # fig1, about hbar w / mu = 0.6
+    x_bisect = brentq(lambda y: _energy(y) - 0.6, 1e-3, 10.0, rtol=1e-15)
+    assert x == pytest.approx(x_bisect, rel=1e-14)
+
+
+def test_free_ratio_is_the_squared_sum_of_the_bogoliubov_coefficients():
+    for x in np.geomspace(1e-5, 2e2, 50):
+        e = _energy(x)
+        u = math.sqrt((x * x / 2 + 1 + e) / (2 * e))
+        v = -math.sqrt((x * x / 2 + 1 - e) / (2 * e))
+        ratio = _free_ratio(x, e)
+        assert ratio == pytest.approx((u + v) ** 2, rel=1e-9)
+        assert 1 / ratio == pytest.approx((u - v) ** 2, rel=1e-12)
+    # S -> x / 2 deep in the phonon branch, and -> 1 for free particles
+    assert _free_ratio(1e-300, _energy(1e-300)) == pytest.approx(0.5e-300, rel=1e-15)
+    assert _free_ratio(1e6, _energy(1e6)) == pytest.approx(1.0, rel=1e-11)
+
+
+def mp_vertices(xq, xk, xl):
+    """(b, l) of vertex_coefficients' u/v products at 50 digits, on the same
+    float triple."""
+    with mp.workdps(50):
+        def uv(x):
+            x = mpf(x)
+            e = x * mp.sqrt(1 + x * x / 4)
+            h = x * x / 2 + 1
+            return mp.sqrt((h + e) / (2 * e)), -mp.sqrt((h - e) / (2 * e))
+
+        (uq, vq), (uk, vk), (ul, vl) = uv(xq), uv(xk), uv(xl)
+        b = uq * (uk * ul + vk * ul + uk * vl) + vq * (vk * vl + vk * ul + uk * vl)
+        l = 2 * (uq * (vk * ul + uk * ul + vk * vl) + vq * (uk * vl + uk * ul + vk * vl))
+        return b, l
+
+
+@pytest.mark.parametrize("eps", [0.3, 3e-3, 3e-4, 3e-5])
+@pytest.mark.parametrize("ratio", [1e-5, 1e-2, 0.5])
+def test_vertices_on_energy_conserving_triples_match_50_digits(eps, ratio):
+    # for phonons the u/v products cancel to b and l, losing up to all their
+    # digits at the smaller eps and k/q here; the form in S keeps the digits
+    # that its own S_k + S_k' - S_q, which cancels like x^2, leaves
+    xq = _momentum(eps)
+    xk = ratio * xq
+    decay = _momentum(eps - _energy(xk))
+    collision = _momentum(eps + _energy(xk))
+    b, _ = vertex_coefficients(xq, xk, decay)
+    _, l = vertex_coefficients(xq, xk, collision)
+    tolerance = 1e-15 / (eps * eps * ratio)
+    assert abs(b / mp_vertices(xq, xk, decay)[0] - 1) < tolerance
+    assert abs(l / mp_vertices(xq, xk, collision)[1] - 1) < tolerance
+
+
+def test_vertex_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(12):
-        q, k, kp = np.exp(rng.uniform(np.log(1e3), np.log(1e8), size=3))
-        b_ab, _ = vertex_coefficients(q, k, kp, paper_params)
-        b_ba, _ = vertex_coefficients(q, kp, k, paper_params)
+        q, k, kp = np.exp(rng.uniform(np.log(1e-4), np.log(1e1), size=3))
+        b_ab, _ = vertex_coefficients(q, k, kp)
+        b_ba, _ = vertex_coefficients(q, kp, k)
         assert b_ab == pytest.approx(b_ba, rel=1e-12)
 
 
-def test_vertex_hydrodynamic_scaling(paper_params):
+def test_vertex_hydrodynamic_scaling():
     # decay vertex on an energy-conserving triple deep in the phonon branch:
-    # B ~ (3 sqrt2 / 8) sqrt(x_q x_k x_l) with x = hbar k / (m c_s)
-    mc = paper_params.mass * paper_params.speed_of_sound
-    x_of = lambda k: HBAR * k / mc
-    omega_q = 1e-3 * paper_params.chemical_potential / HBAR
-    q = invert_dispersion(omega_q, paper_params)
+    # B ~ (3 sqrt2 / 8) sqrt(x_q x_k x_l)
+    eps = 1e-3
+    q = _momentum(eps)
     for frac in (0.25, 0.5, 0.75):
-        k = invert_dispersion(frac * omega_q, paper_params)
-        kl = invert_dispersion((1 - frac) * omega_q, paper_params)
-        b, _ = vertex_coefficients(q, k, kl, paper_params)
-        hydro = 3 * math.sqrt(2) / 8 * math.sqrt(x_of(q) * x_of(k) * x_of(kl))
+        k, kl = _momentum(frac * eps), _momentum((1 - frac) * eps)
+        b, _ = vertex_coefficients(q, k, kl)
+        hydro = 3 * math.sqrt(2) / 8 * math.sqrt(q * k * kl)
         assert b == pytest.approx(hydro, rel=0.10)
     # collision vertex on its conserving triple (partner above the probe)
     for mult in (1.0, 2.0, 4.0):
-        k = invert_dispersion(mult * omega_q, paper_params)
-        kl = invert_dispersion((1 + mult) * omega_q, paper_params)
-        _, l = vertex_coefficients(q, k, kl, paper_params)
-        hydro = 2 * (3 * math.sqrt(2) / 8) * math.sqrt(x_of(q) * x_of(k) * x_of(kl))
+        k, kl = _momentum(mult * eps), _momentum((1 + mult) * eps)
+        _, l = vertex_coefficients(q, k, kl)
+        hydro = 2 * (3 * math.sqrt(2) / 8) * math.sqrt(q * k * kl)
         assert l == pytest.approx(hydro, rel=0.10)
 
 
-def test_vertex_rejects_bad_wavenumbers(paper_params):
-    with pytest.raises(ValueError):
-        vertex_coefficients(0.0, 1e5, 1e5, paper_params)
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_vertex_rejects_bad_wavenumbers(bad):
+    with pytest.raises(ValueError, match="wavenumbers must be positive"):
+        vertex_coefficients(bad, 0.1, 0.1)
+    with pytest.raises(ValueError, match="wavenumbers must be positive"):
+        vertex_coefficients(0.1, np.array([0.1, bad]), 0.1)
 
 
 def test_beliaev_worked_value(paper_params):
@@ -238,3 +335,54 @@ def test_select_regime_gamma_positive_across_inputs():
             assert res.gamma_total >= res.gamma
             if res.n_thermal > 1e-14:  # occupation representable in float
                 assert res.gamma_total > res.gamma
+
+
+# Every rate is s times a function of theta = k_B T / mu and eps = hbar w / mu
+
+
+@pytest.mark.parametrize(
+    "temperature, omega, speed_of_sound",
+    [(0.5e-9, 1e4, 3.4e-3), (3e-9, 50.0, 3.4e-3), (4e-6, 1e3, 3.4e-3), (2e-7, 3e2, 1.7e-3)],
+)
+def test_closed_forms_are_the_rate_scale_times_polynomials(temperature, omega, speed_of_sound):
+    params = rb87(temperature, speed_of_sound)
+    theta, eps = condensate_units(omega, params)
+    s = params.rate_scale
+    expected = {
+        gamma_beliaev_asymptotic: 3 * math.sqrt(math.pi) / 80 * eps**5 * (1 + (theta / eps) ** 3),
+        gamma_landau_high_temperature: 3 * math.pi**1.5 / 4 * theta * eps,
+        gamma_landau_low_temperature: 3 * math.pi**4.5 / 5 * theta**4 * eps,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for closed_form, polynomial in expected.items():
+            assert closed_form(omega, params) == pytest.approx(s * polynomial, rel=4e-15)
+
+
+# 87Rb, and 174Yb at the scattering length of ROADMAP's Baseline
+SPECIES = {
+    "rb87": (RB87["mass_kg"], RB87["scattering_length_m"]),
+    "yb174": (YB174["mass_kg"], 2.8e-9),
+}
+condensate = st.tuples(st.sampled_from(sorted(SPECIES)), st.floats(0.5e-3, 7e-3))
+
+
+def scaled_rates(species, speed_of_sound, theta, eps):
+    """gamma_integral over the rate scale, at the (theta, eps) of one condensate."""
+    mass, a = SPECIES[species]
+    mu = mass * speed_of_sound**2
+    params = CondensateParams(mass, a, theta * mu / K_B, speed_of_sound=speed_of_sound)
+    rates = gamma_integral(eps * mu / HBAR, params)
+    return rates.gamma_beliaev / params.rate_scale, rates.gamma_landau / params.rate_scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    first=condensate,
+    second=condensate,
+    theta=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    eps=st.floats(1e-3, 3.0),
+)
+def test_equal_theta_and_eps_give_equal_scaled_rates(first, second, theta, eps):
+    one, other = scaled_rates(*first, theta, eps), scaled_rates(*second, theta, eps)
+    assert one == pytest.approx(other, rel=DEFAULT_QUADRATURE.rel_tol, abs=0.0)

@@ -26,9 +26,9 @@ FIELDS = ("gamma_beliaev", "gamma_landau")
 # (speed of sound m/s, temperature K, mode frequency rad/s) -> float.hex of
 # the two IntegralRates fields; T > 0, so the collision channel is open
 INTEGRAL_HEX = {
-    (3.4e-3, 5e-9, 1e3): ("0x1.a4542ebe6f9bfp-16", "0x1.ffe99315b6f52p-10"),
-    (1.7e-3, 0.5e-9, 1e4): ("0x1.4315ca2916407p+3", "0x1.6c657c31d8d6fp-12"),
-    (3.4e-3, 0.6e-6, 1e3): ("0x1.7b7f4420faa8ep-9", "0x1.ec37e8dad5f2bp+6"),
+    (3.4e-3, 5e-9, 1e3): ("0x1.a4542ebe73bbep-16", "0x1.ffe99315b6b5ap-10"),
+    (1.7e-3, 0.5e-9, 1e4): ("0x1.4315ca291640bp+3", "0x1.6c657c31d8d2dp-12"),
+    (3.4e-3, 0.6e-6, 1e3): ("0x1.7b7f4420fe649p-9", "0x1.ec37e8dad5f28p+6"),
 }
 
 
@@ -56,7 +56,7 @@ def test_integral_sweep_csv_bytes_are_pinned():
     config = preset_config("fig2", {"rate_source": "integral", "sweep_points": 150})
     text = to_csv(run_sweep(config))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "10b00f47b45ed916bdbf0e73797c2826083ae44b5394b891af16fb6464ffcee6"
+        "c9f3391d66c4d7a73a5984437ff80ed589da8d8739438bfeaffea7f7171446f9"
     )
 
 
@@ -77,7 +77,7 @@ DATA_ROWS_SHA256 = {
     ),
     "integral_sweep": (
         "fig2", {"rate_source": "integral", "sweep_points": 150}, run_sweep,
-        "ee8426e4782e83528979a22006bda1635ec667fb77cbb697bcaeaf4483dbf152",
+        "6427e19bc0eb4f453ddc9e2afd64195655a53246021d097f6f48ac371f1473d0",
     ),
 }
 

@@ -61,8 +61,13 @@ START = {
     "quadrature_rel_tol": -6,
 }
 LIST_KEYS = {"sweep_speeds_of_sound_m_per_s"}
-# a density scan drops the presets' speed of sound
-EXTRA = {"density_per_m3": "speed_of_sound_m_per_s: null\n"}
+# a density scan drops the presets' speed of sound; a scan of one sweep
+# frequency key sets the other to fig2's value, since fig1 has neither
+EXTRA = {
+    "density_per_m3": "speed_of_sound_m_per_s: null\n",
+    "sweep_omega_min_rad_per_s": "sweep_omega_max_rad_per_s: 1.0e+4\n",
+    "sweep_omega_max_rad_per_s": "sweep_omega_min_rad_per_s: 1.0e+3\n",
+}
 
 
 def run_once(verb: str, overlay: str) -> tuple[int, str]:

@@ -1,24 +1,24 @@
-"""High-precision reference for the collision integrals of ``damping.gamma_integral``.
+"""High-precision reference for the collision integrals of ``damping._gamma_integral``.
 
-Evaluates the net Beliaev (decay) and Landau (collision) rates of one 87Rb
-phonon mode with every ingredient in mpmath at ``DIGITS`` significant
-digits: the Bogoliubov dispersion and its inverse, the group velocity, the
-coefficients u and v, the cubic vertices b and l, and the Bose factors.
-The integrals run with ``mp.quad`` (tanh-sinh) over [0, q] for the decay
-channel and [0, k_max] for the collision channel, with k_max the
-wavenumber of hbar w = 45 k_B T as in ``damping``; each interval is cut at
-a few interior points so that every piece is smooth.  The float inputs
-(speed of sound, temperature, frequency, the species constants) are taken
-exactly as the floats phonodec reads.
+Evaluates G_B and G_L, the net Beliaev (decay) and Landau (collision) rates
+of one phonon mode in units of s = (mu / hbar) sqrt(n a^3), at theta =
+k_B T / mu and eps = hbar w_q / mu, with every ingredient in mpmath at
+``DIGITS`` significant digits: in x = hbar k / (m c_s), the energy
+E(x) = x sqrt(1 + x^2 / 4) and its inverse, the group velocity dE/dx, the
+coefficients u and v, the cubic vertices b and l as products of u and v,
+and the Bose factors.  No species constant enters.  The integrals run with
+``mp.quad`` (tanh-sinh) over [0, x_q] for the decay channel and [0, x_max]
+for the collision channel, with E(x_max) = 45 theta as in ``damping``;
+each interval is cut at a few interior points so that every piece is
+smooth.  theta and eps are taken exactly as the floats given.
 
-    PYTHONPATH=src python tools/integral_reference.py
-    PYTHONPATH=src python tools/integral_reference.py 3.4e-3 5e-9 1e3
+    python tools/integral_reference.py
+    python tools/integral_reference.py 0.041395 0.0632
 
-Prints one line per point: the speed of sound, temperature and frequency,
-then each channel's rate in 1/s and its quadrature error estimate.  A
-point whose estimate is not below ``SETTLED`` relative is printed with
-``unsettled`` and must not be used as a reference.
-Uses the standard library, mpmath and ``phonodec.constants`` only.
+Prints one line per point: theta and eps, then G_B and G_L, each with its
+quadrature error estimate.  A point whose estimate is not below
+``SETTLED`` relative is printed with ``unsettled`` and must not be used as
+a reference.  Uses the standard library and mpmath only.
 """
 
 from __future__ import annotations
@@ -27,82 +27,91 @@ import sys
 
 from mpmath import mp, mpf
 
-from phonodec.constants import HBAR, K_B, RB87
-
 DIGITS = 40
 SETTLED = mpf("1e-25")  # largest relative quadrature error estimate accepted
 THERMAL_CUTOFF = 45  # as damping.THERMAL_CUTOFF
 
-# (speed of sound m/s, temperature K, mode frequency rad/s)
+# (theta, eps) pairs.  The first five are the 87Rb points (speed of sound m/s,
+# temperature K, mode frequency rad/s) (3.4e-3, 5e-9, 1e3), (1.7e-3, 0.5e-9,
+# 1e4), (3.4e-3, 0.6e-6, 1e3), (3.4e-3, 0, 1e2) and (1.7e-3,
+# 1.0186070511963128e-10, 1e4) as ``damping.condensate_units`` maps them;
+# then fig1 (3.4e-3, 0.5e-9, 1e4) and fig2's (6.8e-3, 0.5e-9, 1e3), mapped
+# the same way; then hbar w / mu = 0.03 at k_B T / hbar w = 0.2 and 0.29,
+# mu / k_B T = 3, 10 and 20 at k_B T / hbar w = 10, and k_B T / mu = 3 at
+# mu / hbar w = 3 and 10 at 30.
 POINTS = (
-    (3.4e-3, 5e-9, 1e3),
-    (1.7e-3, 0.5e-9, 1e4),
-    (3.4e-3, 0.6e-6, 1e3),
-    (3.4e-3, 0.0, 1e2),
-    (1.7e-3, 1.0186070511963128e-10, 1e4),
+    (0.041379067608722356, 0.06321258844774622),
+    (0.016551627043488944, 2.5285035379098484),
+    (4.965488113046683, 0.06321258844774622),
+    (0.0, 0.006321258844774621),
+    (0.0033719208030538834, 2.5285035379098484),
+    (0.004137906760872236, 0.6321258844774621),
+    (0.001034476690218059, 0.015803147111936554),
+    (0.006, 0.03),
+    (0.0087, 0.03),
+    (1 / 3, 1 / 30),
+    (0.1, 0.01),
+    (0.05, 0.005),
+    (3.0, 1 / 3),
+    (10.0, 1 / 30),
 )
 
 
-def reference_rates(speed_of_sound: float, temperature: float, omega: float):
-    """(gamma_beliaev, gamma_landau, error_beliaev, error_landau), as mpf in 1/s."""
+def reference_rates(theta: float, eps: float):
+    """(G_B, G_L, error_B, error_L), as mpf."""
     with mp.workdps(DIGITS):
-        hbar, k_b = mpf(HBAR), mpf(K_B)
-        mass, a = mpf(RB87["mass_kg"]), mpf(RB87["scattering_length_m"])
-        c, temp, w_q = mpf(speed_of_sound), mpf(temperature), mpf(omega)
-        coupling = 4 * mp.pi * hbar**2 * a / mass
-        density = mass * c**2 / coupling
-        mu = mass * c**2
-        h2m = hbar / (2 * mass)
+        t, e_q = mpf(theta), mpf(eps)
 
-        def dispersion(k):
-            return mp.sqrt((c * k) ** 2 + (h2m * k * k) ** 2)
+        def energy(x):
+            return x * mp.sqrt(1 + x * x / 4)
 
-        def inverse(w):
-            return mp.sqrt(2 * w**2 / (c**2 + mp.sqrt(c**4 + (2 * h2m * w) ** 2)))
+        def momentum(e):
+            return mp.sqrt(2 * e * e / (1 + mp.sqrt(1 + e * e)))
 
-        def group_velocity(k):
-            return k * (c**2 + 2 * h2m**2 * k * k) / dispersion(k)
+        def slope(x):
+            return x * (1 + x * x / 2) / energy(x)
 
-        def uv(k):
-            e = hbar * dispersion(k)
-            free = hbar**2 * k * k / (2 * mass)
-            return mp.sqrt((free + mu + e) / (2 * e)), -mp.sqrt((free + mu - e) / (2 * e))
+        def uv(x):
+            e, half = energy(x), x * x / 2 + 1
+            return mp.sqrt((half + e) / (2 * e)), -mp.sqrt((half - e) / (2 * e))
 
-        def occupation(w):
-            return 1 / mp.expm1(hbar * w / (k_b * temp)) if temp > 0 else mpf(0)
+        def occupation(e):
+            return 1 / mp.expm1(e / t) if t > 0 else mpf(0)
 
-        q = inverse(w_q)
-        uq, vq = uv(q)
+        x_q = momentum(e_q)
+        uq, vq = uv(x_q)
 
-        def integrand(k, decay):
-            w_k = dispersion(k)
-            w_l = w_q - w_k if decay else w_q + w_k
-            if w_l <= 0:
+        def integrand(x, decay):
+            e_k = energy(x)
+            e_l = e_q - e_k if decay else e_q + e_k
+            if e_l <= 0:
                 return mpf(0)
-            k_l = inverse(w_l)
-            if not abs(q - k) <= k_l <= q + k:
+            x_l = momentum(e_l)
+            if not abs(x_q - x) <= x_l <= x_q + x:
                 return mpf(0)
-            uk, vk = uv(k)
-            ul, vl = uv(k_l)
-            weight = k * k_l / group_velocity(k_l)
-            n_k, n_l = occupation(w_k), occupation(w_l)
+            uk, vk = uv(x)
+            ul, vl = uv(x_l)
+            weight = x * x_l / slope(x_l)
+            n_k, n_l = occupation(e_k), occupation(e_l)
             if decay:
                 b = uq * (uk * ul + vk * ul + uk * vl) + vq * (vk * vl + vk * ul + uk * vl)
                 return weight * b**2 * (1 + n_k + n_l)
             l = 2 * (uq * (vk * ul + uk * ul + vk * vl) + vq * (uk * vl + uk * ul + vk * vl))
             return weight * l**2 / 2 * (n_k - n_l)
 
-        prefactor = coupling**2 * density / (2 * mp.pi * hbar**2 * q)
+        prefactor = 4 * mp.sqrt(mp.pi) / x_q
         beliaev, error_b = mp.quad(
-            lambda k: integrand(k, True), [0, q / 4, q / 2, 3 * q / 4, q], error=True
+            lambda x: integrand(x, True),
+            [0, x_q / 4, x_q / 2, 3 * x_q / 4, x_q],
+            error=True,
         )
         landau = error_l = mpf(0)
-        if temp > 0:
-            k_max = inverse(THERMAL_CUTOFF * k_b * temp / hbar)
-            k_thermal = inverse(k_b * temp / hbar)
-            cuts = sorted({mpf(0), q, k_max} | {k_thermal * f for f in (mpf("0.1"), 1, 10)})
-            cuts = [k for k in cuts if k <= k_max]
-            landau, error_l = mp.quad(lambda k: integrand(k, False), cuts, error=True)
+        if t > 0:
+            x_max = momentum(THERMAL_CUTOFF * t)
+            x_thermal = momentum(t)
+            cuts = sorted({mpf(0), x_q, x_max} | {x_thermal * f for f in (mpf("0.1"), 1, 10)})
+            cuts = [x for x in cuts if x <= x_max]
+            landau, error_l = mp.quad(lambda x: integrand(x, False), cuts, error=True)
         return (
             prefactor * beliaev,
             prefactor * landau,
@@ -122,9 +131,9 @@ def main(argv: list[str]) -> int:
         status = "" if settled(beliaev, error_b) and settled(landau, error_l) else "  unsettled"
         print(
             " ".join(repr(x) for x in point),
-            mp.nstr(beliaev, 20),
+            mp.nstr(beliaev, 25),
             mp.nstr(error_b, 2),
-            mp.nstr(landau, 20),
+            mp.nstr(landau, 25),
             mp.nstr(error_l, 2) + status,
         )
     return 0
