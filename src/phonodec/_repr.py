@@ -1,9 +1,11 @@
 """CSV text of a float64 table whose every cell is the cell's ``repr``.
 
-``repr_table(rows, head)`` equals ``head +
-"".join(",".join(map(repr, row)) + "\\n" for row in rows.tolist())``
-byte for byte, computed in numpy over chunks of about 8 K cells into one
-buffer that starts with the head's bytes.
+``write_table(file, columns)`` writes the UTF-8 bytes of
+``"".join(",".join(map(repr, row)) + "\\n" for row in rows)``, where
+``rows = zip(*(column.tolist() for column in columns))``, computed in numpy
+over chunks of about 8 K cells.  Each chunk is written to
+the file as soon as it is rendered, and every chunk reuses one set of
+scratch arrays, so a table's working memory is that of one chunk.
 
 Digits.  Each finite nonzero cell's shortest round-trip decimal comes from
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020; the
@@ -67,63 +69,100 @@ def _exponent_tables():
 _K, _G = _exponent_tables()
 
 
-def _rop(g, cp):
+def _rop(g, cp, work):
     """floor(g * cp / 2**127), with its last bit set when bits 64-126 of the
     product are not all zero (round to odd, on the bits that Giulietti's
-    implementation reads).
+    implementation reads), into ``work.acc``.
 
     ``g`` is five 28-bit limbs of shape (n,) and ``cp`` below 2**56 of shape
-    (3, n), so that no column sum reaches 2**58.  The table's g exceeds the
-    power of ten by less than 2**5, so the product exceeds the exact one by
-    less than 2**61: bits 64-126 stay zero where the exact quotient is an
-    integer, and the paper bounds any other fraction away from 0 and 1 by
-    more than that.
+    (3, n), so that no column sum reaches 2**58; ``cp`` is overwritten.  The
+    table's g exceeds the power of ten by less than 2**5, so the product
+    exceeds the exact one by less than 2**61: bits 64-126 stay zero where the
+    exact quotient is an integer, and the paper bounds any other fraction
+    away from 0 and 1 by more than that.
     """
-    q0 = cp & _M28
-    q1 = cp >> np.uint64(28)
-    g0, g1, g2, g3, g4 = g
+    q0, q1, acc, sticky = work.q0, work.q1, work.acc, work.sticky
     s28 = np.uint64(28)
-    acc = g0 * q0 >> s28
-    acc = (acc + g1 * q0 + g0 * q1) >> s28
-    acc = acc + g2 * q0 + g1 * q1
-    sticky = acc >> np.uint64(8) & np.uint64((1 << 20) - 1)
-    acc = (acc >> s28) + g3 * q0 + g2 * q1
-    sticky |= acc & _M28
-    acc = (acc >> s28) + g4 * q0 + g3 * q1  # bit 112 up, less g4 * q1
-    sticky |= acc & np.uint64(0x7FFF)
-    out = (acc >> np.uint64(15)) + (g4 * q1 << np.uint64(13))
-    return out | (sticky != 0)
+    np.bitwise_and(cp, _M28, out=q0)
+    np.right_shift(cp, s28, out=q1)
+    product = cp
+    g0, g1, g2, g3, g4 = g
+    np.multiply(g0, q0, out=acc)
+    acc >>= s28
+    acc += np.multiply(g1, q0, out=product)
+    acc += np.multiply(g0, q1, out=product)
+    acc >>= s28
+    acc += np.multiply(g2, q0, out=product)
+    acc += np.multiply(g1, q1, out=product)
+    np.right_shift(acc, np.uint64(8), out=sticky)
+    sticky &= np.uint64((1 << 20) - 1)
+    acc >>= s28
+    acc += np.multiply(g3, q0, out=product)
+    acc += np.multiply(g2, q1, out=product)
+    sticky |= np.bitwise_and(acc, _M28, out=product)
+    acc >>= s28
+    acc += np.multiply(g4, q0, out=product)
+    acc += np.multiply(g3, q1, out=product)  # bit 112 up, less g4 * q1
+    sticky |= np.bitwise_and(acc, np.uint64(0x7FFF), out=product)
+    acc >>= np.uint64(15)
+    np.multiply(g4, q1, out=product)
+    product <<= np.uint64(13)
+    acc += product
+    acc |= np.minimum(sticky, np.uint64(1), out=sticky)
+    return acc
 
 
-def _decimal(be, t):
+def _decimal(be, t, work):
     """(f, e10): f * 10**e10 is the shortest decimal that reads back as the
     finite nonzero double of biased exponent ``be`` and fraction ``t``.
     Other cells give some f below 10**17."""
     u = np.uint64
-    c = t | (be != 0).astype(np.uint64) << u(52)
-    irregular = (t == 0) & (be > 1)
-    row = np.maximum(be, u(1)).astype(np.intp) + (irregular << 11)
-    cp = np.empty((3, len(c)), dtype=np.uint64)
+    c, row, cp, e10 = work.c, work.g_row, work.cp, work.e10
+    up_in, wp_in, u_in, w_in, round_up = work.flags
+    irregular = up_in  # until the digits below
+    np.minimum(be, u(1), out=c)
+    c <<= u(52)
+    c |= t
+    np.equal(t, 0, out=irregular)
+    irregular &= np.greater(be, 1, out=wp_in)
+    np.maximum(be, u(1), out=row, casting="unsafe")
+    np.add(row, 2048, out=row, where=irregular)
     np.left_shift(c, u(2), out=cp[1])
-    cp[0] = cp[1] - u(2) + irregular
-    cp[2] = cp[1] + u(2)
-    vbl, vb, vbr = _rop(np.take(_G, row, axis=1), cp)
+    np.subtract(cp[1], u(2), out=cp[0])
+    cp[0] += irregular
+    np.add(cp[1], u(2), out=cp[2])
+    np.take(_G, row, axis=1, out=work.g, mode="clip")
+    lower, vb, upper = _rop(work.g, cp, work)
 
-    odd = c & u(1)  # an even significand's interval includes its ends
-    lower = vbl + odd
-    upper = vbr - odd
-    s = vb >> u(2)
-    sp = s // u(10)
-    sp40 = sp * u(40)
-    up_in = lower <= sp40
-    wp_in = sp40 + u(40) <= upper
-    shorter = (up_in != wp_in) & (s >= 10)
-    s4 = vb & ~u(3)
-    u_in = lower <= s4
-    w_in = s4 + u(4) <= upper
-    round_up = (vb & u(3)) + (s & u(1)) > 2
-    f = np.where(shorter, sp + wp_in, s + np.where(u_in != w_in, w_in, round_up))
-    return f.view(np.int64), np.take(_K, row) + shorter
+    s, sp, tmp = cp  # free after _rop
+    odd = c  # an even significand's interval includes its ends
+    odd &= u(1)
+    lower += odd
+    upper -= odd
+    np.right_shift(vb, u(2), out=s)
+    np.floor_divide(s, u(10), out=sp)
+    np.multiply(sp, u(40), out=tmp)
+    np.less_equal(lower, tmp, out=up_in)
+    tmp += u(40)
+    np.less_equal(tmp, upper, out=wp_in)
+    shorter = up_in
+    shorter ^= wp_in
+    shorter &= np.greater_equal(s, 10, out=u_in)
+    np.bitwise_and(vb, ~u(3), out=tmp)
+    np.less_equal(lower, tmp, out=u_in)
+    tmp += u(4)
+    np.less_equal(tmp, upper, out=w_in)
+    np.bitwise_and(vb, u(3), out=tmp)
+    tmp += np.bitwise_and(s, u(1), out=vb)
+    np.greater(tmp, 2, out=round_up)
+    u_in ^= w_in
+    np.copyto(round_up, w_in, where=u_in)
+    s += round_up
+    sp += wp_in
+    np.copyto(s, sp, where=shorter)
+    np.take(_K, row, out=e10, mode="clip")
+    e10 += shorter
+    return s.view(np.int64), e10
 
 
 # A cell's source row.  A-Q are its 17 digits (B-Q four aligned quads), X Y Z
@@ -187,74 +226,142 @@ _QUADS, _LAST = _quad_tables()
 _QUAD_ROW = np.arange(0, 40_000, 10_000)[:, None]
 
 
-def _render(x, src, base) -> np.ndarray:
+class _Scratch:
+    """The arrays of a chunk of ``n_rows`` rows, allocated once per table
+    and reused through ``out=`` by every chunk of that length.
+
+    Allocated per chunk, the larger ones (the (3, n) products, the gather's
+    (n, width) indices) sit above glibc's mmap threshold, and every chunk
+    would map and unmap them again."""
+
+    def __init__(self, n_rows: int, n_cols: int) -> None:
+        n = n_rows * n_cols
+        self.rows = np.empty((n_rows, n_cols))
+
+        def new(dtype, *shape):
+            return np.empty((*shape, n), dtype)
+
+        self.be, self.t, self.c, self.negative = new(np.uint64, 4)
+        self.g_row, self.e10, self.full, self.hi, self.first, self.exp, self.mag, self.cls = (
+            new(np.intp, 8)
+        )
+        self.flags = new(bool, 5)
+        self.cp, self.q0, self.q1, self.acc, self.sticky = new(np.uint64, 5, 3)
+        self.g = new(np.uint64, 5)
+        self.eight = new(np.int64, 2)
+        self.quads = new(np.int64, 2, 2)
+        self.quad_rows = new(np.int64, 4)
+        self.last = new(np.uint8, 4)
+        self.ndig_1 = new(np.uint8)
+        self.quad_chars = new(np.uint32, 4)
+        self.exp_chars = new(np.uint32)
+        self.width = new(np.int8)
+        self.idx = np.empty(n * _WIDTH, np.int32)
+        self.chars = np.empty(n * _WIDTH, np.uint8)
+        self.keep = np.empty(n * _WIDTH, bool)
+        self.templates: dict[int, np.ndarray] = {}
+
+        # the source rows: 32 bytes each, so that the quads align
+        source_row = np.frombuffer(_SOURCE.replace(" ", "\0").encode() + b"\0", np.uint8)
+        self.src = np.tile(source_row, (n, 1))
+        separators = np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)
+        self.src[:, _SOURCE.index(",")] = np.resize(separators, n)
+        self.base = (np.arange(n, dtype=np.int32) * self.src.shape[1])[:, None]
+
+    def templates_of_width(self, width: int) -> np.ndarray:
+        """The first ``width`` columns of the templates, contiguous, so that
+        ``np.take`` along rows copies nothing first."""
+        if width not in self.templates:
+            self.templates[width] = np.ascontiguousarray(_TEMPLATES[:, :width])
+        return self.templates[width]
+
+
+def _render(x, work: _Scratch) -> np.ndarray:
     """The repr of each cell of ``x`` followed by the separator in its
     source row, as bytes."""
     u = np.uint64
     bits = x.view(np.uint64)
-    negative = (bits >> u(63)).astype(np.int64)
-    be = bits >> u(52) & u(2047)
-    t = bits & u((1 << 52) - 1)
-    f, e10 = _decimal(be, t)
+    be, t, negative = work.be, work.t, work.negative
+    np.right_shift(bits, u(52), out=be)
+    be &= u(2047)
+    np.bitwise_and(bits, u((1 << 52) - 1), out=t)
+    np.right_shift(bits, u(63), out=negative)
+    negative = negative.view(np.int64)
+    f, decpt = _decimal(be, t, work)
 
     n = np.searchsorted(_P10, f, side="right")  # f in [10**(n-1), 10**n)
-    full = f * _P10[17 - n]  # 17 digits
-    decpt = e10 + n
-    hi = full // 10**8
-    first = hi // 10**8
-    quads = np.empty((2, 2, len(x)), dtype=np.int64)  # digits 1-16 by four
-    eight = np.stack([hi - first * 10**8, full - hi * 10**8])
-    quads[:, 0] = eight // 10**4
-    quads[:, 1] = eight - quads[:, 0] * 10**4
+    full, hi, first = work.full, work.hi, work.first
+    np.take(_P10[::-1], n, out=full, mode="clip")
+    full *= f  # 17 digits
+    decpt += n
+    np.floor_divide(full, 10**8, out=hi)
+    np.floor_divide(hi, 10**8, out=first)
+    eight, quads = work.eight, work.quads  # digits 2-17 by eight, then by four
+    np.subtract(hi, np.multiply(first, 10**8, out=eight[0]), out=eight[0])
+    np.subtract(full, np.multiply(hi, 10**8, out=eight[1]), out=eight[1])
+    np.floor_divide(eight, 10**4, out=quads[:, 0])
+    np.subtract(eight, np.multiply(quads[:, 0], 10**4, out=quads[:, 1]), out=quads[:, 1])
     quads = quads.reshape(4, -1)
-    ndig_1 = np.take(_LAST, quads + _QUAD_ROW).max(axis=0)
+    np.add(quads, _QUAD_ROW, out=work.quad_rows)
+    np.take(_LAST, work.quad_rows, out=work.last, mode="clip")
+    ndig_1 = np.max(work.last, axis=0, out=work.ndig_1)
 
-    exp = decpt - 1
-    mag = np.abs(exp)
-    src[:, 0] = first + 48
+    exp, mag = work.exp, work.mag
+    np.subtract(decpt, 1, out=exp)
+    np.abs(exp, out=mag)
+    src = work.src
+    np.add(first, 48, out=src[:, 0], casting="unsafe")
     src32 = src.view("<u4")
-    src32[:, 1:5] = np.take(_QUADS, quads).T  # B-Q
-    src32[:, 5] = np.take(_QUADS, mag)  # 0XYZ, as mag < 1000
+    src32[:, 1:5] = np.take(_QUADS, quads, out=work.quad_chars, mode="clip").T  # B-Q
+    src32[:, 5] = np.take(_QUADS, mag, out=work.exp_chars, mode="clip")  # 0XYZ, as mag < 1000
 
-    exponent_layout = 20 + 2 * (exp < 0) + (mag >= 100)
-    layout = np.where((decpt <= -4) | (decpt > 16), exponent_layout, decpt + 3)
-    cls = (layout * 17 + ndig_1) * 2 + negative
-    special = (be == 2047) | (bits << u(1) == 0)
+    # layout: positional, or 20 + 2 * (exp < 0) + (mag >= 100) in exponent form
+    cls, exponent_form, flag = work.cls, work.flags[0], work.flags[1]
+    np.add(decpt, 3, out=cls)
+    np.less_equal(decpt, -4, out=exponent_form)
+    exponent_form |= np.greater(decpt, 16, out=flag)
+    np.multiply(np.less(exp, 0, out=flag), 2, out=exp)
+    exp += np.greater_equal(mag, 100, out=flag)
+    exp += 20
+    np.copyto(cls, exp, where=exponent_form)
+    cls *= 17
+    cls += ndig_1
+    cls *= 2
+    cls += negative
+    special = np.equal(be, 2047, out=work.flags[0])
+    special |= np.equal(np.left_shift(bits, u(1), out=t), 0, out=flag)
     if special.any():
-        kind = np.where(be == 2047, np.where(t != 0, 4, 2), 0)
-        cls = np.where(special, _SPECIAL + kind + negative, cls)
+        kind = np.where(be == 2047, np.where(bits << u(12) != 0, 4, 2), 0)
+        np.copyto(cls, _SPECIAL + kind + negative, where=special)
 
     # only as many template columns as the chunk's widest cell needs
-    width = int(np.take(_TEMPLATE_WIDTH, cls).max())
-    idx = np.take(_TEMPLATES[:, :width], cls, axis=0)
-    idx += base
-    out = np.take(src.reshape(-1), idx)
-    return out[out != 0]
+    width = int(np.take(_TEMPLATE_WIDTH, cls, out=work.width, mode="clip").max())
+    shape = (len(x), width)
+    idx = work.idx[: len(x) * width].reshape(shape)
+    np.take(work.templates_of_width(width), cls, axis=0, out=idx, mode="clip")
+    idx += work.base
+    chars = work.chars[: idx.size].reshape(shape)
+    np.take(src.reshape(-1), idx, out=chars, mode="clip")
+    keep = np.not_equal(chars, 0, out=work.keep[: idx.size].reshape(shape))
+    return chars[keep]
 
 
-def repr_table(rows: np.ndarray, head: str = "") -> str:
-    """``head`` followed by the CSV body of a 2-D float table: each cell's
-    repr, ',' between the cells of a row and '\\n' after each row.
+def write_table(file, columns) -> None:
+    """Write the CSV body of a float table, given as equal-length 1-D
+    columns, to the binary ``file``: each cell's repr, ',' between the cells
+    of a row and '\\n' after each row.
 
-    The head's UTF-8 bytes go into the same buffer as the body's, so the
-    text is decoded once and never copied to be joined."""
-    rows = np.asarray(rows, dtype=np.float64)
-    _, n_cols = rows.shape
-    cells = rows.reshape(-1)
-    block = max(1, _CHUNK_CELLS // n_cols) * n_cols  # whole rows
-    n = min(block, cells.size)
-    row = np.frombuffer(_SOURCE.replace(" ", "\0").encode() + b"\0", np.uint8)
-    src = np.tile(row, (n, 1))  # 32 bytes a row, so that the quads align
-    separators = np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)
-    src[:, _SOURCE.index(",")] = np.resize(separators, n)
-    base = (np.arange(n, dtype=np.int32) * src.shape[1])[:, None]
-    head_bytes = head.encode()
-    end = len(head_bytes)
-    text = np.empty(end + cells.size * _WIDTH, np.uint8)
-    text[:end] = np.frombuffer(head_bytes, np.uint8)
-    for start in range(0, cells.size, block):
-        x = cells[start : start + block]
-        chars = _render(x, src[: len(x)], base[: len(x)])
-        text[end : end + len(chars)] = chars
-        end += len(chars)
-    return str(memoryview(text)[:end], "utf-8")
+    Each chunk of rows is gathered from the columns into the scratch set and
+    its bytes are written as soon as they are rendered, so the table is
+    never copied whole and its text never held whole."""
+    n_cols, n_rows = len(columns), len(columns[0])
+    block = max(1, _CHUNK_CELLS // n_cols)  # rows a chunk
+    work = None
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        if work is None or len(work.rows) != stop - start:  # the first and the last chunk
+            del work  # so that the last chunk's set replaces the first's
+            work = _Scratch(stop - start, n_cols)
+        for j, column in enumerate(columns):
+            work.rows[:, j] = column[start:stop]
+        file.write(_render(work.rows.reshape(-1), work))

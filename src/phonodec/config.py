@@ -330,7 +330,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
         sweep_min = _frequency("sweep_omega_min_rad_per_s", sweep_min)
         sweep_max = _number("sweep_omega_max_rad_per_s", sweep_max, positive=True)
         if sweep_max <= sweep_min:
-            raise ConfigError("sweep_omega_max_rad_per_s must exceed the minimum")
+            raise ConfigError(
+                "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s: the maximum"
+                f" must exceed the minimum (got {sweep_min!r} and {sweep_max!r})"
+            )
     if not isinstance(sweep_speeds, (list, tuple)):
         raise ConfigError("sweep_speeds_of_sound_m_per_s: expected a list")
     sweep_speeds = tuple(

@@ -3,15 +3,18 @@
 Output is plain CSV with a commented header carrying every physical input
 and derived rate in SI-annotated keys.  Every number is written as its repr
 so a fixed config produces byte-identical files: a trajectory's float table
-above ``SMALL_TABLE_CELLS`` by ``_repr.repr_table``, a numpy kernel whose
-text equals repr cell for cell and which also places the header, and every
-other table cell by cell (a sweep's cells may be ``none``).
+above ``SMALL_TABLE_CELLS`` by ``_repr.write_table``, a numpy kernel whose
+text equals repr cell for cell and which writes each chunk to the file as it
+is rendered, and every other table cell by cell (a sweep's cells may be
+``none``).
 """
 
 from __future__ import annotations
 
+import io
 import math
 import operator
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -139,12 +142,14 @@ def rates_report(config: ScenarioConfig) -> str:
 
 
 class Run(NamedTuple):
-    """A table with its metadata header: an all-float array (trajectory) or
-    a list of row tuples whose cells may be None (sweep)."""
+    """A table with its metadata header.  A trajectory's ``rows`` are its
+    float columns, a tuple of 1-D arrays that the writer interleaves chunk by
+    chunk, so that the table is never copied whole; a sweep's are a list of
+    row tuples whose cells may be None."""
 
     header: dict
     columns: tuple[str, ...]
-    rows: np.ndarray | list[tuple]
+    rows: tuple[np.ndarray, ...] | list[tuple]
 
 
 def run_trajectory(config: ScenarioConfig) -> Run:
@@ -168,7 +173,7 @@ def run_trajectory(config: ScenarioConfig) -> Run:
             f" and mu_inf {rate.mu_inf!r}"
         ) from None
     header = {"kind": "trajectory", **run_header(config, params, rate, n0, metrics)}
-    rows = np.column_stack([metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation])
+    rows = (metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation)
     return Run(
         header=header, columns=("t_s", "mu", "tau", "r", "occupation"), rows=rows
     )
@@ -364,32 +369,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The most cells of a float table that ``to_csv`` writes cell by cell, one
+# The most cells of a float table that is written cell by cell, one
 # chunk of ``_repr``: below it, importing the kernel costs more than the
 # ``repr`` of every cell (a 500-point trajectory has 2 500).
 SMALL_TABLE_CELLS = 8192
 
 
-def to_csv(run: Run) -> str:
-    """Render a run as CSV text with a commented metadata header.
-
-    A large trajectory's header lines are written into ``repr_table``'s
-    buffer ahead of its float table, so the text is decoded once and not
-    joined.
-    """
+def _write(run: Run, file) -> None:
+    """Write a run as CSV with a commented metadata header to the binary
+    ``file``: a large trajectory's float table chunk by chunk as
+    ``_repr.write_table`` renders it, any other table as one text."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
     head = "\n".join(lines) + "\n"
     rows, cell = run.rows, _fmt
-    if isinstance(rows, np.ndarray):
-        if rows.size > SMALL_TABLE_CELLS:
-            from ._repr import repr_table  # only a large trajectory pays its import
+    if isinstance(rows, tuple):  # a trajectory's float columns
+        if len(rows) * len(rows[0]) > SMALL_TABLE_CELLS:
+            from ._repr import write_table  # only a large trajectory pays its import
 
-            return repr_table(rows, head)
-        rows, cell = rows.tolist(), repr  # the text repr_table gives
-    return head + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+            file.write(head.encode())
+            write_table(file, rows)
+            return
+        rows, cell = zip(*(column.tolist() for column in rows)), repr  # write_table's text
+    file.write((head + "".join(",".join(map(cell, row)) + "\n" for row in rows)).encode())
+
+
+def to_csv(run: Run) -> str:
+    """The CSV text that ``write_csv`` writes for a run."""
+    buffer = io.BytesIO()
+    _write(run, buffer)
+    return buffer.getvalue().decode()
 
 
 def write_csv(run: Run, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(to_csv(run))
+    """Write a run's CSV to ``path``.  A render or write that fails removes
+    the file it had begun, so no truncated CSV is left behind."""
+    file = open(path, "wb")
+    try:
+        with file:
+            _write(run, file)
+    except BaseException:
+        os.remove(path)
+        raise

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phonodec
-from phonodec import verify
+from phonodec import _repr, verify
 from phonodec.bec import thermal_occupation
 from phonodec.cli import main as cli_main
 
@@ -1126,3 +1126,43 @@ def test_a_lone_sweep_frequency_key_names_the_missing_one(tmp_path, given, missi
     code, stdout, stderr = run_cli_in_process("rates", "--preset", "fig1", "--config", str(cfg))
     assert (code, stdout) == (2, "")
     assert stderr == f"error: {missing}: required when {given} is set\n"
+
+
+@pytest.mark.parametrize("minimum", ["1e4", "1e5"])
+def test_a_sweep_range_whose_maximum_is_not_above_its_minimum_names_both_keys(
+    tmp_path, minimum
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"sweep_omega_min_rad_per_s": {minimum}}}')
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run_cli_in_process(
+        "sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s: the maximum"
+        f" must exceed the minimum (got {float(minimum)!r} and 10000.0)\n"
+    )
+
+
+def test_a_render_that_fails_after_its_first_chunk_leaves_no_csv(tmp_path, monkeypatch):
+    # the first chunk has reached the file when the second fails; the CLI
+    # prints one error line and removes the truncated CSV
+    out = tmp_path / "trajectory.csv"
+    sizes = []  # of the file, as each chunk starts
+    render = _repr._render
+
+    def render_one_chunk(x, work):
+        sizes.append(out.stat().st_size)
+        if len(sizes) > 1:
+            raise MemoryError("no memory for the second chunk")
+        return render(x, work)
+
+    monkeypatch.setattr(_repr, "_render", render_one_chunk)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"time_points": 5000}')
+    code, stdout, stderr = run_cli_in_process(
+        "trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stdout, stderr) == (2, "", "error: no memory for the second chunk\n")
+    assert sizes[1] > 100_000 and not out.exists()

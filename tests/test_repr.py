@@ -1,14 +1,23 @@
 """The float-table renderer against Python's repr, cell for cell."""
 
+import io
 import math
 
 import numpy as np
 
-from phonodec._repr import _CHUNK_CELLS, repr_table
+from phonodec._repr import _CHUNK_CELLS, write_table
+from phonodec.runs import Run, to_csv
 
 
 def reference(table: np.ndarray) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+def repr_table(table: np.ndarray) -> str:
+    """What the kernel writes for a 2-D table, as text."""
+    file = io.BytesIO()
+    write_table(file, table.T)
+    return file.getvalue().decode()
 
 
 def significant_digits(x: float) -> int:
@@ -57,8 +66,8 @@ def test_chunks_of_different_widths():
 
 
 def test_head_precedes_the_table():
-    head = "# flags = ω ≥ 1e3 rad/s\nt_s,mu\n"
-    table = np.array([[0.0, 1.0], [2.5, -3e-300]])
-    assert repr_table(table, head) == head + reference(table)
-    assert repr_table(np.empty((0, 2)), head) == head
+    # a large table's head goes to the file ahead of the kernel's chunks
+    table = np.arange(2.0 * _CHUNK_CELLS).reshape(-1, 2) / 7.0
+    run = Run(header={"flags": "ω ≥ 1e3 rad/s"}, columns=("t_s", "mu"), rows=tuple(table.T))
+    assert to_csv(run) == "# flags = ω ≥ 1e3 rad/s\nt_s,mu\n" + reference(table)
     assert repr_table(np.empty((0, 2))) == ""

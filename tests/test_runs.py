@@ -3,6 +3,7 @@ the CSV bytes of the shipped presets, and the sweep's root finder."""
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -23,7 +24,6 @@ from phonodec.damping import (
     split_rates,
 )
 from phonodec import _repr, runs
-from phonodec._repr import repr_table
 from phonodec.runs import (
     Run,
     brentq,
@@ -32,6 +32,7 @@ from phonodec.runs import (
     run_sweep,
     run_trajectory,
     to_csv,
+    write_csv,
 )
 
 FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
@@ -188,8 +189,18 @@ def row_by_row_csv(run: Run) -> str:
     """The reference renderer: one repr-joined line per row."""
     lines = [f"# {key} = {value}" for key, value in run.header.items()]
     lines.append(",".join(run.columns))
-    lines.extend(",".join(map(repr, row)) for row in run.rows.tolist())
+    rows = zip(*(column.tolist() for column in run.rows))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def table_run(table: np.ndarray) -> Run:
+    """A trajectory-like run of a 2-D float table, given by its columns."""
+    return Run(
+        header={"kind": "trajectory", "gamma_per_s": 0.7396522778206445},
+        columns=tuple(f"c{i}" for i in range(table.shape[1])),
+        rows=tuple(table.T),
+    )
 
 
 # signed zeros, infinities, nan, the subnormal range, the points where
@@ -214,38 +225,73 @@ TABLES = hnp.arrays(
 @given(TABLES)
 @example(np.array([EDGE_FLOATS[:6], EDGE_FLOATS[6:12], EDGE_FLOATS[12:18]]))
 def test_table_csv_equals_the_row_by_row_reference(table):
-    run = Run(
-        header={"kind": "trajectory", "gamma_per_s": 0.7396522778206445},
-        columns=tuple(f"c{i}" for i in range(table.shape[1])),
-        rows=table,
-    )
+    run = table_run(table)
     assert to_csv(run) == row_by_row_csv(run)
+
+
+def edge_table(n_rows: int, n_cols: int) -> np.ndarray:
+    """Random float bits in ``n_rows`` rows, starting with EDGE_FLOATS."""
+    rng = np.random.default_rng(20)
+    table = rng.integers(0, 2**64, size=n_rows * n_cols, dtype=np.uint64).view(np.float64)
+    table[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    return table.reshape(n_rows, n_cols)
 
 
 @pytest.mark.parametrize("extra_rows", [0, 1])
 def test_table_csv_at_the_small_table_limit_equals_the_kernel(monkeypatch, extra_rows):
     # SMALL_TABLE_CELLS cells go cell by cell, one row more through
-    # _repr.repr_table; both give the kernel's bytes
+    # _repr.write_table; both give the row-by-row reference's bytes
     n_cols = 4
     n_rows = runs.SMALL_TABLE_CELLS // n_cols + extra_rows
-    rng = np.random.default_rng(20)
-    table = rng.integers(0, 2**64, size=n_rows * n_cols, dtype=np.uint64).view(np.float64)
-    table[: len(EDGE_FLOATS)] = EDGE_FLOATS
-    table = table.reshape(n_rows, n_cols)
-    run = Run(
-        header={"kind": "trajectory"},
-        columns=tuple(f"c{i}" for i in range(n_cols)),
-        rows=table,
-    )
+    run = table_run(edge_table(n_rows, n_cols))
     calls = []
+    write_table = _repr.write_table
 
-    def spy(rows, head=""):
-        calls.append(rows.size)
-        return repr_table(rows, head)
+    def spy(file, columns):
+        calls.append(len(columns) * len(columns[0]))
+        write_table(file, columns)
 
-    monkeypatch.setattr(_repr, "repr_table", spy)
-    assert to_csv(run) == repr_table(table, "# kind = trajectory\nc0,c1,c2,c3\n")
+    monkeypatch.setattr(_repr, "write_table", spy)
+    assert to_csv(run) == row_by_row_csv(run)
     assert calls == ([n_rows * n_cols] if extra_rows else [])
+
+
+# to_csv's text, which the benchmark's tracer encodes, against write_csv's
+# file: the presets, the 1e5-point fig1, and a table past the small-table
+# limit whose row count does not divide the kernel's chunk
+WRITTEN_RUNS = {
+    "fig1": lambda: run_trajectory(preset_config("fig1")),
+    "fig2": lambda: run_sweep(preset_config("fig2")),
+    "fig1_1e5_points": lambda: run_trajectory(
+        preset_config("fig1", {"time_points": 100000})
+    ),
+    "edge_floats": lambda: table_run(edge_table(runs.SMALL_TABLE_CELLS // 5 + 3, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN_RUNS))
+def test_write_csv_writes_the_bytes_of_to_csv(case, tmp_path):
+    run = WRITTEN_RUNS[case]()
+    if case == "edge_floats":
+        chunk_rows = _repr._CHUNK_CELLS // 5
+        assert len(run.rows[0]) > chunk_rows and len(run.rows[0]) % chunk_rows
+    path = tmp_path / "x.csv"
+    write_csv(run, path)
+    assert path.read_bytes() == to_csv(run).encode("utf-8")
+
+
+def test_writing_a_large_trajectory_holds_less_than_its_text(tmp_path):
+    # the kernel writes each chunk as it renders it, so neither the CSV text
+    # nor a copy of the table is held whole
+    run = run_trajectory(preset_config("fig1", {"time_points": 100000}))
+    path = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        write_csv(run, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 # (f, a, b) bracketing problems: polynomial, tanh and exp roots
