@@ -20,7 +20,8 @@ class CondensateParams:
     """Physical parameters of a uniform three-dimensional condensate.
 
     Exactly one of ``speed_of_sound`` / ``density`` must be supplied; the
-    other is derived from c_s^2 = g n / m with g = 4 pi hbar^2 a / m.
+    other is derived from c_s^2 = g n / m with g = 4 pi hbar^2 a / m, where
+    c_s^2 is the product c_s c_s (inf, not OverflowError, past the float range).
 
     Parameters
     ----------
@@ -55,9 +56,7 @@ class CondensateParams:
             )
         g = self.coupling
         if given_c:
-            object.__setattr__(
-                self, "density", self.mass * self.speed_of_sound**2 / g
-            )
+            object.__setattr__(self, "density", self.chemical_potential / g)
         else:
             object.__setattr__(
                 self, "speed_of_sound", math.sqrt(g * self.density / self.mass)
@@ -71,7 +70,7 @@ class CondensateParams:
     @property
     def chemical_potential(self) -> float:
         """mu = g n = m c_s^2, in J."""
-        return self.mass * self.speed_of_sound**2
+        return self.mass * (self.speed_of_sound * self.speed_of_sound)
 
     @property
     def critical_temperature(self) -> float:

@@ -140,6 +140,8 @@ plot {plots}
 
 
 def _cmd_plotscript(args) -> int:
+    if args.out is not None and args.out.suffix == ".gp":  # the script's own path
+        raise ValueError(f"--out: {args.out} ends in .gp, the gnuplot script's suffix")
     run, csv_path = _write_table(args, args.kind)
     gp_path = csv_path.with_suffix(".gp")
     if args.kind == "trajectory":

@@ -356,14 +356,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
     # give positive normal floats for what the outputs divide by: g, n,
     # mu = m c_s^2 and m n hbar^3 c_s^5 (the smaller of the closed forms'
     # denominators; the other is m n c_s^5) in the rates, and L3 n^2 in the
-    # three-body half-life.  Each is computed in bec's order with products
-    # for **, which raises OverflowError where a product gives inf; so this
-    # comes before any CondensateParams, which squares c_s with **.
+    # three-body half-life.  Each dilute condensate is built as the verbs
+    # build it, and its own n, c_s and mu are the numbers checked.
     m, a = constants["mass_kg"], constants["scattering_length_m"]
     coupling = 4.0 * math.pi * HBAR**2 * a  # g before the division by m
     _check_normal(("scattering_length_m",), "4 pi hbar^2 a", coupling, "")
-    g = coupling / m
-    _check_normal(("mass_kg", "scattering_length_m"), "g = 4 pi hbar^2 a / m", g, "")
+    _check_normal(
+        ("mass_kg", "scattering_length_m"), "g = 4 pi hbar^2 a / m", coupling / m, ""
+    )
+    built = []
     for key, speed, density in condensates:
         at = f" at {speed if density is None else density!r}"
         if density is None:  # n = m c_s^2 / g = m^2 c_s^2 / (4 pi hbar^2 a)
@@ -376,25 +377,20 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 f"{key}: the gas parameter n a^3 = {gas:.4g}{at} is not below 1;"
                 " Bogoliubov theory needs n a^3 << 1"
             )
+        params = CondensateParams(
+            m, a, temperature, speed_of_sound=speed or 0.0, density=density or 0.0
+        )
         sets_c = (key, "mass_kg", "scattering_length_m")  # the keys setting c_s
-        if density is None:
-            density, sets_n = m * (speed * speed) / g, sets_c
-        else:
-            speed, sets_n = math.sqrt(g * density / m), (key,)
+        sets_n = sets_c if density is None else (key,)
+        density, speed = params.density, params.speed_of_sound
         _check_normal(sets_n, "n", density, at)
-        _check_normal(sets_c, "m c_s^2", m * (speed * speed), at)
+        _check_normal(sets_c, "m c_s^2", params.chemical_potential, at)
         c5 = speed * speed * speed * speed * speed
         _check_normal(sets_c, "m n hbar^3 c_s^5", m * density * HBAR**3 * c5, at)
         l3_n2 = constants["three_body_l3_m6_per_s"] * density * density
         _check_normal((*sets_n, "three_body_l3_m6_per_s"), "L3 n^2", l3_n2, at)
+        built.append(params)
 
-    # every condensate the config sets, built as the verbs build it
-    built = [
-        CondensateParams(
-            m, a, temperature, speed_of_sound=speed or 0.0, density=density or 0.0
-        )
-        for _, speed, density in condensates
-    ]
     # the Bogoliubov rates need a condensate at every density the config
     # sets; the slowest speed of sound has the lowest density and T_c
     sparsest = min(built, key=lambda params: params.density)
@@ -408,13 +404,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     # the highest frequency each condensate runs at: the mode frequency on
     # the config's own, the sweep's top on each sweep speed of sound, or on
-    # the own speed of sound without a list
+    # the config's own without a list
     _check_rate_in_range("mode_frequency_rad_per_s", omega_q, built[0], rate_source)
     if sweep_max is not None:
-        swept = built[1:] or [
-            CondensateParams(m, a, temperature, speed_of_sound=built[0].speed_of_sound)
-        ]
-        for params in swept:
+        for params in built[1:] or built[:1]:
             _check_rate_in_range(
                 "sweep_omega_max_rad_per_s", sweep_max, params, rate_source
             )

@@ -273,18 +273,21 @@ def brentq(
 
 
 def run_sweep(config: ScenarioConfig) -> Run:
-    """Decoherence time vs mode frequency for each configured speed of sound.
+    """Decoherence time vs mode frequency at each listed speed of sound,
+    slowest first, or with none listed at the config's own condensate.
 
     Rows where the purity-minimum time exceeds the condensate half-life are
     flagged truncated (three-body loss dominates there); the crossing
     frequency is root-found per speed and reported in the header.
     """
     if not config.has_sweep():
-        raise ValueError("config carries no sweep range")
-    speeds = config.sweep_speeds_of_sound_m_per_s
-    if not speeds:
-        speeds = (config.condensate().speed_of_sound,)
-    speeds = tuple(sorted(speeds))
+        raise ValueError(
+            "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s: required by sweep"
+        )
+    condensates = [
+        config.condensate(speed_of_sound=c_s)
+        for c_s in sorted(config.sweep_speeds_of_sound_m_per_s)
+    ] or [config.condensate()]
     omegas = np.geomspace(
         config.sweep_omega_min_rad_per_s,
         config.sweep_omega_max_rad_per_s,
@@ -295,8 +298,8 @@ def run_sweep(config: ScenarioConfig) -> Run:
 
     rows: list[tuple] = []
     truncation: dict[float, float | None] = {}
-    for c_s in speeds:
-        params = config.condensate(speed_of_sound=c_s)
+    for params in condensates:
+        c_s = params.speed_of_sound
         t_half = half_life(params.density, config.three_body_l3_m6_per_s)
 
         def t_min_of(rate: DampingResult) -> float | None:
@@ -342,8 +345,8 @@ def run_sweep(config: ScenarioConfig) -> Run:
         "sweep_omega_max_rad_per_s": config.sweep_omega_max_rad_per_s,
         "sweep_points": config.sweep_points,
     }
-    for c_s in speeds:
-        header[f"truncation_omega_rad_per_s[c_s={c_s!r}]"] = truncation[c_s]
+    for c_s, omega in truncation.items():
+        header[f"truncation_omega_rad_per_s[c_s={c_s!r}]"] = omega
     return Run(
         header=header,
         columns=(

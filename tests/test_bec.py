@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from condensates import rb87
 from phonodec.bec import CondensateParams, thermal_occupation
 from phonodec.constants import HBAR, K_B
 
@@ -64,3 +65,13 @@ def test_params_validation():
             mass=1e-25, scattering_length=5e-9, temperature=-1e-9,
             speed_of_sound=1e-3,
         )
+
+
+def test_the_squares_of_the_speed_of_sound_are_products():
+    # c_s**2 is libm's pow, which raised OverflowError at 1e200 m/s and is
+    # not the correctly rounded square at 5.763 mm/s
+    for c in (5.763e-3, 1e200):
+        p = rb87(0.0, c)
+        assert p.density == p.mass * (c * c) / p.coupling
+        assert p.chemical_potential == p.mass * (c * c)
+    assert rb87(0.0, 1e200).density == math.inf

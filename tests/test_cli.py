@@ -20,6 +20,7 @@ import phonodec
 from phonodec import _repr, verify
 from phonodec.bec import thermal_occupation
 from phonodec.cli import main as cli_main
+from phonodec.constants import HBAR, RB87
 
 # the source tree under test, so the child process imports the same package
 SRC = str(Path(phonodec.__file__).resolve().parent.parent)
@@ -1166,3 +1167,46 @@ def test_a_render_that_fails_after_its_first_chunk_leaves_no_csv(tmp_path, monke
     )
     assert (code, stdout, stderr) == (2, "", "error: no memory for the second chunk\n")
     assert sizes[1] > 100_000 and not out.exists()
+
+
+def test_plotscript_rejects_an_out_path_that_its_script_would_overwrite(tmp_path):
+    # the gnuplot script goes to the CSV's path with the suffix .gp
+    code, stdout, stderr = run_cli_in_process(
+        "plotscript", "--preset", "fig1", "--out", str(tmp_path / "plot.gp")
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"error: --out: {tmp_path / 'plot.gp'} ends in .gp, the gnuplot script's suffix\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", [["sweep"], ["plotscript", "--kind", "sweep"]])
+def test_a_sweep_without_a_range_names_both_keys(tmp_path, verb):
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run_cli_in_process(*verb, "--preset", "fig1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s: required by sweep\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rates_and_the_header_square_the_speed_of_sound_as_a_product(tmp_path):
+    # c_s**2 is not the correctly rounded square at this speed
+    c = 5.763e-3
+    m, a = RB87["mass_kg"], RB87["scattering_length_m"]
+    g = 4.0 * math.pi * HBAR**2 * a / m
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"speed_of_sound_m_per_s": {c!r}}}')
+    code, stdout, stderr = run_cli_in_process("rates", "--preset", "fig1", "--config", str(cfg))
+    assert (code, stderr) == (0, "")
+    report = dict(line.split(maxsplit=1) for line in stdout.splitlines())
+    assert report["density_per_m3"] == repr(m * (c * c) / g) == "9.321161598092851e+20"
+    out = tmp_path / "t.csv"
+    code, _, stderr = run_cli_in_process(
+        "trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    header = read_header(out)
+    assert header["chemical_potential_J"] == repr(m * (c * c)) == "4.793050354267609e-30"

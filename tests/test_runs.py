@@ -34,6 +34,7 @@ from phonodec.runs import (
     to_csv,
     write_csv,
 )
+from phonodec.three_body import half_life
 
 FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
 
@@ -406,3 +407,52 @@ def test_rates_at_a_sweep_frequency_prints_the_sweep_gamma():
         )
         report = dict(line.split(maxsplit=1) for line in rates_report(at_row).splitlines())
         assert report["gamma_per_s"] == gamma
+
+
+@settings(max_examples=25, deadline=None)
+@given(density=st.floats(17.0, 22.0).map(lambda exponent: 10.0**exponent))
+@example(density=2.0e20)
+def test_a_density_sweep_without_speeds_runs_at_the_configured_density(density):
+    # the sweep's condensate is the one rates prints, not one rebuilt from
+    # its derived speed of sound, whose density rounds differently
+    config = preset_config(
+        "fig2",
+        {
+            "speed_of_sound_m_per_s": None,
+            "density_per_m3": density,
+            "sweep_speeds_of_sound_m_per_s": [],
+            "temperature_K": 0.0,
+            "sweep_points": 5,
+        },
+    )
+    t_half = half_life(density, config.three_body_l3_m6_per_s)
+    report = dict(line.split(maxsplit=1) for line in rates_report(config).splitlines())
+    assert report["three_body_half_life_s"] == repr(t_half)
+    run = run_sweep(config)
+    c_s = config.condensate().speed_of_sound
+    assert [row[0] for row in run.rows] == [c_s] * 5
+    assert [row[4].hex() for row in run.rows] == [t_half.hex()] * 5
+    assert f"truncation_omega_rad_per_s[c_s={c_s!r}]" in run.header
+
+
+def test_a_density_sweep_with_speeds_runs_at_the_listed_speeds():
+    speeds = [6.8e-3, 1.7e-3]
+    config = preset_config(
+        "fig2",
+        {
+            "speed_of_sound_m_per_s": None,
+            "density_per_m3": 2.0e20,
+            "sweep_speeds_of_sound_m_per_s": speeds,
+            "sweep_points": 5,
+        },
+    )
+    run = run_sweep(config)
+    assert [row[0] for row in run.rows] == [1.7e-3] * 5 + [6.8e-3] * 5
+    for row in run.rows:
+        density = config.condensate(speed_of_sound=row[0]).density
+        assert row[4] == half_life(density, config.three_body_l3_m6_per_s)
+    crossings = [key for key in run.header if key.startswith("truncation_omega")]
+    assert crossings == [
+        "truncation_omega_rad_per_s[c_s=0.0017]",
+        "truncation_omega_rad_per_s[c_s=0.0068]",
+    ]
