@@ -130,12 +130,16 @@ def _initial_state_is_finite(
     return True
 
 
+def _names(keys: tuple[str, ...]) -> str:
+    """``keys`` as the key part of an error line: "a, b and c"."""
+    return f"{', '.join(keys[:-1])} and {keys[-1]}" if len(keys) > 1 else keys[0]
+
+
 def _check_normal(keys: tuple[str, ...], name: str, value: float, at: str) -> None:
     """ConfigError naming ``keys`` unless ``value`` is a positive normal float."""
     if not sys.float_info.min <= value <= sys.float_info.max:
-        names = f"{', '.join(keys[:-1])} and {keys[-1]}" if len(keys) > 1 else keys[0]
         raise ConfigError(
-            f"{names}: {name} = {value:.4g}{at} is not a positive normal float"
+            f"{_names(keys)}: {name} = {value:.4g}{at} is not a positive normal float"
             " (the rates or the three-body half-life divide by it)"
         )
 
@@ -367,6 +371,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     built = []
     for key, speed, density in condensates:
         at = f" at {speed if density is None else density!r}"
+        sets_c = (key, "mass_kg", "scattering_length_m")  # the keys setting c_s
+        sets_n = sets_c if density is None else (key,)
+        sets_gas = sets_c if density is None else (key, "scattering_length_m")  # n a^3
         if density is None:  # n = m c_s^2 / g = m^2 c_s^2 / (4 pi hbar^2 a)
             x = m * speed * a / HBAR
             gas = x * x / (4.0 * math.pi)
@@ -374,14 +381,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
             gas = density * a * a * a
         if not gas < 1.0:
             raise ConfigError(
-                f"{key}: the gas parameter n a^3 = {gas:.4g}{at} is not below 1;"
-                " Bogoliubov theory needs n a^3 << 1"
+                f"{_names(sets_gas)}: the gas parameter n a^3 = {gas:.4g}{at} is"
+                " not below 1; Bogoliubov theory needs n a^3 << 1"
             )
         params = CondensateParams(
             m, a, temperature, speed_of_sound=speed or 0.0, density=density or 0.0
         )
-        sets_c = (key, "mass_kg", "scattering_length_m")  # the keys setting c_s
-        sets_n = sets_c if density is None else (key,)
         density, speed = params.density, params.speed_of_sound
         _check_normal(sets_n, "n", density, at)
         _check_normal(sets_c, "m c_s^2", params.chemical_potential, at)

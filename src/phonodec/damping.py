@@ -139,37 +139,30 @@ class DampingResult(NamedTuple):
         return 1.0 / (1.0 + 2.0 * self.n_thermal)
 
 
-def _quantum_region(theta: float, eps: float) -> bool:
-    return theta < QUANTUM_RATIO * eps
-
-
-def _high_temperature_region(theta: float, eps: float) -> bool:
-    return theta > THERMAL_RATIO and 1.0 > THERMAL_RATIO * eps
-
-
-def _low_temperature_region(theta: float, eps: float) -> bool:
-    return 1.0 > THERMAL_RATIO * theta and theta > THERMAL_RATIO * eps
-
-
-def _warn_regime(message: str) -> None:
-    warnings.warn(message, RegimeWarning, stacklevel=3)
+def _nearest_closed_form(theta: float, eps: float) -> tuple[str, bool]:
+    """(regime, strict): the closed form nearest the mode at theta = k_B T / mu
+    and eps = hbar w_q / mu, and whether the mode lies in that form's strict
+    region.  This is the one rule for the closed forms' regions (thresholds
+    are this implementation's reading of "<<"/">>"): ``quantum`` for
+    k_B T / hbar w_q < QUANTUM_RATIO, its strict region; otherwise
+    ``thermal_high`` on the k_B T > mu side, strict for k_B T / mu and
+    mu / hbar w_q above THERMAL_RATIO, and ``thermal_low`` on the other,
+    strict for mu / k_B T and k_B T / hbar w_q above THERMAL_RATIO."""
+    if theta < QUANTUM_RATIO * eps:
+        return "quantum", True
+    if theta > 1.0:
+        return "thermal_high", theta > THERMAL_RATIO and 1.0 > THERMAL_RATIO * eps
+    return "thermal_low", 1.0 > THERMAL_RATIO * theta and theta > THERMAL_RATIO * eps
 
 
 def gamma_beliaev_asymptotic(omega_q: float, params: CondensateParams) -> float:
     """Spontaneous-decay rate (3/640pi) hbar w^5 / (m n c^5) [1 + (k_B T/hbar w)^3].
 
-    Valid for k_B T << hbar w_q with w_q on the phonon branch; evaluating
-    outside that region emits a RegimeWarning but still returns the formula.
+    Valid for k_B T << hbar w_q with w_q on the phonon branch.  Like the
+    two collisional forms, a formula only: ``select_regime`` decides where
+    it applies and warns outside that region.
     """
-    if omega_q <= 0:
-        raise ValueError("frequency must be positive")
-    kt, e_q = K_B * params.temperature, HBAR * omega_q
-    ratio = kt / e_q
-    if not _quantum_region(*condensate_units(omega_q, params)):
-        _warn_regime(
-            f"k_B T / (hbar w_q) = {ratio:.3g} is not << 1; "
-            "spontaneous-decay formula is outside its validity region"
-        )
+    ratio = K_B * params.temperature / (HBAR * omega_q)
     base = (
         3.0
         / (640.0 * math.pi)
@@ -182,20 +175,11 @@ def gamma_beliaev_asymptotic(omega_q: float, params: CondensateParams) -> float:
 
 def gamma_landau_high_temperature(omega_q: float, params: CondensateParams) -> float:
     """Collisional rate (3pi/8) (k_B T a / hbar c_s) w_q, for k_B T >> mu >> hbar w_q."""
-    if omega_q <= 0:
-        raise ValueError("frequency must be positive")
-    kt = K_B * params.temperature
-    mu = params.chemical_potential
-    if not _high_temperature_region(*condensate_units(omega_q, params)):
-        _warn_regime(
-            "high-temperature collisional formula outside its validity region "
-            f"(k_B T/mu = {kt / mu:.3g}, mu/hbar w_q = {mu / (HBAR * omega_q):.3g})"
-        )
     return (
         3.0
         * math.pi
         / 8.0
-        * kt
+        * (K_B * params.temperature)
         * params.scattering_length
         / (HBAR * params.speed_of_sound)
         * omega_q
@@ -204,21 +188,11 @@ def gamma_landau_high_temperature(omega_q: float, params: CondensateParams) -> f
 
 def gamma_landau_low_temperature(omega_q: float, params: CondensateParams) -> float:
     """Collisional rate (3pi^3/40) (k_B T)^4 / (m n hbar^3 c_s^5) w_q, for mu >> k_B T >> hbar w_q."""
-    if omega_q <= 0:
-        raise ValueError("frequency must be positive")
-    kt = K_B * params.temperature
-    mu = params.chemical_potential
-    if not _low_temperature_region(*condensate_units(omega_q, params)):
-        _warn_regime(
-            "low-temperature collisional formula outside its validity region "
-            f"(mu/k_B T = {mu / kt if kt else math.inf:.3g}, "
-            f"k_B T/hbar w_q = {kt / (HBAR * omega_q):.3g})"
-        )
     return (
         3.0
         * math.pi**3
         / 40.0
-        * kt**4
+        * (K_B * params.temperature) ** 4
         / (params.mass * params.density * HBAR**3 * params.speed_of_sound**5)
         * omega_q
     )
@@ -475,14 +449,8 @@ def regime_of(theta: float, eps: float, source: str) -> str:
     and eps = hbar w_q / mu (see ``select_regime``)."""
     if source in ("integral", "explicit"):
         return source
-    nearest = source == "asymptotic"
-    if _quantum_region(theta, eps):
-        return "quantum"
-    if theta > 1.0:
-        strict = _high_temperature_region(theta, eps)
-        return "thermal_high" if nearest or strict else "integral"
-    strict = _low_temperature_region(theta, eps)
-    return "thermal_low" if nearest or strict else "integral"
+    regime, strict = _nearest_closed_form(theta, eps)
+    return regime if strict or source == "asymptotic" else "integral"
 
 
 def select_regime(
@@ -494,14 +462,11 @@ def select_regime(
 ) -> DampingResult | list[DampingResult]:
     """Damping rate from the formula that ``source`` picks for this mode.
 
-    Regimes (thresholds are this implementation's reading of "<<"/">>"):
-    ``quantum`` for k_B T / hbar w_q < 0.3; otherwise ``thermal_high`` on the
-    k_B T > mu side and ``thermal_low`` on the other.  ``auto`` takes a
-    collisional closed form only inside its strict region (k_B T / mu > 3
-    with mu / hbar w_q > 3, or mu / k_B T > 3 with k_B T / hbar w_q > 3) and
-    falls back to the collision integrals, with a flag, elsewhere.
-    ``asymptotic`` always takes the nearest closed form, which warns with a
-    RegimeWarning outside its region.  ``integral`` always integrates.
+    ``auto`` takes the nearest closed form (``_nearest_closed_form``) only
+    inside its strict region and falls back to the collision integrals,
+    with a flag, elsewhere.  ``asymptotic`` always takes the nearest closed
+    form; outside its strict region it warns with one RegimeWarning, whose
+    text is also the result's ``flags``.  ``integral`` always integrates.
     ``explicit`` takes ``gamma_explicit`` as the net rate, with no channel
     parts.
 
@@ -515,13 +480,20 @@ def select_regime(
     omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
     if any(omega <= 0 for omega in omegas):
         raise ValueError("frequency must be positive")
-    regimes = [regime_of(*condensate_units(omega, params), source) for omega in omegas]
+    units = [condensate_units(omega, params) for omega in omegas]
+    regimes = [regime_of(theta, eps, source) for theta, eps in units]
     integrated = [omega for omega, regime in zip(omegas, regimes) if regime == "integral"]
     integrals = iter(gamma_integral(np.array(integrated), params, cfg) if integrated else ())
 
     results = []
-    for omega, regime in zip(omegas, regimes):
+    for omega, (theta, eps), regime in zip(omegas, units, regimes):
         flags: tuple[str, ...] = ()
+        if source == "asymptotic" and not _nearest_closed_form(theta, eps)[1]:
+            flags = (
+                f"{regime} closed form outside its validity region"
+                f" (k_B T/mu = {theta:.3g}, hbar w_q/mu = {eps:.3g})",
+            )
+            warnings.warn(flags[0], RegimeWarning, stacklevel=2)
         gamma_b = gamma_l = 0.0
         if regime == "quantum":
             gamma_b = gamma_beliaev_asymptotic(omega, params)

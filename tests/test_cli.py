@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib.util
 import io
 import math
 import os
@@ -411,6 +412,30 @@ def test_regime_warning_is_one_line(tmp_path):
     assert "thermal_low" in cp.stdout
     assert cp.stderr.startswith("warning: ") and cp.stderr.count("\n") == 1
     assert "damping.py" not in cp.stderr
+
+
+def test_regime_warning_is_in_flags_and_passes_the_domain_scan_filter(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "rate_source: asymptotic\n"
+        "temperature_K: 5.0e-9\n"
+        "mode_frequency_rad_per_s: 1.0e+3\n"
+    )
+    rates = run_cli("rates", "--preset", "fig1", "--config", str(cfg))
+    assert rates.returncode == 0
+    text = rates.stderr.removeprefix("warning: ").rstrip("\n")
+    assert text.startswith("thermal_low closed form outside its validity region")
+    assert f"\nflags                    {text}\n" in rates.stdout
+    out = tmp_path / "t.csv"
+    trajectory = run_cli("trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out))
+    assert (trajectory.returncode, trajectory.stderr) == (0, rates.stderr)
+    assert read_header(out)["flags"] == text
+    # the tool's filter for the warnings that asymptotic prints by design
+    tool = Path(__file__).resolve().parents[1] / "tools" / "domain_scan.py"
+    spec = importlib.util.spec_from_file_location("domain_scan", tool)
+    domain_scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(domain_scan)
+    assert domain_scan.regime_warnings_only(rates.stderr)
 
 
 def test_bare_import_loads_no_numpy_and_no_submodule():

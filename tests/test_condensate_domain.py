@@ -135,6 +135,12 @@ NOT_DILUTE = [
         "trajectory", "fig1", f"speed_of_sound_m_per_s: {DILUTE_SPEED * (1.0 + 1e-9)!r}\n",
         "speed_of_sound_m_per_s",
     ),
+    ("rates", "fig1", "mass_kg: 1.0e-22\n", "speed_of_sound_m_per_s"),
+    (
+        "rates", "fig1",
+        "speed_of_sound_m_per_s: null\ndensity_per_m3: 1.0e+20\nscattering_length_m: 1.0e-6\n",
+        "density_per_m3",
+    ),
 ]
 
 
@@ -142,7 +148,11 @@ NOT_DILUTE = [
 def test_a_gas_parameter_of_one_or_more_is_rejected(tmp_path, verb, preset, overlay, key):
     code, stdout, stderr = run(tmp_path, verb, preset, overlay)
     assert code == 2 and stdout == ""
-    assert stderr.startswith(f"error: {key}: the gas parameter n a^3 = ")
+    # every key that sets n a^3: a density and a, or a speed of sound, m and a
+    sets_gas = " and" if key == "density_per_m3" else ", mass_kg and"
+    assert stderr.startswith(
+        f"error: {key}{sets_gas} scattering_length_m: the gas parameter n a^3 = "
+    )
     assert stderr.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
 

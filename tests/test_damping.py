@@ -20,6 +20,7 @@ from phonodec.damping import (
     _energy,
     _free_ratio,
     _momentum,
+    _nearest_closed_form,
     condensate_units,
     gamma_beliaev_asymptotic,
     gamma_integral,
@@ -184,9 +185,13 @@ def test_beliaev_loglog_slope(cold_params):
 
 
 def test_beliaev_regime_flag():
+    # k_B T / hbar w_q = 13: far outside the spontaneous-decay region, so
+    # asymptotic takes the nearest collisional form, and warns
     params = rb87(100e-9)
-    with pytest.warns(RegimeWarning):
-        gamma_beliaev_asymptotic(1e3, params)
+    with pytest.warns(RegimeWarning, match="validity region") as caught:
+        res = select_regime(1e3, params, source="asymptotic")
+    assert res.regime == "thermal_low"
+    assert res.flags == (str(caught[0].message),)
 
 
 def test_landau_high_temperature_value_and_linearity():
@@ -295,6 +300,53 @@ def test_select_regime_thermal_branches():
     assert select_regime(1e3, hot).regime == "thermal_high"
     low = rb87(3e-9)
     assert select_regime(50.0, low).regime == "thermal_low"
+
+
+# One rule for the closed forms' regions: select_regime decides and warns,
+# and the closed forms are only formulas
+
+CLOSED_FORMS = (
+    gamma_beliaev_asymptotic,
+    gamma_landau_high_temperature,
+    gamma_landau_low_temperature,
+)
+
+
+def selected(omega, params, source):
+    """select_regime's result and the texts of the RegimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = select_regime(omega, params, source=source)
+    return res, [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_theta=st.floats(-3.0, 2.5), log_eps=st.floats(-3.0, 2.5))
+def test_auto_takes_a_closed_form_exactly_where_asymptotic_does_not_warn(log_theta, log_eps):
+    # the mode at theta = k_B T / mu and eps = hbar w_q / mu, in decades
+    mu = rb87(0.0).chemical_potential
+    params = rb87(10.0**log_theta * mu / K_B)
+    omega = 10.0**log_eps * mu / HBAR
+    auto, auto_warnings = selected(omega, params, "auto")
+    nearest, nearest_warnings = selected(omega, params, "asymptotic")
+    assert auto_warnings == []
+    assert nearest.regime in ("quantum", "thermal_high", "thermal_low")
+    assert (auto.regime == nearest.regime) == (nearest_warnings == [])
+    if auto.regime != nearest.regime:
+        assert auto.regime == "integral"
+    # one warning at most, and its text is the flag
+    assert len(nearest_warnings) <= 1
+    assert nearest.flags == tuple(nearest_warnings)
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS)
+def test_a_closed_form_called_directly_does_not_warn(closed_form):
+    # k_B T / mu = 0.83 and hbar w_q / mu = 0.063: outside all three regions
+    params = rb87(100e-9)
+    assert not _nearest_closed_form(*condensate_units(1e3, params))[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form(1e3, params) > 0.0
 
 
 def test_split_rate_identities(paper_params):

@@ -37,6 +37,10 @@ from phonodec.runs import (
 from phonodec.three_body import half_life
 
 FALLBACK_FLAG = "no closed form applies; rates from collision integrals"
+OUTSIDE_FLAG = (  # asymptotic at the intermediate point
+    "thermal_low closed form outside its validity region"
+    " (k_B T/mu = 0.0414, hbar w_q/mu = 0.0632)"
+)
 
 # (temperature K, mode frequency rad/s) -> (auto regime, asymptotic regime)
 POINTS = {
@@ -113,9 +117,13 @@ def test_resolve_rate_per_source(point, source):
     assert_split(res, omega, temperature)
 
     fallback = source == "auto" and regime == "integral"
-    assert res.flags == ((FALLBACK_FLAG,) if fallback else ())
-    # only the nearest-closed-form rule evaluates a formula outside its region
-    assert warned == (source == "asymptotic" and point == "intermediate")
+    # only the nearest-closed-form rule evaluates a formula outside its
+    # region; it warns, and the warning's text is the flag
+    outside = source == "asymptotic" and point == "intermediate"
+    assert res.flags == (
+        (FALLBACK_FLAG,) if fallback else (OUTSIDE_FLAG,) if outside else ()
+    )
+    assert warned == outside
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -389,6 +397,39 @@ def test_batched_resolve_rate_equals_point_calls_bit_for_bit(case, source):
                 regimes.append(res.regime)
     if source == "auto":
         assert Counter(regimes) == AUTO_REGIMES[case]
+
+
+def resolve_recording(config, params, omega):
+    """resolve_rate plus the texts of the RegimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = resolve_rate(config, params, omega)
+    return res, [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)]
+
+
+@pytest.mark.parametrize("case", ["5nK", "50nK"])
+def test_asymptotic_sweep_warns_once_per_frequency_outside_its_region(case):
+    # the frequencies outside their closed form's strict region are the ones
+    # at which auto falls back to the integrals
+    config = preset_config(
+        "fig2", {"rate_source": "asymptotic", "temperature_K": BATCH_TEMPERATURES[case]}
+    )
+    omegas = np.geomspace(
+        config.sweep_omega_min_rad_per_s,
+        config.sweep_omega_max_rad_per_s,
+        config.sweep_points,
+    )
+    warned = 0
+    for c_s in config.sweep_speeds_of_sound_m_per_s:
+        params = config.condensate(speed_of_sound=c_s)
+        batch, texts = resolve_recording(config, params, omegas)
+        assert texts == [text for res in batch for text in res.flags]
+        warned += len(texts)
+        for omega, res in zip(omegas, batch):
+            alone, alone_texts = resolve_recording(config, params, omega)
+            assert bits(res) == bits(alone)
+            assert list(res.flags) == alone_texts
+    assert warned == AUTO_REGIMES[case]["integral"]
 
 
 def test_rates_at_a_sweep_frequency_prints_the_sweep_gamma():
