@@ -20,8 +20,8 @@ from .constants import HBAR, K_B, SPECIES_PRESETS
 from .damping import (
     DEFAULT_QUADRATURE,
     RATE_SOURCES,
+    closed_form_rates,
     condensate_units,
-    gamma_beliaev_asymptotic,
     regime_of,
     split_rates,
 )
@@ -145,34 +145,22 @@ def _check_normal(keys: tuple[str, ...], name: str, value: float, at: str) -> No
 
 
 def _check_rate_in_range(
-    key: str, omega: float, params: CondensateParams, source: str
+    key: str, omega: float, params: CondensateParams, source: str, gamma_explicit: float | None
 ) -> None:
-    """ConfigError naming ``key`` unless the rate formula that ``source``
-    takes at ``omega`` (``damping.regime_of``) stays in the float range;
-    each rate grows with the frequency.
+    """ConfigError naming ``key`` unless the rate that ``source`` takes at
+    ``omega`` (``damping.regime_of``) stays in the float range.
 
-    The quantum closed form raises w to the fifth power (Python's ``**``
-    raises OverflowError above 4.476546622757235e61 rad/s, numpy's gives
-    inf) and divides by m n c_s^5, and its split multiplies by 1 + 2 N_th
-    (``split_rates`` raises OverflowError when that is not finite).  The
-    collision integrals give s G(theta, eps), which needs eps = hbar w / mu
-    finite; G stays below the larger of its free-particle law sqrt(8 pi eps)
-    and its high-temperature law (3 pi^(3/2)/4) theta eps (to 0.99999878 of
-    it, measured over theta from 1e-3 to 1e6 and eps from 1e-3 to 1e8).
+    A closed form (``damping.closed_form_rates``) or ``gamma_explicit`` must
+    be finite, and so must its split gamma (1 + 2 N_th) (``split_rates``
+    raises OverflowError), with N_th ~ k_B T / hbar w.  The collision
+    integrals give s G(theta, eps), which needs eps = hbar w / mu finite; G
+    stays below the larger of its free-particle law sqrt(8 pi eps) and its
+    high-temperature law (3 pi^(3/2)/4) theta eps (to 0.99999878 of it,
+    measured over theta from 1e-3 to 1e6 and eps from 1e-3 to 1e8).
     """
     theta, eps = condensate_units(omega, params)
     regime = regime_of(theta, eps, source)
-    if regime == "quantum":
-        try:
-            split_rates(
-                gamma_beliaev_asymptotic(omega, params), omega, params.temperature
-            )
-        except OverflowError:
-            raise ConfigError(
-                f"{key}: the quantum rate (3/640 pi) hbar w^5 / (m n c_s^5)"
-                f" overflows at {omega!r} rad/s"
-            ) from None
-    elif regime == "integral":
+    if regime == "integral":
         free = math.sqrt(8.0 * math.pi) * math.sqrt(eps)  # 8 pi eps may overflow
         law = max(free, 3.0 * math.pi**1.5 / 4.0 * theta * eps)
         if not max(eps, params.rate_scale * law) <= sys.float_info.max:
@@ -181,6 +169,17 @@ def _check_rate_in_range(
                 f" rad/s, where eps = hbar w / mu = {eps:.4g} (eps and"
                 " s max(sqrt(8 pi eps), (3 pi^(3/2)/4) theta eps) must be finite)"
             )
+        return
+    explicit = regime == "explicit"
+    try:
+        gamma = gamma_explicit if explicit else sum(closed_form_rates(regime, omega, params))
+        split_rates(gamma, omega, params.temperature)
+    except OverflowError:  # Python's ** in a closed form, or the split
+        keys = (key, "gamma_explicit_per_s", "temperature_K") if explicit else (key,)
+        raise ConfigError(
+            f"{_names(keys)}: the {regime} rate or its split gamma (1 + 2 n_th)"
+            f" leaves the float range at {omega!r} rad/s"
+        ) from None
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -407,15 +406,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
             " need a condensate"
         )
 
-    # the highest frequency each condensate runs at: the mode frequency on
-    # the config's own, the sweep's top on each sweep speed of sound, or on
-    # the config's own without a list
-    _check_rate_in_range("mode_frequency_rad_per_s", omega_q, built[0], rate_source)
+    # the frequencies each condensate runs at: the mode frequency on the
+    # config's own, and both ends of the sweep on each sweep speed of sound,
+    # or on the config's own without a list
+    checks = [("mode_frequency_rad_per_s", omega_q, built[0])]
     if sweep_max is not None:
         for params in built[1:] or built[:1]:
-            _check_rate_in_range(
-                "sweep_omega_max_rad_per_s", sweep_max, params, rate_source
-            )
+            checks.append(("sweep_omega_min_rad_per_s", sweep_min, params))
+            checks.append(("sweep_omega_max_rad_per_s", sweep_max, params))
+    for key, omega, params in checks:
+        _check_rate_in_range(key, omega, params, rate_source, gamma_explicit)
 
     return ScenarioConfig(
         species=species,

@@ -160,7 +160,7 @@ def gamma_beliaev_asymptotic(omega_q: float, params: CondensateParams) -> float:
 
     Valid for k_B T << hbar w_q with w_q on the phonon branch.  Like the
     two collisional forms, a formula only: ``select_regime`` decides where
-    it applies and warns outside that region.
+    it applies, and ``closed_form_rates`` calls it.
     """
     ratio = K_B * params.temperature / (HBAR * omega_q)
     base = (
@@ -196,6 +196,19 @@ def gamma_landau_low_temperature(omega_q: float, params: CondensateParams) -> fl
         / (params.mass * params.density * HBAR**3 * params.speed_of_sound**5)
         * omega_q
     )
+
+
+def closed_form_rates(regime: str, omega_q: float, params: CondensateParams) -> tuple[float, float]:
+    """(gamma_beliaev, gamma_landau) from the closed form ``regime`` names:
+    ``quantum`` fills the decay channel, ``thermal_high`` and ``thermal_low``
+    the collisional one, and the other channel is 0.0."""
+    if regime == "quantum":
+        return gamma_beliaev_asymptotic(omega_q, params), 0.0
+    elif regime == "thermal_high":
+        return 0.0, gamma_landau_high_temperature(omega_q, params)
+    elif regime == "thermal_low":
+        return 0.0, gamma_landau_low_temperature(omega_q, params)
+    raise ValueError(f"{regime!r} is not a closed form")
 
 
 def quad(*args, **kwargs):
@@ -495,17 +508,12 @@ def select_regime(
             )
             warnings.warn(flags[0], RegimeWarning, stacklevel=2)
         gamma_b = gamma_l = 0.0
-        if regime == "quantum":
-            gamma_b = gamma_beliaev_asymptotic(omega, params)
-        elif regime == "thermal_high":
-            gamma_l = gamma_landau_high_temperature(omega, params)
-        elif regime == "thermal_low":
-            gamma_l = gamma_landau_low_temperature(omega, params)
-        elif regime == "integral":
-            rates = next(integrals)
-            gamma_b, gamma_l = rates.gamma_beliaev, rates.gamma_landau
+        if regime == "integral":
+            gamma_b, gamma_l = next(integrals)
             if source == "auto":
                 flags = ("no closed form applies; rates from collision integrals",)
+        elif regime != "explicit":
+            gamma_b, gamma_l = closed_form_rates(regime, omega, params)
         gamma = gamma_explicit if regime == "explicit" else gamma_b + gamma_l
         gamma_1, gamma_2, gamma_total, n_th = split_rates(
             gamma, omega, params.temperature

@@ -17,13 +17,7 @@ import numpy as np
 
 from .bec import CondensateParams, beta_of
 from .constants import RB87
-from .damping import (
-    gamma_beliaev_asymptotic,
-    gamma_integral,
-    gamma_landau_high_temperature,
-    gamma_landau_low_temperature,
-    split_rates,
-)
+from .damping import closed_form_rates, gamma_integral, split_rates
 from .decoherence import metric_trajectory
 from .fock import lindblad_step_integrate, squeezed_vacuum_fock
 from .gaussian import state_from_params
@@ -95,27 +89,25 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
     return CheckResult("fock_oracle", worst, 1e-3 * tol_scale)
 
 
+# (speed of sound m/s, temperature K, omega rad/s, closed form's regime); the
+# thermal_high row is at k_B T / mu = 33.1 and hbar w / mu = 0.0632, at 0.80 T_c
+_SCALE = (0.25 / 3.4) ** 2
+RATE_INTEGRAL_CASES = (
+    (3.4e-3, 0.0, 1e2, "quantum"),
+    (3.4e-3, 3e-9, 50.0, "thermal_low"),
+    (0.25e-3, 4e-6 * _SCALE, 1e3 * _SCALE, "thermal_high"),
+)
+
+
 def check_rate_integrals(tol_scale: float = 1.0) -> CheckResult:
-    # (speed of sound m/s, temperature K, omega rad/s, gamma_integral field,
-    # closed form), built per call so the closed forms resolve to the module
-    # globals that perfbench/tracer.py wraps.  The thermal_high row is at
-    # k_B T / mu = 33.1 and hbar w / mu = 0.0632, at 0.80 T_c
-    scale = (0.25 / 3.4) ** 2
-    cases = (
-        (3.4e-3, 0.0, 1e2, "gamma_beliaev", gamma_beliaev_asymptotic),
-        (3.4e-3, 3e-9, 50.0, "gamma_landau", gamma_landau_low_temperature),
-        (0.25e-3, 4e-6 * scale, 1e3 * scale, "gamma_landau", gamma_landau_high_temperature),
-    )
     worst = 0.0
-    for speed_of_sound, temperature, omega, channel, closed_form in cases:
+    for speed_of_sound, temperature, omega, regime in RATE_INTEGRAL_CASES:
         params = CondensateParams(
-            RB87["mass_kg"],
-            RB87["scattering_length_m"],
-            temperature,
-            speed_of_sound=speed_of_sound,
+            RB87["mass_kg"], RB87["scattering_length_m"], temperature, speed_of_sound
         )
-        integral = getattr(gamma_integral(omega, params), channel)
-        worst = max(worst, abs(integral / closed_form(omega, params) - 1.0))
+        # the part that the closed form fills, against the integral's channel
+        pairs = zip(closed_form_rates(regime, omega, params), gamma_integral(omega, params))
+        worst = max(worst, *(abs(rate / part - 1.0) for part, rate in pairs if part))
     return CheckResult("integral_vs_asymptotic", worst, 0.10 * tol_scale)
 
 

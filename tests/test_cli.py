@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phonodec
-from phonodec import _repr, verify
+from phonodec import _repr, damping, verify
 from phonodec.bec import thermal_occupation
 from phonodec.cli import main as cli_main
 from phonodec.constants import HBAR, RB87
@@ -941,6 +941,52 @@ def test_a_quantum_rate_that_overflows_in_its_division_is_rejected(tmp_path):
     code, stderr, _ = run_at_top(tmp_path, "rates", "fig1", key, "asymptotic", above, slow)
     assert code == 2
     assert stderr.startswith(f"error: {key}: ") and stderr.count("\n") == 1
+
+
+# An explicit rate's split gamma (1 + 2 n_th) grows as the frequency falls: at
+# fig1's temperature n_th = 6.5e151 at 1e-150 rad/s, where the split of 1e157
+# 1/s leaves the float range.  The rule is a property of the config, so every
+# verb rejects it at the mode frequency and at the bottom of the sweep.
+EXPLICIT_LOW_KEYS = [
+    ("rates", "fig1", "mode_frequency_rad_per_s"),
+    ("trajectory", "fig1", "mode_frequency_rad_per_s"),
+    ("sweep", "fig2", "mode_frequency_rad_per_s"),
+    ("rates", "fig2", "sweep_omega_min_rad_per_s"),
+    ("trajectory", "fig2", "sweep_omega_min_rad_per_s"),
+    ("sweep", "fig2", "sweep_omega_min_rad_per_s"),
+]
+
+
+@pytest.mark.parametrize("verb, preset, key", EXPLICIT_LOW_KEYS)
+def test_an_explicit_rate_whose_split_overflows_at_a_low_frequency_is_rejected(
+    tmp_path, verb, preset, key
+):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"rate_source: explicit\ngamma_explicit_per_s: 1.0e+157\n{key}: 1.0e-150\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, stderr = run_cli_in_process(
+        verb, "--preset", preset, "--config", str(cfg), "--out", str(out)
+    )
+    assert code == 2
+    assert stderr.startswith(f"error: {key}, gamma_explicit_per_s and temperature_K: ")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+def test_domain_scan_rejects_an_explicit_rate_from_the_decade_its_split_overflows(verb):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "domain_scan.py"
+    spec = importlib.util.spec_from_file_location("domain_scan", tool)
+    domain_scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(domain_scan)
+    assert domain_scan.RATE_SOURCES is damping.RATE_SOURCES
+    base = "time_points: 5\nsweep_points: 5\nmode_frequency_rad_per_s: 1.0e-150\n"
+    scanned = domain_scan.scan(
+        "gamma_explicit_per_s", verb, "explicit", range(155, 160), base, False
+    )
+    assert scanned == ("1e157", "none")
 
 
 def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):

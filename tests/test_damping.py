@@ -21,6 +21,7 @@ from phonodec.damping import (
     _free_ratio,
     _momentum,
     _nearest_closed_form,
+    closed_form_rates,
     condensate_units,
     gamma_beliaev_asymptotic,
     gamma_integral,
@@ -196,34 +197,21 @@ def test_beliaev_regime_flag():
 
 def test_landau_high_temperature_value_and_linearity():
     params = rb87(100e-9)
-    with warnings.catch_warnings():
-        # k_B T / mu = 0.83 here, outside the strict validity region
-        warnings.simplefilter("ignore", RegimeWarning)
-        base = gamma_landau_high_temperature(1e3, params)
-        assert base == pytest.approx(24.088173262615353, rel=1e-12)
-        assert base == pytest.approx(24.0, rel=0.02)
-        assert gamma_landau_high_temperature(2e3, params) == pytest.approx(
-            2 * base, rel=1e-12
-        )
-        hot = rb87(200e-9)
-        assert gamma_landau_high_temperature(1e3, hot) == pytest.approx(
-            2 * base, rel=1e-12
-        )
+    base = gamma_landau_high_temperature(1e3, params)
+    assert base == pytest.approx(24.088173262615353, rel=1e-12)
+    assert base == pytest.approx(24.0, rel=0.02)
+    assert gamma_landau_high_temperature(2e3, params) == pytest.approx(2 * base, rel=1e-12)
+    hot = rb87(200e-9)
+    assert gamma_landau_high_temperature(1e3, hot) == pytest.approx(2 * base, rel=1e-12)
 
 
 def test_landau_low_temperature_scaling_and_golden():
     params = rb87(2e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        base = gamma_landau_low_temperature(1e2, params)
-        assert base == pytest.approx(GAMMA_L_LOW_GOLDEN, rel=1e-12)
-        doubled = rb87(4e-9)
-        assert gamma_landau_low_temperature(1e2, doubled) == pytest.approx(
-            16 * base, rel=1e-12
-        )
-        assert gamma_landau_low_temperature(1e1, params) == pytest.approx(
-            base / 10, rel=1e-12
-        )
+    base = gamma_landau_low_temperature(1e2, params)
+    assert base == pytest.approx(GAMMA_L_LOW_GOLDEN, rel=1e-12)
+    doubled = rb87(4e-9)
+    assert gamma_landau_low_temperature(1e2, doubled) == pytest.approx(16 * base, rel=1e-12)
+    assert gamma_landau_low_temperature(1e1, params) == pytest.approx(base / 10, rel=1e-12)
 
 
 def test_integral_landau_vanishes_at_zero_temperature(cold_params):
@@ -349,6 +337,30 @@ def test_a_closed_form_called_directly_does_not_warn(closed_form):
         assert closed_form(1e3, params) > 0.0
 
 
+# regime -> (formula, the channel it fills: 0 decay, 1 collisional), written
+# out here apart from damping.closed_form_rates
+CLOSED_FORM_CHANNELS = {
+    "quantum": (gamma_beliaev_asymptotic, 0),
+    "thermal_high": (gamma_landau_high_temperature, 1),
+    "thermal_low": (gamma_landau_low_temperature, 1),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CLOSED_FORM_CHANNELS))
+def test_closed_form_rates_puts_each_formula_in_its_channel(regime):
+    formula, channel = CLOSED_FORM_CHANNELS[regime]
+    params = rb87(100e-9)
+    expected = [0.0, 0.0]
+    expected[channel] = formula(1e3, params)
+    assert closed_form_rates(regime, 1e3, params) == tuple(expected)
+
+
+@pytest.mark.parametrize("regime", ["integral", "explicit", "auto"])
+def test_closed_form_rates_rejects_what_is_not_a_closed_form(regime):
+    with pytest.raises(ValueError, match="not a closed form"):
+        closed_form_rates(regime, 1e3, rb87(100e-9))
+
+
 def test_split_rate_identities(paper_params):
     for omega_q, temperature in ((1e4, 0.5e-9), (1e3, 20e-9), (1e2, 100e-9)):
         gamma = 0.7
@@ -405,10 +417,8 @@ def test_closed_forms_are_the_rate_scale_times_polynomials(temperature, omega, s
         gamma_landau_high_temperature: 3 * math.pi**1.5 / 4 * theta * eps,
         gamma_landau_low_temperature: 3 * math.pi**4.5 / 5 * theta**4 * eps,
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        for closed_form, polynomial in expected.items():
-            assert closed_form(omega, params) == pytest.approx(s * polynomial, rel=4e-15)
+    for closed_form, polynomial in expected.items():
+        assert closed_form(omega, params) == pytest.approx(s * polynomial, rel=4e-15)
 
 
 # 87Rb, and 174Yb at the scattering length of ROADMAP's Baseline

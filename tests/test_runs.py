@@ -84,10 +84,8 @@ def expected_gammas(regime, omega, params):
     if regime == "integral":
         rates = gamma_integral(omega, params)
         return rates.gamma_beliaev, rates.gamma_landau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        fn, channel = CLOSED_FORMS[regime]
-        value = fn(omega, params)
+    fn, channel = CLOSED_FORMS[regime]
+    value = fn(omega, params)
     return (value, 0.0) if channel == "gamma_beliaev" else (0.0, value)
 
 

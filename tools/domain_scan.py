@@ -38,9 +38,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from phonodec.cli import main as cli_main
+from phonodec.damping import RATE_SOURCES
 
 VERBS = ("rates", "trajectory", "sweep")
-SOURCES = ("explicit", "asymptotic", "auto", "integral")
 CONDENSATE_KEYS = (
     "speed_of_sound_m_per_s",
     "density_per_m3",
@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         # 1e-323 is the smallest decade above 0, 1e308 the largest below inf
         exponents = range(start, 309) if args.up else range(start, -324, -1)
         for verb in VERBS:
-            for source in SOURCES:
+            for source in RATE_SOURCES:
                 rejected, failure = scan(
                     key, verb, source, exponents, base, args.regime_warnings
                 )
