@@ -20,6 +20,7 @@ from .constants import HBAR, K_B, SPECIES_PRESETS
 from .damping import (
     DEFAULT_QUADRATURE,
     RATE_SOURCES,
+    QuadratureConfig,
     closed_form_rates,
     condensate_units,
     regime_of,
@@ -65,58 +66,53 @@ def _frequency(key: str, value) -> float:
 
 
 class ScenarioConfig(NamedTuple):
-    """Validated scenario: condensate, probe mode, initial state, run controls."""
+    """Validated scenario: condensate, probe mode, initial state, run controls.
+
+    It holds what ``validate_config`` built and checked, for the verbs to run
+    as it is: the condensate, one per sweep speed of sound (slowest first, or
+    ``(condensate,)`` without a list), the quadrature controls and the
+    initial state's occupation.
+    """
 
     species: str
-    mass_kg: float
-    scattering_length_m: float
-    speed_of_sound_m_per_s: float | None
-    density_per_m3: float | None
-    temperature_K: float
+    condensate: CondensateParams
     mode_frequency_rad_per_s: float
     initial_squeezing: float
     initial_purity: float
     initial_displacement: tuple[float, float]
+    initial_occupation: float
     time_max_s: float
     time_points: int
     rate_source: str
     gamma_explicit_per_s: float | None
-    quadrature_rel_tol: float
-    quadrature_max_subdivisions: int
+    quadrature: QuadratureConfig
     three_body_l3_m6_per_s: float
     sweep_omega_min_rad_per_s: float | None
     sweep_omega_max_rad_per_s: float | None
     sweep_points: int
-    sweep_speeds_of_sound_m_per_s: tuple[float, ...]
-
-    def condensate(self, speed_of_sound: float | None = None) -> CondensateParams:
-        """Condensate parameters from the resolved species constants.
-
-        ``speed_of_sound`` replaces the configured speed of sound or density.
-        """
-        c_s, n = self.speed_of_sound_m_per_s, self.density_per_m3
-        if speed_of_sound is not None:
-            c_s, n = speed_of_sound, None
-        return CondensateParams(
-            mass=self.mass_kg,
-            scattering_length=self.scattering_length_m,
-            temperature=self.temperature_K,
-            speed_of_sound=c_s or 0.0,
-            density=n or 0.0,
-        )
+    sweep_condensates: tuple[CondensateParams, ...]
 
     def has_sweep(self) -> bool:
         return self.sweep_omega_min_rad_per_s is not None
 
 
-_KNOWN_KEYS = {*ScenarioConfig._fields, "initial_thermal_occupation"}
+# the schema's keys
+_KNOWN_KEYS = {
+    "species", "mass_kg", "scattering_length_m", "speed_of_sound_m_per_s",
+    "density_per_m3", "temperature_K", "mode_frequency_rad_per_s",
+    "initial_squeezing", "initial_purity", "initial_thermal_occupation",
+    "initial_displacement", "time_max_s", "time_points", "rate_source",
+    "gamma_explicit_per_s", "quadrature_rel_tol", "quadrature_max_subdivisions",
+    "three_body_l3_m6_per_s", "sweep_omega_min_rad_per_s",
+    "sweep_omega_max_rad_per_s", "sweep_points", "sweep_speeds_of_sound_m_per_s",
+}
 
 
-def _initial_state_is_finite(
+def _initial_occupation(
     mu0: float, r0: float, d: tuple[float, float] = (0.0, 0.0)
-) -> bool:
-    """Whether gaussian.state_from_params builds the state and its occupation
-    without overflow.
+) -> float | None:
+    """The occupation of the state gaussian.state_from_params builds, or
+    None where the state or its occupation overflows.
 
     Its covariance has entries up to e^(2r)/(2 mu) and determinant
     1/(4 mu^2), and its occupation kappa^2 (Tr sigma + d.d) - 1/2 adds the
@@ -124,10 +120,9 @@ def _initial_state_is_finite(
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            state_from_params(mu0, r0, d=np.array(d)).occupation
+            return state_from_params(mu0, r0, d=np.array(d)).occupation
     except (ArithmeticError, ValueError):  # overflow; inf or nan entries
-        return False
-    return True
+        return None
 
 
 def _names(keys: tuple[str, ...]) -> str:
@@ -259,14 +254,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
         mu0 = _number("initial_purity", raw.get("initial_purity", 1.0), positive=True)
         if mu0 > 1.0:
             raise ConfigError("initial_purity: must be <= 1")
-    if not _initial_state_is_finite(mu0, r0):
+    if _initial_occupation(mu0, r0) is None:
         purity_key = (
             "initial_thermal_occupation"
             if "initial_thermal_occupation" in raw
             else "initial_purity"
         )
         alone = (("initial_squeezing", 1.0, r0), (purity_key, mu0, 0.0))
-        keys = [key for key, mu, r in alone if not _initial_state_is_finite(mu, r)]
+        keys = [key for key, mu, r in alone if _initial_occupation(mu, r) is None]
         keys = keys or ["initial_squeezing", purity_key]  # only the pair overflows
         raise ConfigError(
             f"{' and '.join(keys)}: the initial covariance overflows"
@@ -280,7 +275,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         _number("initial_displacement[0]", disp[0]),
         _number("initial_displacement[1]", disp[1]),
     )
-    if not _initial_state_is_finite(mu0, r0, disp):  # the covariance alone passed
+    occupation = _initial_occupation(mu0, r0, disp)
+    if occupation is None:  # the covariance alone passed
         raise ConfigError(
             "initial_displacement: the initial occupation overflows"
             " (kappa^2 (Tr sigma + d.d) - 1/2)"
@@ -359,8 +355,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     # give positive normal floats for what the outputs divide by: g, n,
     # mu = m c_s^2 and m n hbar^3 c_s^5 (the smaller of the closed forms'
     # denominators; the other is m n c_s^5) in the rates, and L3 n^2 in the
-    # three-body half-life.  Each dilute condensate is built as the verbs
-    # build it, and its own n, c_s and mu are the numbers checked.
+    # three-body half-life.  Each dilute condensate is built once, its own
+    # n, c_s and mu are the numbers checked, and the config holds it.
     m, a = constants["mass_kg"], constants["scattering_length_m"]
     coupling = 4.0 * math.pi * HBAR**2 * a  # g before the division by m
     _check_normal(("scattering_length_m",), "4 pi hbar^2 a", coupling, "")
@@ -408,10 +404,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     # the frequencies each condensate runs at: the mode frequency on the
     # config's own, and both ends of the sweep on each sweep speed of sound,
-    # or on the config's own without a list
+    # or on the config's own without a list, in the order the config lists
+    # them (each error prints its own eps)
+    swept = built[1:] or built[:1]
     checks = [("mode_frequency_rad_per_s", omega_q, built[0])]
     if sweep_max is not None:
-        for params in built[1:] or built[:1]:
+        for params in swept:
             checks.append(("sweep_omega_min_rad_per_s", sweep_min, params))
             checks.append(("sweep_omega_max_rad_per_s", sweep_max, params))
     for key, omega, params in checks:
@@ -419,24 +417,22 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         species=species,
-        **constants,
-        speed_of_sound_m_per_s=c_s,
-        density_per_m3=n,
-        temperature_K=temperature,
+        condensate=built[0],
         mode_frequency_rad_per_s=omega_q,
         initial_squeezing=r0,
         initial_purity=mu0,
         initial_displacement=disp,
+        initial_occupation=occupation,
         time_max_s=t_max,
         time_points=t_points,
         rate_source=rate_source,
         gamma_explicit_per_s=gamma_explicit,
-        quadrature_rel_tol=quad_tol,
-        quadrature_max_subdivisions=quad_max,
+        quadrature=QuadratureConfig(rel_tol=quad_tol, max_subdivisions=quad_max),
+        three_body_l3_m6_per_s=constants["three_body_l3_m6_per_s"],
         sweep_omega_min_rad_per_s=sweep_min,
         sweep_omega_max_rad_per_s=sweep_max,
         sweep_points=sweep_points,
-        sweep_speeds_of_sound_m_per_s=sweep_speeds,
+        sweep_condensates=tuple(sorted(swept, key=lambda params: params.speed_of_sound)),
     )
 
 

@@ -36,6 +36,11 @@ from .constants import HBAR, K_B
 QUANTUM_RATIO = 0.3  # k_B T / (hbar w_q) below this: spontaneous decay dominates
 THERMAL_RATIO = 3.0  # ">>" threshold for the collisional closed forms
 THERMAL_CUTOFF = 45.0  # collision integrals run to hbar w = cutoff * k_B T
+# The decay vertex's numerator 3 S_q S_k S_l + S_k + S_l - S_q is at most
+# about (3/16) eps^3 for phonons, summed from terms of order eps that carry
+# a few ulp of rounding each; below the eps where (3/16) eps^2 is 4 ulp it
+# is rounding noise, and b rounds to 0 at every node from about 1e-8 down.
+VERTEX_EPS_MIN = math.sqrt(64.0 / 3.0 * np.finfo(float).eps)  # 6.9e-8
 RATE_SOURCES = ("auto", "asymptotic", "integral", "explicit")
 
 
@@ -402,8 +407,15 @@ def _gamma_integral(
     integrand is each channel's net rate, downward less upward, held to
     ``cfg.rel_tol`` on its own: both channels are integrated in one
     ``gauss_kronrod`` call, each channel of each mode on an interval of its
-    own.  Each node evaluates E_k, E_l, x_l and their two S once.
+    own.  Each node evaluates E_k, E_l, x_l and their two S once.  Below
+    eps = ``VERTEX_EPS_MIN`` it raises FloatingPointError instead.
     """
+    if np.any(eps < VERTEX_EPS_MIN):  # else a silent G_B = 0, or no convergence
+        raise FloatingPointError(
+            "the decay vertex 3 S_q S_k S_l + S_k + S_l - S_q cancels below rounding"
+            f" at eps = hbar w / mu = {eps.min():.4g} (the collision integrals need"
+            f" at least {VERTEX_EPS_MIN:.2g})"
+        )
     n = len(eps)
     xq = _momentum(eps)
     sq = _free_ratio(xq, eps)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .bec import CondensateParams
 from .config import ScenarioConfig
-from .damping import DampingResult, QuadratureConfig, select_regime
+from .damping import DampingResult, select_regime
 from .decoherence import MetricTrajectory, metric_trajectory, purity_minimum_time
-from .gaussian import state_from_params
 from .three_body import decay_rate, half_life
 
 # The lines of the ``rates`` verb, in print order; all are run_header keys
@@ -55,36 +54,43 @@ def resolve_rate(
     params: CondensateParams,
     omega_q=None,
 ) -> DampingResult | list[DampingResult]:
-    """Damping rate for the scenario per its rate_source.
+    """Damping rate for the scenario per its rate_source, with the config's
+    quadrature controls.
 
-    ``omega_q`` defaults to the configured mode frequency; a 1-D array of
-    frequencies gives one rate per frequency, as ``select_regime`` does.
+    ``omega_q`` defaults to the configured mode frequency; the sweep passes
+    its own frequencies, and a 1-D array of them gives one rate per
+    frequency, as ``select_regime`` does.  A collision integral that does
+    not converge, overflows or cancels below rounding raises its error with
+    the keys that set the frequency and ``temperature_K`` in front.
     """
-    quad_cfg = QuadratureConfig(
-        rel_tol=config.quadrature_rel_tol,
-        max_subdivisions=config.quadrature_max_subdivisions,
-    )
-    return select_regime(
-        config.mode_frequency_rad_per_s if omega_q is None else omega_q,
-        params,
-        quad_cfg,
-        config.rate_source,
-        config.gamma_explicit_per_s,
-    )
+    try:
+        return select_regime(
+            config.mode_frequency_rad_per_s if omega_q is None else omega_q,
+            params,
+            config.quadrature,
+            config.rate_source,
+            config.gamma_explicit_per_s,
+        )
+    except (RuntimeError, FloatingPointError) as exc:  # from damping.gamma_integral
+        keys = (
+            "mode_frequency_rad_per_s" if omega_q is None
+            else "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s"
+        )
+        raise type(exc)(f"{keys} and temperature_K: {exc}") from None
 
 
 def run_header(
     config: ScenarioConfig,
-    params: CondensateParams,
     rate: DampingResult,
-    initial_occupation: float | None = None,
     metrics: MetricTrajectory | None = None,
 ) -> dict:
-    """Inputs and derived rates of one mode, in header order.
+    """Inputs and derived rates of the config's own mode, in header order.
 
-    The trajectory passes its initial occupation and metrics; ``rates``
-    passes neither, and those keys are left out.
+    The trajectory passes its metrics, and its header carries the initial
+    occupation and the metric times; ``rates`` passes none, and those keys
+    are left out.
     """
+    params = config.condensate
     header = {
         "species": config.species,
         "mass_kg": params.mass,
@@ -98,8 +104,8 @@ def run_header(
         "initial_purity": config.initial_purity,
         "initial_displacement": list(config.initial_displacement),
     }
-    if initial_occupation is not None:
-        header["initial_occupation"] = initial_occupation
+    if metrics is not None:
+        header["initial_occupation"] = config.initial_occupation
     header.update({
         "rate_source": config.rate_source,
         "regime": rate.regime,
@@ -134,8 +140,7 @@ def run_header(
 
 def rates_report(config: ScenarioConfig) -> str:
     """The damping-rate breakdown printed by ``rates``, one key per line."""
-    params = config.condensate()
-    header = run_header(config, params, resolve_rate(config, params))
+    header = run_header(config, resolve_rate(config, config.condensate))
     return "\n".join(
         f"{key:<24} {_fmt(header[key])}" for key in RATES_KEYS if key in header
     )
@@ -154,25 +159,23 @@ class Run(NamedTuple):
 
 def run_trajectory(config: ScenarioConfig) -> Run:
     """Metric trajectory table for one scenario."""
-    params = config.condensate()
-    rate = resolve_rate(config, params)
-    mu0 = config.initial_purity
-    r0 = config.initial_squeezing
-    state0 = state_from_params(mu0, r0, 0.0, d=np.array(config.initial_displacement))
-    n0 = state0.occupation
-
+    rate = resolve_rate(config, config.condensate)
+    mu0, r0 = config.initial_purity, config.initial_squeezing
     t_grid = np.linspace(0.0, config.time_max_s, config.time_points)
     try:
         with np.errstate(over="raise", invalid="raise"):
             metrics = metric_trajectory(
-                mu0, r0, rate.mu_inf, rate.gamma, n0, rate.n_thermal, t_grid
+                mu0, r0, rate.mu_inf, rate.gamma, config.initial_occupation,
+                rate.n_thermal, t_grid,
             )
     except FloatingPointError as exc:
+        # mu_inf = 1 / (1 + 2 n_th) is set by the mode frequency and temperature
         raise ArithmeticError(
-            f"{exc} in the trajectory metrics at initial_squeezing {r0!r}"
+            f"mode_frequency_rad_per_s, temperature_K and initial_squeezing: {exc}"
+            f" in the trajectory metrics at initial_squeezing {r0!r}"
             f" and mu_inf {rate.mu_inf!r}"
         ) from None
-    header = {"kind": "trajectory", **run_header(config, params, rate, n0, metrics)}
+    header = {"kind": "trajectory", **run_header(config, rate, metrics)}
     rows = (metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation)
     return Run(
         header=header, columns=("t_s", "mu", "tau", "r", "occupation"), rows=rows
@@ -284,10 +287,6 @@ def run_sweep(config: ScenarioConfig) -> Run:
         raise ValueError(
             "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s: required by sweep"
         )
-    condensates = [
-        config.condensate(speed_of_sound=c_s)
-        for c_s in sorted(config.sweep_speeds_of_sound_m_per_s)
-    ] or [config.condensate()]
     omegas = np.geomspace(
         config.sweep_omega_min_rad_per_s,
         config.sweep_omega_max_rad_per_s,
@@ -298,7 +297,7 @@ def run_sweep(config: ScenarioConfig) -> Run:
 
     rows: list[tuple] = []
     truncation: dict[float, float | None] = {}
-    for params in condensates:
+    for params in config.sweep_condensates:
         c_s = params.speed_of_sound
         t_half = half_life(params.density, config.three_body_l3_m6_per_s)
 
@@ -336,7 +335,7 @@ def run_sweep(config: ScenarioConfig) -> Run:
     header = {
         "kind": "sweep",
         "species": config.species,
-        "temperature_K": config.temperature_K,
+        "temperature_K": config.condensate.temperature,
         "initial_squeezing": r0,
         "initial_purity": mu0,
         "rate_source": config.rate_source,

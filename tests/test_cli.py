@@ -989,6 +989,63 @@ def test_domain_scan_rejects_an_explicit_rate_from_the_decade_its_split_overflow
     assert scanned == ("1e157", "none")
 
 
+# (key, verb, rate source, decades, the scan's (rejected from, first failure)):
+# the trajectory metrics overflow at 1e-153 rad/s, the integral does not
+# converge at 1e-1 rad/s or 1e-18 K, and each error line names its keys
+NAMED_SCANS = [
+    ("mode_frequency_rad_per_s", "trajectory", "auto", range(-152, -155, -1), ("1e-153", "none")),
+    ("mode_frequency_rad_per_s", "trajectory", "explicit", range(-152, -155, -1), ("1e-153", "none")),
+    ("mode_frequency_rad_per_s", "rates", "integral", range(0, -2, -1), ("1e-1", "none")),
+    ("temperature_K", "rates", "integral", range(-17, -19, -1), ("1e-18", "none")),
+]
+
+
+@pytest.mark.parametrize("key, verb, source, exponents, expected", NAMED_SCANS)
+def test_domain_scan_finds_a_named_error_where_the_metrics_or_the_integral_fail(
+    key, verb, source, exponents, expected
+):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "domain_scan.py"
+    spec = importlib.util.spec_from_file_location("domain_scan", tool)
+    domain_scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(domain_scan)
+    base = "time_points: 5\nsweep_points: 5\n"
+    assert domain_scan.scan(key, verb, source, exponents, base, False) == expected
+
+
+# Below hbar w / mu ~ 7e-8 the decay vertex cancels below rounding: at T = 0
+# the integral printed gamma_per_s 0.0, and at 1.2e-15 K auto's integral
+# ended in a line that named no key
+VERTEX_CANCELS = {
+    "integral_at_zero_T": "temperature_K: 0\nrate_source: integral\n",
+    "auto_at_1.2e-15_K": "temperature_K: 1.2e-15\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["rates", "trajectory", "sweep"])
+@pytest.mark.parametrize("case", sorted(VERTEX_CANCELS))
+def test_an_integral_below_its_decay_vertex_rounding_names_its_keys(tmp_path, verb, case):
+    cfg = tmp_path / "cfg.yaml"
+    omega = "1.6e-4" if case == "integral_at_zero_T" else "1.58e-4"
+    if verb == "sweep":
+        preset, key = "fig2", "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s"
+        sweep = f"sweep_omega_min_rad_per_s: {omega}\nsweep_points: 5\n"
+        cfg.write_text(VERTEX_CANCELS[case] + sweep)
+    else:
+        preset, key = "fig1", "mode_frequency_rad_per_s"
+        cfg.write_text(f"{VERTEX_CANCELS[case]}mode_frequency_rad_per_s: {omega}\n")
+    out = tmp_path / "x.csv"
+    code, stdout, stderr = run_cli_in_process(
+        verb, "--preset", preset, "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(
+        f"error: {key} and temperature_K: the decay vertex 3 S_q S_k S_l + S_k + S_l - S_q"
+        " cancels below rounding at eps = hbar w / mu = "
+    )
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_largest_accepted_squeezing_runs_to_finite_output(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("initial_squeezing: 354\n")

@@ -17,10 +17,13 @@ import pytest
 
 from condensates import rb87
 from phonodec.damping import (
+    DEFAULT_QUADRATURE,
     G10_WEIGHTS,
     GK21_NODES,
     GK21_WEIGHTS,
+    VERTEX_EPS_MIN,
     QuadratureConfig,
+    _gamma_integral,
     gamma_integral,
     gauss_kronrod,
     quad,
@@ -226,3 +229,15 @@ def test_integral_sweep_that_cannot_converge_is_one_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_an_integral_below_its_decay_vertex_rounding_raises():
+    # at eps = 1e-8 the vertex b rounded to 0 at every node, and G_B was 0.0
+    below = "cancels below rounding at eps = hbar w / mu = 1e-08"
+    with pytest.raises(FloatingPointError, match=below):
+        _gamma_integral(0.0, np.array([1e-5, 1e-8]), DEFAULT_QUADRATURE)
+    # the tests' smallest eps, 0.005, and the T = 0 law's from 1e-5 up, lie above
+    assert 6e-8 < VERTEX_EPS_MIN < 7e-8
+    g_b, g_l = _gamma_integral(0.0, np.array([1e-5]), DEFAULT_QUADRATURE)[:, 0]
+    assert g_b == pytest.approx(3.0 * np.sqrt(np.pi) / 80.0 * 1e-25, rel=1e-5)
+    assert g_l == 0.0

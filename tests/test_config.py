@@ -9,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from phonodec import config as config_module
 from phonodec.config import (
     _KNOWN_KEYS,
     ConfigError,
@@ -35,7 +36,7 @@ def test_minimal_config_defaults():
     assert cfg.rate_source == "auto"
     assert cfg.three_body_l3_m6_per_s == pytest.approx(5.8e-42)
     assert not cfg.has_sweep()
-    params = cfg.condensate()
+    params = cfg.condensate
     assert params.density == pytest.approx(3.24e20, rel=0.01)
 
 
@@ -90,7 +91,7 @@ def test_custom_species_requires_mass_and_length():
         mass_kg=1.4e-25, scattering_length_m=5e-9, three_body_l3_m6_per_s=5.8e-42
     )
     cfg = validate_config(raw)
-    assert cfg.condensate().mass == 1.4e-25
+    assert cfg.condensate.mass == 1.4e-25
 
 
 # each species constant: its config key and a range of positive values to
@@ -125,8 +126,8 @@ def test_species_constants_are_the_key_else_the_preset(species, keys):
             validate_config(raw)
         return
     config = validate_config(raw)
-    params = config.condensate()
-    header = run_header(config, params, resolve_rate(config, params))
+    params = config.condensate
+    header = run_header(config, resolve_rate(config, params))
     assert params.mass == expected["mass_kg"]
     assert params.scattering_length == expected["scattering_length_m"]
     assert header["three_body_l3_m6_per_s"] == expected["three_body_l3_m6_per_s"]
@@ -149,6 +150,38 @@ def test_sweep_range_validation():
     )
     with pytest.raises(ConfigError, match="exceed"):
         validate_config(raw)
+
+
+def test_the_config_holds_the_condensates_its_range_rule_checked(monkeypatch):
+    checked = []
+    range_rule = config_module._check_rate_in_range
+
+    def recording(key, omega, params, source, gamma_explicit):
+        checked.append((key, params))
+        range_rule(key, omega, params, source, gamma_explicit)
+
+    monkeypatch.setattr(config_module, "_check_rate_in_range", recording)
+    listed = [6.8e-3, 1.7e-3, 3.4e-3]
+    cfg = preset_config("fig2", {"sweep_speeds_of_sound_m_per_s": listed})
+    own, *swept = checked
+    assert own == ("mode_frequency_rad_per_s", cfg.condensate)
+    assert own[1] is cfg.condensate
+    # checked in the order the config lists them, both ends of the sweep each
+    keys = ["sweep_omega_min_rad_per_s", "sweep_omega_max_rad_per_s"] * 3
+    assert [key for key, _ in swept] == keys
+    assert [params.speed_of_sound for _, params in swept[::2]] == listed
+    assert all(params is twin for (_, params), (_, twin) in zip(swept[::2], swept[1::2]))
+    # and held slowest first, as the very objects checked
+    slowest_first = sorted((params for _, params in swept[::2]), key=lambda p: p.speed_of_sound)
+    assert [p.speed_of_sound for p in cfg.sweep_condensates] == sorted(listed)
+    assert all(a is b for a, b in zip(cfg.sweep_condensates, slowest_first))
+
+    # without a list the sweep runs on the config's own condensate
+    checked.clear()
+    cfg = preset_config("fig2", {"sweep_speeds_of_sound_m_per_s": []})
+    assert all(params is cfg.condensate for _, params in checked)
+    assert len(checked) == 3 and cfg.sweep_condensates == (cfg.condensate,)
+    assert cfg.sweep_condensates[0] is cfg.condensate
 
 
 def test_yaml_exponent_strings_coerced():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq as scipy_brentq
 
-from phonodec.bec import beta_of
+from phonodec.bec import CondensateParams, beta_of
 from phonodec.config import preset_config, validate_config
 from phonodec.damping import (
     RegimeWarning,
@@ -23,6 +23,7 @@ from phonodec.damping import (
     gamma_landau_low_temperature,
     split_rates,
 )
+from phonodec.gaussian import GaussianState
 from phonodec import _repr, runs
 from phonodec.runs import (
     Run,
@@ -74,7 +75,7 @@ def resolve_quietly(config, omega=None):
     """resolve_rate plus whether it emitted a RegimeWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = resolve_rate(config, config.condensate(), omega)
+        res = resolve_rate(config, config.condensate, omega)
     warned = any(issubclass(w.category, RegimeWarning) for w in caught)
     return res, warned
 
@@ -102,7 +103,7 @@ def assert_split(res, omega, temperature):
 def test_resolve_rate_per_source(point, source):
     (temperature, omega), auto_regime, asym_regime = POINTS[point]
     config = scenario(temperature, omega, source)
-    params = config.condensate()
+    params = config.condensate
     res, warned = resolve_quietly(config)
 
     regime = {"auto": auto_regime, "asymptotic": asym_regime, "integral": "integral"}[
@@ -161,7 +162,7 @@ def test_flags_follow_regime_in_header_and_rates(point):
 def test_asymptotic_outside_region_warns():
     config = scenario(5e-9, 1.0e3, "asymptotic")
     with pytest.warns(RegimeWarning):
-        res = resolve_rate(config, config.condensate())
+        res = resolve_rate(config, config.condensate)
     assert res.regime == "thermal_low"
 
 
@@ -386,8 +387,7 @@ def test_batched_resolve_rate_equals_point_calls_bit_for_bit(case, source):
     regimes = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        for c_s in config.sweep_speeds_of_sound_m_per_s:
-            params = config.condensate(speed_of_sound=c_s)
+        for params in config.sweep_condensates:
             batch = resolve_rate(config, params, omegas)
             assert len(batch) == len(omegas)
             for omega, res in zip(omegas, batch):
@@ -418,8 +418,7 @@ def test_asymptotic_sweep_warns_once_per_frequency_outside_its_region(case):
         config.sweep_points,
     )
     warned = 0
-    for c_s in config.sweep_speeds_of_sound_m_per_s:
-        params = config.condensate(speed_of_sound=c_s)
+    for params in config.sweep_condensates:
         batch, texts = resolve_recording(config, params, omegas)
         assert texts == [text for res in batch for text in res.flags]
         warned += len(texts)
@@ -468,7 +467,7 @@ def test_a_density_sweep_without_speeds_runs_at_the_configured_density(density):
     report = dict(line.split(maxsplit=1) for line in rates_report(config).splitlines())
     assert report["three_body_half_life_s"] == repr(t_half)
     run = run_sweep(config)
-    c_s = config.condensate().speed_of_sound
+    c_s = config.condensate.speed_of_sound
     assert [row[0] for row in run.rows] == [c_s] * 5
     assert [row[4].hex() for row in run.rows] == [t_half.hex()] * 5
     assert f"truncation_omega_rad_per_s[c_s={c_s!r}]" in run.header
@@ -487,11 +486,51 @@ def test_a_density_sweep_with_speeds_runs_at_the_listed_speeds():
     )
     run = run_sweep(config)
     assert [row[0] for row in run.rows] == [1.7e-3] * 5 + [6.8e-3] * 5
+    own = config.condensate
     for row in run.rows:
-        density = config.condensate(speed_of_sound=row[0]).density
+        density = CondensateParams(
+            own.mass, own.scattering_length, own.temperature, speed_of_sound=row[0]
+        ).density
         assert row[4] == half_life(density, config.three_body_l3_m6_per_s)
     crossings = [key for key in run.header if key.startswith("truncation_omega")]
     assert crossings == [
         "truncation_omega_rad_per_s[c_s=0.0017]",
         "truncation_omega_rad_per_s[c_s=0.0068]",
     ]
+
+
+# fig1, fig2 and a density-given fig2 that sweeps its own condensate
+VALIDATED = {
+    "fig1": ("fig1", None),
+    "fig2": ("fig2", None),
+    "density": (
+        "fig2",
+        {
+            "speed_of_sound_m_per_s": None,
+            "density_per_m3": 2.0e20,
+            "sweep_speeds_of_sound_m_per_s": [],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATED))
+def test_the_verbs_run_what_validate_config_built_and_build_nothing(case, monkeypatch):
+    # the condensates and the initial state are built and checked once, by
+    # validate_config; a verb that built one again would raise here
+    config = preset_config(*VALIDATED[case])
+
+    def outputs():
+        texts = [rates_report(config), to_csv(run_trajectory(config))]
+        if config.has_sweep():
+            texts.append(to_csv(run_sweep(config)))
+        return texts
+
+    expected = outputs()
+
+    def built_again(self):
+        raise AssertionError(f"a {type(self).__name__} was built after validation")
+
+    monkeypatch.setattr(CondensateParams, "__post_init__", built_again)
+    monkeypatch.setattr(GaussianState, "__post_init__", built_again)
+    assert outputs() == expected
