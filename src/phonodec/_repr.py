@@ -4,8 +4,11 @@
 ``"".join(",".join(map(repr, row)) + "\\n" for row in rows)``, where
 ``rows = zip(*(column.tolist() for column in columns))``, computed in numpy
 over chunks of about 8 K cells.  Each chunk is written to
-the file as soon as it is rendered, and every chunk reuses one set of
-scratch arrays, so a table's working memory is that of one chunk.
+the file as soon as it is rendered, so a table's working memory is that of
+one chunk.  Every chunk reuses the arrays of ``_Scratch``, allocated once
+per table: its rows, its source rows and ``_rop``'s products, without
+which the whole-table write was 19-23 % slower.  Every other array is a
+plain expression.
 
 Digits.  Each finite nonzero cell's shortest round-trip decimal comes from
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020; the
@@ -117,52 +120,27 @@ def _decimal(be, t, work):
     finite nonzero double of biased exponent ``be`` and fraction ``t``.
     Other cells give some f below 10**17."""
     u = np.uint64
-    c, row, cp, e10 = work.c, work.g_row, work.cp, work.e10
-    up_in, wp_in, u_in, w_in, round_up = work.flags
-    irregular = up_in  # until the digits below
-    np.minimum(be, u(1), out=c)
-    c <<= u(52)
-    c |= t
-    np.equal(t, 0, out=irregular)
-    irregular &= np.greater(be, 1, out=wp_in)
-    np.maximum(be, u(1), out=row, casting="unsafe")
-    np.add(row, 2048, out=row, where=irregular)
-    np.left_shift(c, u(2), out=cp[1])
-    np.subtract(cp[1], u(2), out=cp[0])
-    cp[0] += irregular
-    np.add(cp[1], u(2), out=cp[2])
-    np.take(_G, row, axis=1, out=work.g, mode="clip")
-    lower, vb, upper = _rop(work.g, cp, work)
+    c = np.minimum(be, u(1)) << u(52) | t
+    irregular = (t == 0) & (be > 1)
+    row = np.maximum(be, u(1)).astype(np.intp) + 2048 * irregular
+    cp = work.cp
+    cp[1] = c << u(2)
+    cp[0] = cp[1] - u(2) + irregular
+    cp[2] = cp[1] + u(2)
+    lower, vb, upper = _rop(np.take(_G, row, axis=1, mode="clip"), cp, work)
 
-    s, sp, tmp = cp  # free after _rop
-    odd = c  # an even significand's interval includes its ends
-    odd &= u(1)
-    lower += odd
-    upper -= odd
-    np.right_shift(vb, u(2), out=s)
-    np.floor_divide(s, u(10), out=sp)
-    np.multiply(sp, u(40), out=tmp)
-    np.less_equal(lower, tmp, out=up_in)
-    tmp += u(40)
-    np.less_equal(tmp, upper, out=wp_in)
-    shorter = up_in
-    shorter ^= wp_in
-    shorter &= np.greater_equal(s, 10, out=u_in)
-    np.bitwise_and(vb, ~u(3), out=tmp)
-    np.less_equal(lower, tmp, out=u_in)
-    tmp += u(4)
-    np.less_equal(tmp, upper, out=w_in)
-    np.bitwise_and(vb, u(3), out=tmp)
-    tmp += np.bitwise_and(s, u(1), out=vb)
-    np.greater(tmp, 2, out=round_up)
-    u_in ^= w_in
-    np.copyto(round_up, w_in, where=u_in)
-    s += round_up
-    sp += wp_in
-    np.copyto(s, sp, where=shorter)
-    np.take(_K, row, out=e10, mode="clip")
-    e10 += shorter
-    return s.view(np.int64), e10
+    odd = c & u(1)  # an even significand's interval includes its ends
+    lower, upper = lower + odd, upper - odd
+    s = vb >> u(2)
+    sp = s // u(10)
+    tens = sp * u(40)
+    wp_in = tens + u(40) <= upper
+    shorter = ((lower <= tens) != wp_in) & (s >= u(10))
+    fours = vb & ~u(3)
+    u_in, w_in = lower <= fours, fours + u(4) <= upper
+    round_up = np.where(u_in != w_in, w_in, (vb & u(3)) + (s & u(1)) > u(2))
+    f = np.where(shorter, sp + wp_in, s + round_up)
+    return f.view(np.int64), np.take(_K, row, mode="clip") + shorter
 
 
 # A cell's source row.  A-Q are its 17 digits (B-Q four aligned quads), X Y Z
@@ -208,6 +186,9 @@ def _templates() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TEMPLATES, _TEMPLATE_WIDTH = _templates()
+# the first w columns of the templates, contiguous, so that ``np.take``
+# along rows copies nothing first
+_TEMPLATE_PREFIX = [np.ascontiguousarray(_TEMPLATES[:, :w]) for w in range(_WIDTH + 1)]
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 
@@ -227,39 +208,22 @@ _QUAD_ROW = np.arange(0, 40_000, 10_000)[:, None]
 
 
 class _Scratch:
-    """The arrays of a chunk of ``n_rows`` rows, allocated once per table
-    and reused through ``out=`` by every chunk of that length.
+    """The arrays that every chunk of ``n_rows`` rows reuses, allocated once
+    per table: the chunk's rows, its source rows and their offsets, and
+    ``_rop``'s five (3, n) products.
 
-    Allocated per chunk, the larger ones (the (3, n) products, the gather's
-    (n, width) indices) sit above glibc's mmap threshold, and every chunk
-    would map and unmap them again."""
+    These are the ones that pay.  A set per chunk, with ``_rop`` written as
+    plain expressions, made the whole-table write 19-23 % slower, most of
+    it in rebuilding the source rows, which hold mostly constant
+    characters; ``_rop`` as plain expressions alone made it 4-6 % slower.
+    Every other array of a chunk is a plain expression; reusing those as
+    well made no difference beyond the run-to-run spread of a 200 000-point
+    trajectory."""
 
     def __init__(self, n_rows: int, n_cols: int) -> None:
         n = n_rows * n_cols
         self.rows = np.empty((n_rows, n_cols))
-
-        def new(dtype, *shape):
-            return np.empty((*shape, n), dtype)
-
-        self.be, self.t, self.c, self.negative = new(np.uint64, 4)
-        self.g_row, self.e10, self.full, self.hi, self.first, self.exp, self.mag, self.cls = (
-            new(np.intp, 8)
-        )
-        self.flags = new(bool, 5)
-        self.cp, self.q0, self.q1, self.acc, self.sticky = new(np.uint64, 5, 3)
-        self.g = new(np.uint64, 5)
-        self.eight = new(np.int64, 2)
-        self.quads = new(np.int64, 2, 2)
-        self.quad_rows = new(np.int64, 4)
-        self.last = new(np.uint8, 4)
-        self.ndig_1 = new(np.uint8)
-        self.quad_chars = new(np.uint32, 4)
-        self.exp_chars = new(np.uint32)
-        self.width = new(np.int8)
-        self.idx = np.empty(n * _WIDTH, np.int32)
-        self.chars = np.empty(n * _WIDTH, np.uint8)
-        self.keep = np.empty(n * _WIDTH, bool)
-        self.templates: dict[int, np.ndarray] = {}
+        self.cp, self.q0, self.q1, self.acc, self.sticky = np.empty((5, 3, n), np.uint64)
 
         # the source rows: 32 bytes each, so that the quads align
         source_row = np.frombuffer(_SOURCE.replace(" ", "\0").encode() + b"\0", np.uint8)
@@ -268,82 +232,47 @@ class _Scratch:
         self.src[:, _SOURCE.index(",")] = np.resize(separators, n)
         self.base = (np.arange(n, dtype=np.int32) * self.src.shape[1])[:, None]
 
-    def templates_of_width(self, width: int) -> np.ndarray:
-        """The first ``width`` columns of the templates, contiguous, so that
-        ``np.take`` along rows copies nothing first."""
-        if width not in self.templates:
-            self.templates[width] = np.ascontiguousarray(_TEMPLATES[:, :width])
-        return self.templates[width]
-
 
 def _render(x, work: _Scratch) -> np.ndarray:
     """The repr of each cell of ``x`` followed by the separator in its
     source row, as bytes."""
     u = np.uint64
     bits = x.view(np.uint64)
-    be, t, negative = work.be, work.t, work.negative
-    np.right_shift(bits, u(52), out=be)
-    be &= u(2047)
-    np.bitwise_and(bits, u((1 << 52) - 1), out=t)
-    np.right_shift(bits, u(63), out=negative)
-    negative = negative.view(np.int64)
-    f, decpt = _decimal(be, t, work)
+    be = bits >> u(52) & u(2047)
+    negative = (bits >> u(63)).view(np.int64)
+    f, e10 = _decimal(be, bits & u((1 << 52) - 1), work)
 
     n = np.searchsorted(_P10, f, side="right")  # f in [10**(n-1), 10**n)
-    full, hi, first = work.full, work.hi, work.first
-    np.take(_P10[::-1], n, out=full, mode="clip")
-    full *= f  # 17 digits
-    decpt += n
-    np.floor_divide(full, 10**8, out=hi)
-    np.floor_divide(hi, 10**8, out=first)
-    eight, quads = work.eight, work.quads  # digits 2-17 by eight, then by four
-    np.subtract(hi, np.multiply(first, 10**8, out=eight[0]), out=eight[0])
-    np.subtract(full, np.multiply(hi, 10**8, out=eight[1]), out=eight[1])
-    np.floor_divide(eight, 10**4, out=quads[:, 0])
-    np.subtract(eight, np.multiply(quads[:, 0], 10**4, out=quads[:, 1]), out=quads[:, 1])
-    quads = quads.reshape(4, -1)
-    np.add(quads, _QUAD_ROW, out=work.quad_rows)
-    np.take(_LAST, work.quad_rows, out=work.last, mode="clip")
-    ndig_1 = np.max(work.last, axis=0, out=work.ndig_1)
+    full = np.take(_P10[::-1], n, mode="clip") * f  # 17 digits
+    decpt = e10 + n
+    hi = full // 10**8
+    first = hi // 10**8
+    eight = np.stack((hi - first * 10**8, full - hi * 10**8))  # digits 2-9, 10-17
+    high = eight // 10**4
+    quads = np.stack((high, eight - high * 10**4), axis=1).reshape(4, -1)  # by four
+    ndig_1 = np.take(_LAST, quads + _QUAD_ROW, mode="clip").max(axis=0)
 
-    exp, mag = work.exp, work.mag
-    np.subtract(decpt, 1, out=exp)
-    np.abs(exp, out=mag)
+    exp = decpt - 1
+    mag = np.abs(exp)
     src = work.src
-    np.add(first, 48, out=src[:, 0], casting="unsafe")
+    src[:, 0] = first + 48
     src32 = src.view("<u4")
-    src32[:, 1:5] = np.take(_QUADS, quads, out=work.quad_chars, mode="clip").T  # B-Q
-    src32[:, 5] = np.take(_QUADS, mag, out=work.exp_chars, mode="clip")  # 0XYZ, as mag < 1000
+    src32[:, 1:5] = np.take(_QUADS, quads, mode="clip").T  # B-Q
+    src32[:, 5] = np.take(_QUADS, mag, mode="clip")  # 0XYZ, as mag < 1000
 
-    # layout: positional, or 20 + 2 * (exp < 0) + (mag >= 100) in exponent form
-    cls, exponent_form, flag = work.cls, work.flags[0], work.flags[1]
-    np.add(decpt, 3, out=cls)
-    np.less_equal(decpt, -4, out=exponent_form)
-    exponent_form |= np.greater(decpt, 16, out=flag)
-    np.multiply(np.less(exp, 0, out=flag), 2, out=exp)
-    exp += np.greater_equal(mag, 100, out=flag)
-    exp += 20
-    np.copyto(cls, exp, where=exponent_form)
-    cls *= 17
-    cls += ndig_1
-    cls *= 2
-    cls += negative
-    special = np.equal(be, 2047, out=work.flags[0])
-    special |= np.equal(np.left_shift(bits, u(1), out=t), 0, out=flag)
+    exponent_form = (decpt <= -4) | (decpt > 16)
+    layout = np.where(exponent_form, 20 + 2 * (exp < 0) + (mag >= 100), decpt + 3)
+    cls = (layout * 17 + ndig_1) * 2 + negative
+    special = (be == 2047) | (bits << u(1) == 0)
     if special.any():
         kind = np.where(be == 2047, np.where(bits << u(12) != 0, 4, 2), 0)
-        np.copyto(cls, _SPECIAL + kind + negative, where=special)
+        cls = np.where(special, _SPECIAL + kind + negative, cls)
 
     # only as many template columns as the chunk's widest cell needs
-    width = int(np.take(_TEMPLATE_WIDTH, cls, out=work.width, mode="clip").max())
-    shape = (len(x), width)
-    idx = work.idx[: len(x) * width].reshape(shape)
-    np.take(work.templates_of_width(width), cls, axis=0, out=idx, mode="clip")
-    idx += work.base
-    chars = work.chars[: idx.size].reshape(shape)
-    np.take(src.reshape(-1), idx, out=chars, mode="clip")
-    keep = np.not_equal(chars, 0, out=work.keep[: idx.size].reshape(shape))
-    return chars[keep]
+    width = int(np.take(_TEMPLATE_WIDTH, cls, mode="clip").max())
+    idx = np.take(_TEMPLATE_PREFIX[width], cls, axis=0, mode="clip") + work.base
+    chars = np.take(src.reshape(-1), idx, mode="clip")
+    return chars[chars != 0]
 
 
 def write_table(file, columns) -> None:

@@ -502,7 +502,7 @@ def select_regime(
     """
     if source not in RATE_SOURCES:
         raise ValueError(f"unknown rate source {source!r}")
-    omegas = list(omega_q) if np.ndim(omega_q) else [omega_q]
+    omegas = np.atleast_1d(omega_q).tolist()  # Python floats, as a point call's
     if any(omega <= 0 for omega in omegas):
         raise ValueError("frequency must be positive")
     units = [condensate_units(omega, params) for omega in omegas]

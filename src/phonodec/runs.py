@@ -323,12 +323,19 @@ def run_sweep(config: ScenarioConfig) -> Run:
                 truncation[c_s] = float(omegas[i])
                 break
             if fa < 0.0 < fb or fb < 0.0 < fa:  # a product could overflow
-                root = brentq(
-                    lambda w: t_min_of(resolve_rate(config, params, w)) - t_half,
-                    omegas[i],
-                    omegas[i + 1],
-                    rtol=1e-12,
-                )
+                lo, hi = omegas[i], omegas[i + 1]
+                # one more step per halving of hi / lo: bisecting a bracket of
+                # d decades to rtol 1e-12 takes about 3.3 d + 40
+                try:
+                    root = brentq(
+                        lambda w: t_min_of(resolve_rate(config, params, w)) - t_half,
+                        lo, hi, rtol=1e-12, maxiter=100 + math.ceil(math.log2(hi / lo)),
+                    )
+                except RuntimeError as exc:  # an integral's error already names its keys
+                    if not str(exc).startswith("Failed to converge"):
+                        raise
+                    keys = "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s and sweep_points"
+                    raise RuntimeError(f"{keys}: {exc}") from None
                 truncation[c_s] = float(root)
                 break
 
@@ -364,8 +371,6 @@ def _fmt(value) -> str:
     # str of a Python float is its repr: the shortest round-tripping form
     if value is None:
         return "none"
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, (list, tuple)):
         return "[" + " ".join(_fmt(v) for v in value) + "]"
     return str(value)

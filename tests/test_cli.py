@@ -989,6 +989,40 @@ def test_domain_scan_rejects_an_explicit_rate_from_the_decade_its_split_overflow
     assert scanned == ("1e157", "none")
 
 
+# the crossing search's iteration cap grows with its bracket, so a sweep of
+# two points that span 37 or 57 decades finds each crossing
+@pytest.mark.parametrize("source", ["auto", "asymptotic", "integral"])
+@pytest.mark.parametrize("omega_max", ["1.0e+40", "1.0e+60"])
+def test_a_sweep_over_a_wide_bracket_finds_its_crossings(tmp_path, source, omega_max):
+    def crossings(overrides: str) -> list[float]:
+        cfg, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+        cfg.write_text(f'{{"rate_source": "{source}", {overrides}}}')
+        code, _, stderr = run_cli_in_process(
+            "sweep", "--preset", "fig2", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 0, stderr
+        header = read_header(out)
+        return [float(header[k]) for k in header if k.startswith("truncation_omega")]
+
+    wide = crossings(f'"sweep_points": 2, "sweep_omega_max_rad_per_s": {omega_max}')
+    fine = crossings('"sweep_points": 50, "sweep_omega_max_rad_per_s": 1.0e+5')
+    assert len(wide) == 3
+    assert wide == pytest.approx(fine, rel=1e-11)
+
+
+@pytest.mark.parametrize("source", damping.RATE_SOURCES)
+def test_domain_scan_runs_a_two_point_sweep_over_30_to_60_decades(source):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "domain_scan.py"
+    spec = importlib.util.spec_from_file_location("domain_scan", tool)
+    domain_scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(domain_scan)
+    base = "time_points: 5\nsweep_points: 2\n"
+    scanned = domain_scan.scan(
+        "sweep_omega_max_rad_per_s", "sweep", source, range(30, 70, 10), base, False
+    )
+    assert scanned == ("none", "none")
+
+
 # (key, verb, rate source, decades, the scan's (rejected from, first failure)):
 # the trajectory metrics overflow at 1e-153 rad/s, the integral does not
 # converge at 1e-1 rad/s or 1e-18 K, and each error line names its keys

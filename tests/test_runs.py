@@ -352,6 +352,52 @@ def test_sweep_crossings_match_scipy_brentq(monkeypatch, overrides):
     assert ported == reference
 
 
+def test_a_crossing_search_that_does_not_converge_names_the_sweep_keys(monkeypatch):
+    def no_convergence(f, a, b, **kwargs):
+        raise RuntimeError(f"Failed to converge after {kwargs['maxiter']} iterations.")
+
+    monkeypatch.setattr(runs, "brentq", no_convergence)
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(preset_config("fig2"))
+    # fig2's bracket, one step of 10**(1/19), adds one iteration to the 100
+    assert str(info.value) == (
+        "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s and sweep_points:"
+        " Failed to converge after 101 iterations."
+    )
+
+
+def test_an_integral_error_in_the_crossing_search_names_its_keys_once(monkeypatch):
+    select = runs.select_regime
+
+    def fails_at_one_frequency(omega_q, *args):
+        if np.ndim(omega_q) == 0:  # the crossing search's calls
+            raise RuntimeError("collision-integral quadrature did not converge")
+        return select(omega_q, *args)
+
+    monkeypatch.setattr(runs, "select_regime", fails_at_one_frequency)
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(preset_config("fig2"))
+    assert str(info.value) == (
+        "sweep_omega_min_rad_per_s, sweep_omega_max_rad_per_s and temperature_K:"
+        " collision-integral quadrature did not converge"
+    )
+
+
+@pytest.mark.parametrize("source", ["auto", "asymptotic", "integral", "explicit"])
+def test_sweep_cells_and_header_values_are_python_scalars(source):
+    # a closed form, an integral and an explicit rate all reach the CSV as
+    # Python numbers, as a point call's do
+    overrides = {"rate_source": source, "sweep_points": 8}
+    if source == "explicit":
+        overrides["gamma_explicit_per_s"] = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        run = run_sweep(preset_config("fig2", overrides))
+    python = {float, int, str, type(None)}
+    assert {type(cell) for row in run.rows for cell in row} <= python
+    assert {type(value) for value in run.header.values()} <= python
+
+
 def bits(res):
     """Every field of a DampingResult, floats by their exact bits."""
     return [
