@@ -1,8 +1,8 @@
 """Uniform-condensate microphysics.
 
 Coupling constant, speed of sound / density duality, the rate scale of the
-collision integrals, and the thermal occupation of a mode.  Everything is
-SI.
+collision integrals, and the thermal occupation of a mode and the purity
+of its thermal state.  Everything is SI.
 """
 
 from __future__ import annotations
@@ -108,3 +108,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("frequency must be positive")
     beta = beta_of(omega, temperature)
     return 0.0 if beta > 700.0 else 1.0 / math.expm1(beta)
+
+
+def thermal_purity(n_thermal: float) -> float:
+    """Purity 1 / (1 + 2 n) of the thermal state of mean occupation ``n``."""
+    return 1.0 / (1.0 + 2.0 * n_thermal)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bec import CondensateParams
+from .bec import CondensateParams, thermal_purity
 from .constants import HBAR, K_B, SPECIES_PRESETS
 from .damping import (
     DEFAULT_QUADRATURE,
@@ -249,7 +249,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raw["initial_thermal_occupation"],
             nonnegative=True,
         )
-        mu0 = 1.0 / (1.0 + 2.0 * n0_th)
+        mu0 = thermal_purity(n0_th)
     else:
         mu0 = _number("initial_purity", raw.get("initial_purity", 1.0), positive=True)
         if mu0 > 1.0:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bec import CondensateParams, beta_of, thermal_occupation
+from .bec import CondensateParams, beta_of, thermal_occupation, thermal_purity
 from .constants import HBAR, K_B
 
 QUANTUM_RATIO = 0.3  # k_B T / (hbar w_q) below this: spontaneous decay dominates
@@ -141,7 +141,7 @@ class DampingResult(NamedTuple):
     @property
     def mu_inf(self) -> float:
         """Purity of the asymptotic thermal state, 1 / (1 + 2 N_th)."""
-        return 1.0 / (1.0 + 2.0 * self.n_thermal)
+        return thermal_purity(self.n_thermal)
 
 
 def _nearest_closed_form(theta: float, eps: float) -> tuple[str, bool]:

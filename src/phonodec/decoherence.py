@@ -1,11 +1,11 @@
 """Closed-form metric evolution along the single-mode thermal channel.
 
 Purity, nonclassical depth, squeezing magnitude and mean occupation of a
-Gaussian state relaxing toward a thermal state of purity mu_inf at rate
-gamma, plus the two decoherence timestamps: the interior purity minimum
-t_min and the classicality time at which the nonclassical depth reaches
-zero.  All metrics are phase invariant, so the squeezing phase never
-enters.
+Gaussian state relaxing at rate gamma toward the thermal state of mean
+occupation n_th, plus the two decoherence timestamps: the interior purity
+minimum t_min and the classicality time at which the nonclassical depth
+reaches zero.  All metrics are phase invariant, so the squeezing phase
+never enters.
 """
 
 from __future__ import annotations
@@ -15,20 +15,24 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .bec import thermal_purity
+
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
 
-def _check_domain(mu0: float, r0: float, mu_inf: float, gamma: float) -> None:
-    if not (0.0 < mu0 <= 1.0 and 0.0 < mu_inf <= 1.0):
-        raise ValueError("purities must be in (0, 1]")
+def _check_domain(mu0: float, r0: float, gamma: float, n_thermal: float) -> None:
+    if not 0.0 < mu0 <= 1.0:
+        raise ValueError("purity must be in (0, 1]")
     if r0 < 0 or not math.isfinite(r0):
         raise ValueError("squeezing must be finite and >= 0")
     if gamma < 0 or not math.isfinite(gamma):
         raise ValueError("damping rate must be finite and >= 0")
+    if not (n_thermal >= 0 and math.isfinite(1.0 + 2.0 * n_thermal)):
+        raise ValueError("thermal occupation must be >= 0, with 1 + 2 n_th finite")
 
 
-def purity_minimum_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> float | None:
+def purity_minimum_time(mu0: float, r0: float, *, gamma: float, n_thermal: float) -> float | None:
     """Time of the interior purity minimum, or None when none exists.
 
     t_min = (1/gamma) ln[(rho + 1/rho - 2 cosh 2r0) / (rho - cosh 2r0)] with
@@ -37,10 +41,10 @@ def purity_minimum_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> f
     of dmu/dt at t = 0 (negative iff rho cosh 2r0 > 1) is used as a
     cross-check against the log-argument criterion.
     """
-    _check_domain(mu0, r0, mu_inf, gamma)
+    _check_domain(mu0, r0, gamma, n_thermal)
     if gamma == 0.0:
         return None
-    rho = mu0 / mu_inf
+    rho = mu0 / thermal_purity(n_thermal)
     ch = math.cosh(2.0 * r0)
     den = rho - ch
     if den == 0.0:
@@ -53,7 +57,7 @@ def purity_minimum_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> f
     return math.log(arg) / gamma
 
 
-def classicality_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> float:
+def classicality_time(mu0: float, r0: float, *, gamma: float, n_thermal: float) -> float:
     """Time at which tau reaches zero; inf when it never does.
 
     t = (1/gamma) ln[(1 - (mu_inf/mu0) e^{-2 r0}) / (1 - mu_inf)].  For a
@@ -61,7 +65,8 @@ def classicality_time(mu0: float, r0: float, mu_inf: float, gamma: float) -> flo
     depth decays toward zero without reaching it, and inf is returned.
     A state that is classical from the start gives 0.
     """
-    _check_domain(mu0, r0, mu_inf, gamma)
+    _check_domain(mu0, r0, gamma, n_thermal)
+    mu_inf = thermal_purity(n_thermal)
     num = 1.0 - (mu_inf / mu0) * math.exp(-2.0 * r0)
     if num <= 0.0:
         return 0.0
@@ -78,7 +83,6 @@ class MetricTrajectory(NamedTuple):
     tau: NDArray[np.float64]
     r: NDArray[np.float64]
     occupation: NDArray[np.float64]
-    mu_inf: float
     t_min: float | None
     t_tau0: float
 
@@ -86,11 +90,11 @@ class MetricTrajectory(NamedTuple):
 def metric_trajectory(
     mu0: float,
     r0: float,
-    mu_inf: float,
-    gamma: float,
     n0: float,
-    n_thermal: float,
     t_grid,
+    *,
+    gamma: float,
+    n_thermal: float,
 ) -> MetricTrajectory:
     """Evaluate the four metrics on the time grid ``t_grid`` (times >= 0).
 
@@ -108,9 +112,9 @@ def metric_trajectory(
     e, c, cosh 2r0 and mu(t) are each computed once.  A scalar time is a
     one-point grid.
     """
-    _check_domain(mu0, r0, mu_inf, gamma)
-    if n0 < 0 or n_thermal < 0:
-        raise ValueError("occupations must be >= 0")
+    _check_domain(mu0, r0, gamma, n_thermal)
+    if n0 < 0:
+        raise ValueError("occupation must be >= 0")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
@@ -120,6 +124,7 @@ def metric_trajectory(
         e = np.exp(-gamma * t)
     c = 1.0 - e
     cosh_2r0 = math.cosh(2.0 * r0)
+    mu_inf = thermal_purity(n_thermal)
     rho = mu0 / mu_inf
     inner = e * e + rho * rho * c**2 + 2.0 * rho * e * c * cosh_2r0
     mu = np.minimum(mu0 / np.sqrt(inner), 1.0)
@@ -131,7 +136,6 @@ def metric_trajectory(
         tau=np.maximum(tau, 0.0),
         r=0.5 * np.arccosh(np.maximum(cosh_2r, 1.0)),
         occupation=e * n0 + c * n_thermal,
-        mu_inf=mu_inf,
-        t_min=purity_minimum_time(mu0, r0, mu_inf, gamma),
-        t_tau0=classicality_time(mu0, r0, mu_inf, gamma),
+        t_min=purity_minimum_time(mu0, r0, gamma=gamma, n_thermal=n_thermal),
+        t_tau0=classicality_time(mu0, r0, gamma=gamma, n_thermal=n_thermal),
     )

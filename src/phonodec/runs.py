@@ -165,15 +165,15 @@ def run_trajectory(config: ScenarioConfig) -> Run:
     try:
         with np.errstate(over="raise", invalid="raise"):
             metrics = metric_trajectory(
-                mu0, r0, rate.mu_inf, rate.gamma, config.initial_occupation,
-                rate.n_thermal, t_grid,
+                mu0, r0, config.initial_occupation, t_grid,
+                gamma=rate.gamma, n_thermal=rate.n_thermal,
             )
     except FloatingPointError as exc:
-        # mu_inf = 1 / (1 + 2 n_th) is set by the mode frequency and temperature
+        # n_th is set by the mode frequency and temperature
         raise ArithmeticError(
             f"mode_frequency_rad_per_s, temperature_K and initial_squeezing: {exc}"
             f" in the trajectory metrics at initial_squeezing {r0!r}"
-            f" and mu_inf {rate.mu_inf!r}"
+            f" and n_thermal {rate.n_thermal!r}"
         ) from None
     header = {"kind": "trajectory", **run_header(config, rate, metrics)}
     rows = (metrics.t, metrics.mu, metrics.tau, metrics.r, metrics.occupation)
@@ -302,7 +302,7 @@ def run_sweep(config: ScenarioConfig) -> Run:
         t_half = half_life(params.density, config.three_body_l3_m6_per_s)
 
         def t_min_of(rate: DampingResult) -> float | None:
-            return purity_minimum_time(mu0, r0, rate.mu_inf, rate.gamma)
+            return purity_minimum_time(mu0, r0, gamma=rate.gamma, n_thermal=rate.n_thermal)
 
         # every frequency of this speed in one call; the crossing search
         # below resolves one frequency at a time, to the same bits

@@ -77,8 +77,7 @@ def check_fock_oracle(tol_scale: float = 1.0) -> CheckResult:
     )
     state0 = state_from_params(1.0, r0, math.pi)
     channel = thermal_channel(gamma, n_th, omega)
-    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
-    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    metrics = metric_trajectory(1.0, r0, state0.occupation, grid, gamma=gamma, n_thermal=n_th)
     worst = max(
         np.abs(oracle.purity - metrics.mu).max(),
         np.abs(oracle.occupation - metrics.occupation).max(),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from condensates import rb87
-from phonodec.bec import beta_of, thermal_occupation
+from phonodec.bec import beta_of, thermal_occupation, thermal_purity
 from phonodec.config import preset_config
 from phonodec.constants import RB87
 from phonodec.damping import (
@@ -61,8 +61,7 @@ def test_criterion_1_beliaev_rate(paper_params):
 def test_criterion_2_decoherence_time(paper_params):
     gamma = gamma_beliaev_asymptotic(OMEGA_Q, paper_params)
     n_th = thermal_occupation(OMEGA_Q, paper_params.temperature)
-    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
-    t_min, elapsed = timed(purity_minimum_time, 1.0, R0, mu_inf, gamma)
+    t_min, elapsed = timed(purity_minimum_time, 1.0, R0, gamma=gamma, n_thermal=n_th)
     assert t_min == pytest.approx(math.log(2.0) / gamma, rel=1e-12)
     assert 0.8 <= t_min <= 1.1
     assert elapsed < 1e-3
@@ -92,11 +91,11 @@ def test_criterion_3_three_body_ordering(paper_params):
 def test_criterion_4_trajectory_shapes(paper_params):
     gamma = gamma_beliaev_asymptotic(OMEGA_Q, paper_params)
     n_th = thermal_occupation(OMEGA_Q, paper_params.temperature)
-    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
+    mu_inf = thermal_purity(n_th)
     n0 = math.sinh(R0) ** 2
     # recovery toward mu_inf takes ~ln(cosh 2 r0)/gamma ~ 26 s at r0 = 10
     grid = np.linspace(0.0, 30.0, 500)
-    traj = metric_trajectory(1.0, R0, mu_inf, gamma, n0, n_th, grid)
+    traj = metric_trajectory(1.0, R0, n0, grid, gamma=gamma, n_thermal=n_th)
 
     # purity dips to an interior minimum, then rises toward mu_inf
     i_min = int(np.argmin(traj.mu))

@@ -289,8 +289,8 @@ def test_verify_holds_the_oracle_to_the_metrics_the_trajectory_writes(monkeypatc
     # column, must fail the number-basis oracle (tolerance 1e-3)
     real = verify.metric_trajectory
 
-    def shifted(*args):
-        metrics = real(*args)
+    def shifted(*args, **kwargs):
+        metrics = real(*args, **kwargs)
         return metrics._replace(mu=metrics.mu + 1e-2)
 
     monkeypatch.setattr(verify, "metric_trajectory", shifted)

@@ -81,8 +81,9 @@ def test_oracle_matches_closed_forms():
     )
     state0 = state_from_params(1.0, r0, math.pi)  # (-tanh r)^n squeezes x1
     channel = thermal_channel(gamma, n_th, omega)
-    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
-    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    metrics = metric_trajectory(
+        1.0, r0, state0.occupation, grid, gamma=gamma, n_thermal=n_th
+    )
     assert np.abs(traj.purity - metrics.mu).max() < 1e-3
     assert np.abs(traj.occupation - metrics.occupation).max() < 1e-3
     for i, t in enumerate(grid):
@@ -102,8 +103,9 @@ def test_oracle_matches_closed_forms_at_envelope_edge():
     )
     state0 = state_from_params(1.0, r0, math.pi)
     channel = thermal_channel(gamma, n_th, omega)
-    mu_inf = 1.0 / (1.0 + 2.0 * n_th)
-    metrics = metric_trajectory(1.0, r0, mu_inf, gamma, state0.occupation, n_th, grid)
+    metrics = metric_trajectory(
+        1.0, r0, state0.occupation, grid, gamma=gamma, n_thermal=n_th
+    )
     assert np.abs(traj.purity - metrics.mu).max() < 1e-6
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)
@@ -174,8 +176,7 @@ def test_oracle_steps_an_unequal_grid_exactly():
     # five distinct steps: one stacked exponential each, chained in order
     grid = [0.0, 0.1, 0.35, 1.2, 2.0, 5.0]
     _, traj, state0, channel = squeezed_oracle_case(grid)
-    mu_inf = 1.0 / (1.0 + 2.0 * 0.2)
-    metrics = metric_trajectory(1.0, 0.5, mu_inf, 1.0, state0.occupation, 0.2, grid)
+    metrics = metric_trajectory(1.0, 0.5, state0.occupation, grid, gamma=1.0, n_thermal=0.2)
     assert np.abs(traj.purity - metrics.mu).max() < 1e-9
     for i, t in enumerate(grid):
         exact = evolve_closed_form(state0, channel, t)

@@ -124,10 +124,10 @@ def test_closed_form_purity_minimum_cross_check():
     gamma, r0 = 0.738, 10.0
     ch = thermal_channel(gamma, 0.0, 0.0)
     st = state_from_params(1.0, r0, 0.0)
-    t_min = purity_minimum_time(1.0, r0, 1.0, gamma)
+    t_min = purity_minimum_time(1.0, r0, gamma=gamma, n_thermal=0.0)
     assert t_min == pytest.approx(math.log(2.0) / gamma, rel=1e-12)
     evolved = params_from_state(evolve_closed_form(st, ch, t_min))
-    (expected,) = metric_trajectory(1.0, r0, 1.0, gamma, 0.0, 0.0, t_min).mu
+    (expected,) = metric_trajectory(1.0, r0, 0.0, t_min, gamma=gamma, n_thermal=0.0).mu
     assert evolved.mu == pytest.approx(expected, rel=1e-10)
 
 
