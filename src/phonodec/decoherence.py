@@ -57,22 +57,29 @@ def purity_minimum_time(mu0: float, r0: float, *, gamma: float, n_thermal: float
     return math.log(arg) / gamma
 
 
+def _initial_depth(mu0: float, r0: float) -> float:
+    """tau(0) = (1 - e^{-2 r0} / mu0) / 2, without cancellation at r0 -> 0."""
+    return (-math.expm1(-2.0 * r0) - (1.0 - mu0)) / (2.0 * mu0)
+
+
 def classicality_time(mu0: float, r0: float, *, gamma: float, n_thermal: float) -> float:
     """Time at which tau reaches zero; inf when it never does.
 
-    t = (1/gamma) ln[(1 - (mu_inf/mu0) e^{-2 r0}) / (1 - mu_inf)].  For a
-    zero-temperature environment (mu_inf = 1 to machine precision) the
-    depth decays toward zero without reaching it, and inf is returned.
-    A state that is classical from the start gives 0.
+    tau(t) = e tau(0) - n_th (1 - e) with e = e^{-gamma t} vanishes at
+    t = (1/gamma) ln(1 + tau(0) / n_th), the same as (1/gamma) ln[(1 -
+    (mu_inf/mu0) e^{-2 r0}) / (1 - mu_inf)] without its two cancellations.
+    A state that is classical from the start (tau(0) <= 0, that is
+    e^{-2 r0} >= mu0) gives 0.  In a zero-temperature environment
+    (n_th = 0) the depth decays toward zero without reaching it, and inf
+    is returned.
     """
     _check_domain(mu0, r0, gamma, n_thermal)
-    mu_inf = thermal_purity(n_thermal)
-    num = 1.0 - (mu_inf / mu0) * math.exp(-2.0 * r0)
-    if num <= 0.0:
+    tau0 = _initial_depth(mu0, r0)
+    if tau0 <= 0.0:
         return 0.0
-    if mu_inf >= 1.0 or gamma == 0.0:
+    if n_thermal == 0.0 or gamma == 0.0:
         return math.inf
-    return math.log(num / (1.0 - mu_inf)) / gamma
+    return math.log1p(tau0 / n_thermal) / gamma
 
 
 class MetricTrajectory(NamedTuple):
@@ -98,19 +105,22 @@ def metric_trajectory(
 ) -> MetricTrajectory:
     """Evaluate the four metrics on the time grid ``t_grid`` (times >= 0).
 
-    With e = e^{-gt}, c = 1 - e and rho = mu0/mu_inf:
+    With e = e^{-gt}, c = 1 - e = -expm1(-gt) and rho = mu0/mu_inf =
+    mu0 (1 + 2 N_th):
 
-    purity        mu(t) = mu0 [e^2 + rho^2 c^2 + 2 rho e c cosh 2r0]^{-1/2},
+    purity        mu(t) = mu0 [e^2 + (rho c)^2 + 2 rho c e cosh 2r0]^{-1/2},
                   clamped at 1 against rounding above a pure state;
-    depth         tau(t) = max{[e (1 - (mu_inf/mu0) e^{-2 r0}) + mu_inf - 1]
-                               / (2 mu_inf), 0};
-    squeezing     cosh 2r(t) = mu(t) [e cosh 2r0 / mu0 + c / mu_inf],
+    depth         tau(t) = max{e tau(0) - N_th c, 0}, with tau(0) =
+                  (1 - e^{-2 r0}/mu0)/2, which is [e (1 - (mu_inf/mu0)
+                  e^{-2 r0}) + mu_inf - 1] / (2 mu_inf) without its
+                  cancellations;
+    squeezing     cosh 2r(t) = mu(t) [e cosh 2r0 / mu0 + c (1 + 2 N_th)],
                   clamped at 1 against arccosh noise near r = 0; the phase
                   stays constant;
     occupation    N(t) = e N0 + c N_th.
 
-    e, c, cosh 2r0 and mu(t) are each computed once.  A scalar time is a
-    one-point grid.
+    e, c, rho c, cosh 2r0 and mu(t) are each computed once.  A scalar time
+    is a one-point grid.
     """
     _check_domain(mu0, r0, gamma, n_thermal)
     if n0 < 0:
@@ -119,17 +129,18 @@ def metric_trajectory(
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
     with np.errstate(over="ignore"):
-        # past the float range gamma t is inf and e = 0.0 exactly; every
-        # other overflow keeps the caller's error state
-        e = np.exp(-gamma * t)
-    c = 1.0 - e
+        # past the float range gamma t is -inf, e = 0.0 and c = 1.0 exactly;
+        # every other overflow keeps the caller's error state
+        minus_gt = -gamma * t
+    e = np.exp(minus_gt)
+    c = -np.expm1(minus_gt)
     cosh_2r0 = math.cosh(2.0 * r0)
-    mu_inf = thermal_purity(n_thermal)
-    rho = mu0 / mu_inf
-    inner = e * e + rho * rho * c**2 + 2.0 * rho * e * c * cosh_2r0
+    inv_mu_inf = 1.0 + 2.0 * n_thermal
+    rho_c = mu0 * inv_mu_inf * c
+    inner = e * e + rho_c * rho_c + 2.0 * rho_c * e * cosh_2r0
     mu = np.minimum(mu0 / np.sqrt(inner), 1.0)
-    tau = (e * (1.0 - (mu_inf / mu0) * math.exp(-2.0 * r0)) + mu_inf - 1.0) / (2.0 * mu_inf)
-    cosh_2r = mu * (e * cosh_2r0 / mu0 + c / mu_inf)
+    tau = e * _initial_depth(mu0, r0) - n_thermal * c
+    cosh_2r = mu * (e * cosh_2r0 / mu0 + c * inv_mu_inf)
     return MetricTrajectory(
         t=t,
         mu=mu,

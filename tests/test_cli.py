@@ -82,7 +82,8 @@ def test_trajectory_fig1_header_and_determinism(tmp_path):
     assert header["regime"] == "quantum"
     assert float(header["gamma_per_s"]) == pytest.approx(0.73, rel=0.05)
     assert float(header["t_min_s"]) == pytest.approx(0.94, rel=0.05)
-    assert header["t_tau0_s"] == "inf"
+    # tools/metric_reference.py's value to 20 digits
+    assert float(header["t_tau0_s"]) == pytest.approx(205.59858500146211703, rel=1e-13)
     assert float(header["three_body_half_life_s"]) == pytest.approx(2.4, rel=0.05)
     columns, rows = read_table(out1)
     assert columns == ["t_s", "mu", "tau", "r", "occupation"]
@@ -856,17 +857,19 @@ def test_frequency_whose_square_underflows_is_rejected(
 
 
 # at fig1's temperature the trajectory's thermal occupation at the floor is
-# about 4e155, and its metrics end in the error that names mu_inf
+# about 4e155; the purity squares rho c = mu0 (1 + 2 n_th) c, which is 0 at
+# t = 0, where rho alone squared would overflow
 @pytest.mark.parametrize(
     "verb, preset, key, temperature",
-    [(*keys, "0.0") for keys in FREQUENCY_KEYS]
-    + [(*keys, "0.5e-9") for keys in FREQUENCY_KEYS if keys[0] != "trajectory"],
+    [(*keys, temperature) for temperature in ("0.0", "0.5e-9") for keys in FREQUENCY_KEYS],
 )
 def test_frequency_at_the_floor_runs(tmp_path, verb, preset, key, temperature):
-    code, stderr, _ = run_at_frequency(
+    code, stderr, out = run_at_frequency(
         tmp_path, verb, preset, key, "1.4916681462400413e-154", temperature
     )
     assert code == 0 and stderr == ""
+    if verb == "trajectory":
+        assert np.isfinite(read_table(out)[1]).all()
 
 
 # At fig1's condensate the quantum closed form's w**5 (auto, asymptotic)
@@ -1024,10 +1027,12 @@ def test_domain_scan_runs_a_two_point_sweep_over_30_to_60_decades(source):
 
 
 # (key, verb, rate source, decades, the scan's (rejected from, first failure)):
-# the trajectory metrics overflow at 1e-153 rad/s, the integral does not
-# converge at 1e-1 rad/s or 1e-18 K, and each error line names its keys
+# under auto the trajectory runs down to the frequency floor and 1e-154 rad/s
+# is below it; under an explicit rate of 0.5/s the trajectory metrics
+# overflow at 1e-153 rad/s; the integral does not converge at 1e-1 rad/s or
+# 1e-18 K; and each error line names its keys
 NAMED_SCANS = [
-    ("mode_frequency_rad_per_s", "trajectory", "auto", range(-152, -155, -1), ("1e-153", "none")),
+    ("mode_frequency_rad_per_s", "trajectory", "auto", range(-152, -155, -1), ("1e-154", "none")),
     ("mode_frequency_rad_per_s", "trajectory", "explicit", range(-152, -155, -1), ("1e-153", "none")),
     ("mode_frequency_rad_per_s", "rates", "integral", range(0, -2, -1), ("1e-1", "none")),
     ("temperature_K", "rates", "integral", range(-17, -19, -1), ("1e-18", "none")),
@@ -1106,6 +1111,24 @@ def test_largest_accepted_displacement_runs_to_finite_output(tmp_path):
     _, rows = read_table(out)
     assert rows.shape == (500, 5)
     assert np.all(np.isfinite(rows))
+
+
+def test_a_state_classical_at_t0_has_classicality_time_zero(tmp_path):
+    # e^(-2 r0) >= mu0, so tau(0) = (1 - e^(-2 r0) / mu0) / 2 <= 0; the
+    # classicality time was once -0.066 s here, from a different condition
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"initial_purity": 0.3, "initial_squeezing": 0.0,'
+        ' "temperature_K": 5.0e-8, "mode_frequency_rad_per_s": 100.0}'
+    )
+    out = tmp_path / "t.csv"
+    code, _, stderr = run_cli_in_process(
+        "trajectory", "--preset", "fig1", "--config", str(cfg), "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    assert read_header(out)["t_tau0_s"] == "0.0"
+    columns, rows = read_table(out)
+    assert (rows[:, columns.index("tau")] == 0.0).all()
 
 
 def test_metric_overflow_is_an_error_naming_the_squeezing(tmp_path):

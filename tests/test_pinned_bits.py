@@ -65,7 +65,7 @@ def test_integral_sweep_csv_bytes_are_pinned():
 DATA_ROWS_SHA256 = {
     "fig1": (
         "fig1", None, run_trajectory,
-        "e48e0e91da0d65ed4902e4742ac93b7c3392c09fcd9b8a955d0dca23cc6f0a15",
+        "d92b1f9ae5189071d7f40ca6bdeab9450239b01a8c021cacf54bd367e52b3bf9",
     ),
     "fig2": (
         "fig2", None, run_sweep,
@@ -73,7 +73,7 @@ DATA_ROWS_SHA256 = {
     ),
     "fig1_1e5_points": (
         "fig1", {"time_points": 100000}, run_trajectory,
-        "f28aff9bcbd9c5976c3751b86cf6b55cdf15380f2d1395b720347e5b0cc8564d",
+        "b35d93fb3df4c09a1e5e94feb5776294c96066af2c8f49fee9169f0c37d7523e",
     ),
     "integral_sweep": (
         "fig2", {"rate_source": "integral", "sweep_points": 150}, run_sweep,

@@ -171,7 +171,7 @@ def test_asymptotic_outside_region_warns():
 CSV_SHA256 = {
     "fig1": (
         "fig1", None, run_trajectory,
-        "ad339cf6f5ba8dc9df5241b857d5111b4297bdb1a72a31188938a988701c063b",
+        "cb8ed8bd9aa08f37e8dfde30d72dcf95c99beb3f62433f247ec9df8fcf39823a",
     ),
     "fig2": (
         "fig2", None, run_sweep,
@@ -179,7 +179,7 @@ CSV_SHA256 = {
     ),
     "fig1_1e5_points": (
         "fig1", {"time_points": 100000}, run_trajectory,
-        "6f07c92ea1c68831100ac9e23cd24b0b9bca851b5f0bdbdb7628b17dc6f203f7",
+        "2901fdc88e2278fa5c5d253c91cb75f98e755d38b832d2d1ef46750e1844b7b8",
     ),
 }
 
