@@ -129,11 +129,10 @@ def metric_trajectory(
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
     with np.errstate(over="ignore"):
-        # past the float range gamma t is -inf, e = 0.0 and c = 1.0 exactly;
+        # past the float range -gamma t is -inf, e = 0.0 and c = 1.0 exactly;
         # every other overflow keeps the caller's error state
-        minus_gt = -gamma * t
-    e = np.exp(minus_gt)
-    c = -np.expm1(minus_gt)
+        e = np.exp(-gamma * t)
+        c = -np.expm1(-gamma * t)
     cosh_2r0 = math.cosh(2.0 * r0)
     inv_mu_inf = 1.0 + 2.0 * n_thermal
     rho_c = mu0 * inv_mu_inf * c
