@@ -1114,8 +1114,8 @@ def test_largest_accepted_displacement_runs_to_finite_output(tmp_path):
 
 
 def test_a_state_classical_at_t0_has_classicality_time_zero(tmp_path):
-    # e^(-2 r0) >= mu0, so tau(0) = (1 - e^(-2 r0) / mu0) / 2 <= 0; the
-    # classicality time was once -0.066 s here, from a different condition
+    # e^(-2 r0) >= mu0, so tau(0) = (1 - e^(-2 r0) / mu0) / 2 <= 0: the state
+    # is classical from the start, though 1 - (mu_inf / mu0) e^(-2 r0) > 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         '{"initial_purity": 0.3, "initial_squeezing": 0.0,'

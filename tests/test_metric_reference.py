@@ -31,9 +31,6 @@ from phonodec.damping import RegimeWarning
 from phonodec.runs import run_trajectory
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "metric_reference.py"
-spec = importlib.util.spec_from_file_location("metric_reference", TOOL)
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
 
 MU_REL = OCCUPATION_REL = 1e-15
 TAU_ABS = 1e-15
@@ -49,13 +46,21 @@ PURITIES = (1.0, 0.3)
 SQUEEZINGS = (0.0, 1e-8, 1.0, 10.0)
 
 
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("metric_reference", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def trajectory(overrides: dict):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         return run_trajectory(preset_config("fig1", overrides))
 
 
-def assert_near_reference(run, rows=slice(None)) -> None:
+def assert_near_reference(tool, run, rows=slice(None)) -> None:
     """The run's rows ``rows`` and its timestamps against the reference."""
     header = run.header
     t, mu, tau, r, occupation = (np.asarray(column)[rows] for column in run.rows)
@@ -90,7 +95,7 @@ def assert_near_reference(run, rows=slice(None)) -> None:
 
 @pytest.mark.parametrize("temperature", [0.0, 0.5e-9, 50e-9])
 def test_metrics_over_the_frequency_grid_are_within_rounding_of_the_reference(
-    temperature,
+    tool, temperature
 ):
     for omega, mu0, r0 in itertools.product(OMEGAS, PURITIES, SQUEEZINGS):
         run = trajectory({
@@ -101,17 +106,17 @@ def test_metrics_over_the_frequency_grid_are_within_rounding_of_the_reference(
             "rate_source": "asymptotic",  # the integrals fail at low frequency and 50 nK
             "time_points": 9,
         })
-        assert_near_reference(run)
+        assert_near_reference(tool, run)
 
 
 @pytest.mark.parametrize("points", [500, 200_000])
-def test_fig1_is_within_rounding_of_the_reference(points):
+def test_fig1_is_within_rounding_of_the_reference(tool, points):
     run = trajectory({"time_points": points})
     rows = np.unique(np.r_[0 : min(points, 3001), 0:points:97])
-    assert_near_reference(run, rows)
+    assert_near_reference(tool, run, rows)
 
 
-def test_fig1_classicality_time_is_the_reference():
+def test_fig1_classicality_time_is_the_reference(tool):
     run = trajectory({})
     assert run.header["t_tau0_s"] == pytest.approx(float(FIG1_T_TAU0), rel=TIME_REL)
     ref = tool.reference(*tool.FIG1[:3], [], gamma=tool.FIG1[3], n_thermal=tool.FIG1[4])
