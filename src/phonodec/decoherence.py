@@ -20,6 +20,10 @@ from .bec import thermal_purity
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
+# The largest rho c whose square, plus the purity's other terms, stays well
+# inside the float range (whose square root is about 1.34e154).
+_HUGE = 1e153
+
 
 def _check_domain(mu0: float, r0: float, gamma: float, n_thermal: float) -> None:
     if not 0.0 < mu0 <= 1.0:
@@ -109,7 +113,9 @@ def metric_trajectory(
     mu0 (1 + 2 N_th):
 
     purity        mu(t) = mu0 [e^2 + (rho c)^2 + 2 rho c e cosh 2r0]^{-1/2},
-                  clamped at 1 against rounding above a pure state;
+                  clamped at 1 against rounding above a pure state, with
+                  the sum divided by (rho c)^2 and mu0 by rho c where
+                  (rho c)^2 would overflow (n_th near the frequency floor);
     depth         tau(t) = max{e tau(0) - N_th c, 0}, with tau(0) =
                   (1 - e^{-2 r0}/mu0)/2, which is [e (1 - (mu_inf/mu0)
                   e^{-2 r0}) + mu_inf - 1] / (2 mu_inf) without its
@@ -136,8 +142,13 @@ def metric_trajectory(
     cosh_2r0 = math.cosh(2.0 * r0)
     inv_mu_inf = 1.0 + 2.0 * n_thermal
     rho_c = mu0 * inv_mu_inf * c
-    inner = e * e + rho_c * rho_c + 2.0 * rho_c * e * cosh_2r0
-    mu = np.minimum(mu0 / np.sqrt(inner), 1.0)
+    e_s, rho_c_s, mu0_s = e, rho_c, mu0
+    huge = rho_c > _HUGE
+    if huge.any():  # divide the sum by (rho c)^2 where that square would overflow
+        scale = np.where(huge, rho_c, 1.0)
+        e_s, rho_c_s, mu0_s = e / scale, rho_c / scale, mu0 / scale
+    inner = e_s * e_s + rho_c_s * rho_c_s + 2.0 * rho_c_s * e_s * cosh_2r0
+    mu = np.minimum(mu0_s / np.sqrt(inner), 1.0)
     tau = e * _initial_depth(mu0, r0) - n_thermal * c
     cosh_2r = mu * (e * cosh_2r0 / mu0 + c * inv_mu_inf)
     return MetricTrajectory(

@@ -7,8 +7,8 @@ at enough digits to absorb the cancellations in 1 - e^{-gamma t}, in
 mu_inf - 1 and in 1 - e^{-2 r0} / mu0.  The program is run end to end
 (``run_trajectory`` over fig1 with overrides) over a grid of mode
 frequencies from 1e4 rad/s down to the floor, at T = 0, 0.5 and 50 nK, for
-a pure and a mixed state and for squeezings from 0 to 10; and over fig1
-itself at 500 and 200 000 points.
+a pure and a mixed state and for squeezings from 0 to 10; under an explicit
+rate down to the floor; and over fig1 itself at 500 and 200 000 points.
 
 Bounds: mu and the occupation within 1e-15 relative; tau within 1e-15
 absolute; t_min and t_tau0 within 1e-13 relative, t_tau0 exactly 0.0 for a
@@ -107,6 +107,21 @@ def test_metrics_over_the_frequency_grid_are_within_rounding_of_the_reference(
             "time_points": 9,
         })
         assert_near_reference(tool, run)
+
+
+@pytest.mark.parametrize("omega", [1e-152, 1e-153, FLOOR])
+def test_an_explicit_rate_near_the_frequency_floor_is_within_rounding_of_the_reference(
+    tool, omega
+):
+    # at 0.5 nK n_th passes 6e154 from 1e-153 rad/s down, and (rho c)^2 would
+    # leave the float range inside the purity
+    run = trajectory({
+        "rate_source": "explicit",
+        "gamma_explicit_per_s": 0.5,
+        "mode_frequency_rad_per_s": omega,
+        "time_points": 9,
+    })
+    assert_near_reference(tool, run)
 
 
 @pytest.mark.parametrize("points", [500, 200_000])
