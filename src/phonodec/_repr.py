@@ -52,15 +52,15 @@ def _floor_log2_pow10(e):
 def _powers_of_ten(e_min: int, e_max: int) -> np.ndarray:
     """Per e from e_min < 0 to e_max, floor(10**e * 2**(125 - floor(log2
     10**e))) + 1, in [2**125, 2**126), as its low and high words."""
-    g, p = [], 10**-e_min
-    for e in range(e_min, e_max + 1):
+    g, quotient, power = [], 1 << 1400, 1
+    for e in range(-1, e_min - 1, -1):
+        quotient //= 10  # floor(2**1400 / 10**-e)
+        g.append((quotient >> (1275 + _floor_log2_pow10(e))) + 1)
+    g.reverse()
+    for e in range(e_max + 1):
         shift = 125 - _floor_log2_pow10(e)
-        if e < 0:
-            g.append((1 << shift) // p + 1)
-            p //= 10
-        else:
-            g.append((p << shift if shift >= 0 else p >> -shift) + 1)
-            p *= 10
+        g.append((power << shift if shift >= 0 else power >> -shift) + 1)
+        power *= 10
     words = b"".join(x.to_bytes(16, "little") for x in g)
     return np.frombuffer(words, "<u8").astype(np.uint64).reshape(-1, 2)
 
@@ -126,12 +126,8 @@ def _templates() -> np.ndarray:
     sign bit, then of the special values, padded with the zero byte to
     ``_WIDTH``; eight times over, the r-th time plus 32 r and, for even r,
     right-aligned."""
-    patterns = [
-        sign + _pattern(layout, ndig) + ","
-        for layout in range(_N_LAYOUT)
-        for ndig in range(1, 18)
-        for sign in ("", "-")
-    ]
+    unsigned = (_pattern(layout, ndig) + "," for layout in range(_N_LAYOUT) for ndig in range(1, 18))
+    patterns = [sign + pattern for pattern in unsigned for sign in ("", "-")]
     patterns += ["0.0,", "-0.0,", "inf,", "-inf,", "nan,", "nan,"]
     to_offset = bytes.maketrans(_SOURCE.encode(), bytes(range(len(_SOURCE))))
     left, right = (
@@ -167,10 +163,15 @@ def _digit_tables():
     """Per quad j (digits 4j + 2 to 4j + 5) of 0-9999: its four digit
     characters, and above them 2 (ndig - 1) if it is the last quad that is
     not zero."""
-    digits = np.indices((10,) * 4).reshape(4, -1)  # thousands first
-    word = sum(digits[i].astype(np.uint64) + 48 << _U(8 * i) for i in range(4))
-    used = (np.arange(1, 5)[:, None] * (digits > 0)).max(axis=0)  # to the last nonzero
-    return [word | (2 * (4 * j + used) * (used > 0)).astype(np.uint64) << _U(32) for j in range(4)]
+    chars = np.empty((10,) * 4 + (4,), np.uint8)
+    used = np.zeros((10,) * 4, np.uint64)  # to the last nonzero digit
+    for i in range(4):  # thousands first
+        digit = np.arange(10).reshape((-1,) + (1,) * (3 - i))
+        chars[..., i] = 48 + digit
+        np.maximum(used, (digit > 0) * _U(i + 1), out=used)
+    used = used.reshape(-1)
+    last = (2 * used + 8 * np.arange(4, dtype=np.uint64)[:, None]) * (used > 0)
+    return chars.view("<u4").reshape(-1).astype(np.uint64) | last << _U(32)
 
 
 _QUADS = _digit_tables()
