@@ -21,7 +21,8 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
 # The largest rho c whose square, plus the purity's other terms, stays well
-# inside the float range (whose square root is about 1.34e154).
+# inside the float range (whose square root is about 1.34e154); the cross
+# term 2 rho c e cosh 2r0 may reach _HUGE^2 / 2.
 _HUGE = 1e153
 
 
@@ -114,8 +115,10 @@ def metric_trajectory(
 
     purity        mu(t) = mu0 [e^2 + (rho c)^2 + 2 rho c e cosh 2r0]^{-1/2},
                   clamped at 1 against rounding above a pure state, with
-                  the sum divided by (rho c)^2 and mu0 by rho c where
-                  (rho c)^2 would overflow (n_th near the frequency floor);
+                  the sum divided by its largest term T and mu0 by sqrt T
+                  where T would overflow: (rho c)^2 with n_th near the
+                  frequency floor, the cross term at cosh 2r0 near the
+                  float range;
     depth         tau(t) = max{e tau(0) - N_th c, 0}, with tau(0) =
                   (1 - e^{-2 r0}/mu0)/2, which is [e (1 - (mu_inf/mu0)
                   e^{-2 r0}) + mu_inf - 1] / (2 mu_inf) without its
@@ -141,11 +144,21 @@ def metric_trajectory(
         c = -np.expm1(-gamma * t)
     cosh_2r0 = math.cosh(2.0 * r0)
     inv_mu_inf = 1.0 + 2.0 * n_thermal
-    rho_c = mu0 * inv_mu_inf * c
+    rho = mu0 * inv_mu_inf
+    rho_c = rho * c
     e_s, rho_c_s, mu0_s = e, rho_c, mu0
-    huge = rho_c > _HUGE
-    if huge.any():  # divide the sum by (rho c)^2 where that square would overflow
-        scale = np.where(huge, rho_c, 1.0)
+    # rho c <= rho and rho c e <= rho / 4: the rows need a look only where
+    # these bounds pass the limits below
+    if rho > _HUGE or rho * cosh_2r0 > 2.0 * _HUGE * _HUGE:
+        # divide the sum by its largest term where that would overflow:
+        # (rho c)^2 past _HUGE^2, or the cross term past _HUGE^2 / 2, whose
+        # square root is read where rho c is not huge
+        huge = rho_c > _HUGE
+        cross = rho_c * e > 0.5 * _HUGE * (_HUGE / cosh_2r0)
+        root_cross = np.sqrt(np.minimum(rho_c, _HUGE) * e) * (
+            math.sqrt(2.0) * math.sqrt(cosh_2r0)
+        )
+        scale = np.where(huge, rho_c, np.where(cross, root_cross, 1.0))
         e_s, rho_c_s, mu0_s = e / scale, rho_c / scale, mu0 / scale
     inner = e_s * e_s + rho_c_s * rho_c_s + 2.0 * rho_c_s * e_s * cosh_2r0
     mu = np.minimum(mu0_s / np.sqrt(inner), 1.0)

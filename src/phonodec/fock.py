@@ -2,9 +2,12 @@
 
 Solves the full master equation for the density matrix under the
 two-operator thermal channel (c1 = sqrt(gamma1) b, c2 = sqrt(gamma2) b^dag)
-exactly, stepping every diagonal of rho at once from grid point to grid
-point with one stacked matrix exponential per distinct step, and reads
-purity and moments off them, certifying the Gaussian fast path.  Dense
+exactly, stepping every diagonal of rho that carries state at once from
+grid point to grid point with one stacked matrix exponential per distinct
+step, and reads purity and moments off them, certifying the Gaussian fast
+path.  The cost grows with the number of such diagonals: a squeezed
+vacuum's odd diagonals, or every off-diagonal of a thermal state, stay
+zero and are never stepped.  Dense
 matrices only; intended for cutoffs up to ~80 and small squeezing
 (r <= 1): the basis cost of validating r = 10 directly would be
 astronomical, so the closed forms are checked here at small r and trusted
@@ -75,11 +78,13 @@ def lindblad_step_integrate(
     ``rho0`` is a Hermitian matrix on the number basis 0..n_cut, given at
     ``t_grid[0]``; its lower triangle is read.  The channel conserves
     m - n, so each diagonal rho[j+k, j] evolves on its own under a real
-    tridiagonal generator times the phase e^{-i w k t}.  The generators,
+    tridiagonal generator times the phase e^{-i w k t}, and a diagonal that
+    is zero in ``rho0`` stays exactly zero.  The generators of the others,
     zero-padded to the full basis, form one stack; one stacked exponential
-    per distinct value of ``np.diff(t_grid)`` advances every diagonal
+    per distinct value of ``np.diff(t_grid)`` advances each of them
     exactly from one grid point to the next, so the cost grows with the
-    number of distinct steps (a linspace grid has a few).  The upper
+    number of diagonals that carry state and with the number of distinct
+    steps (a linspace grid has a few).  The upper
     diagonals are the conjugates, so the purity and the moments of every
     grid point are read off the evolved lower diagonals, and rho itself is
     built only for ``final_rho``.  Raises on truncation leaks:
@@ -104,28 +109,34 @@ def lindblad_step_integrate(
             f"initial population {high:.3e} beyond 0.9 n_cut exceeds 1e-8"
         )
 
-    # gen[k] is diagonal k's generator, zero-padded to the full basis: its
-    # exponential is the block's own plus an identity on the padding, whose
-    # entries of the state are zero
     size = n_cut + 1
     k = np.arange(size)[:, None]
     j = np.arange(size)
     inside = j + k <= n_cut  # rho[j+k, j] lies in the basis
-    level = j + 0.5 * k
-    root = np.sqrt((j[:-1] + k + 1.0) * (j[:-1] + 1.0))
-    gen = np.zeros((size, size, size))
-    gen[:, j, j] = np.where(inside, -gamma1 * level - gamma2 * (level + 1.0), 0.0)
-    gen[:, j[:-1], j[1:]] = np.where(inside[:, 1:], gamma1 * root, 0.0)
-    gen[:, j[1:], j[:-1]] = np.where(inside[:, 1:], gamma2 * root, 0.0)
+    diags = np.zeros((t_grid.size, size, size), dtype=complex)
+    diags[0] = np.where(inside, rho0[np.minimum(j + k, n_cut), j], 0.0)
+    # a diagonal that starts at zero stays exactly zero: only the live ones
+    # are exponentiated and stepped
+    live = np.flatnonzero(diags[0].any(axis=1))
+
+    # gen[i] is diagonal live[i]'s generator, zero-padded to the full basis:
+    # its exponential is the block's own plus an identity on the padding,
+    # whose entries of the state are zero
+    level = j + 0.5 * k[live]
+    root = np.sqrt((j[:-1] + k[live] + 1.0) * (j[:-1] + 1.0))
+    gen = np.zeros((live.size, size, size))
+    gen[:, j, j] = np.where(inside[live], -gamma1 * level - gamma2 * (level + 1.0), 0.0)
+    gen[:, j[:-1], j[1:]] = np.where(inside[live, 1:], gamma1 * root, 0.0)
+    gen[:, j[1:], j[:-1]] = np.where(inside[live, 1:], gamma2 * root, 0.0)
 
     # the generators are real: real and imaginary parts ride as two columns
     steps = np.diff(t_grid).tolist()
     propagator = {h: expm(gen * h) for h in set(steps)}
-    diags = np.empty((t_grid.size, size, size), dtype=complex)
-    diags[0] = np.where(inside, rho0[np.minimum(j + k, n_cut), j], 0.0)
-    parts = diags.view(float).reshape(t_grid.size, size, size, 2)
+    parts = np.empty((t_grid.size, live.size, size, 2))
+    parts[0] = diags[0, live].view(float).reshape(live.size, size, 2)
     for i, h in enumerate(steps):
         np.matmul(propagator[h], parts[i], out=parts[i + 1])
+    diags[1:, live] = parts[1:].view(complex)[..., 0]
     span = t_grid - t_grid[0]
     diags *= np.exp(-1j * omega * np.arange(size) * span[:, None])[:, :, None]
 

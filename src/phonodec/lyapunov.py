@@ -6,7 +6,9 @@ First and second moments obey
     dsigma/dt = A sigma + sigma A^T + D
 
 with drift A = -gamma/2 I + w' Omega and diffusion D = gamma sigma_inf.
-The solution is closed form.  ``evolve_numeric`` solves the same equations
+The solution is closed form: ``closed_form_moments`` evaluates it over a
+whole time grid in one stacked pass, and ``evolve_closed_form`` at one
+time.  ``evolve_numeric`` solves the same equations
 by an independent, equally exact route for any constant A and D: one
 matrix exponential of the vectorized equations (Van Loan's block form).
 """
@@ -53,26 +55,52 @@ def thermal_channel(
     )
 
 
-def _rotation(omega_prime: float, t: float) -> NDArray[np.float64]:
-    c, s = math.cos(omega_prime * t), math.sin(omega_prime * t)
-    return np.array([[c, s], [-s, c]])
+def _moments(
+    state: GaussianState, channel: ThermalChannel, t_grid: Sequence[float]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """d(t) and sigma(t), stacked, with sigma(t) as the products round it."""
+    times = np.asarray(t_grid, dtype=float).reshape(-1).tolist()
+    if any(t < 0 for t in times):
+        raise ValueError("time must be >= 0")
+    decay = np.array([math.exp(-channel.gamma * t) for t in times])
+    angle = [channel.omega_prime * t for t in times]
+    c = np.array([math.cos(x) for x in angle])
+    s = np.array([math.sin(x) for x in angle])
+    rot = np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2)
+    root = np.array([math.sqrt(x) for x in decay.tolist()])
+    d_t = root[:, None, None] * rot @ state.d
+    sigma_t = decay[:, None, None] * (rot @ state.sigma @ rot.transpose(0, 2, 1)) + (
+        1.0 - decay
+    )[:, None, None] * channel.sigma_inf
+    return d_t, sigma_t
+
+
+def closed_form_moments(
+    state: GaussianState, channel: ThermalChannel, t_grid: Sequence[float]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Exact d(t) and sigma(t) at every time of ``t_grid`` (times >= 0),
+    stacked (n, 2) and (n, 2, 2), under the constant single-mode thermal
+    channel.
+
+    d(t) = e^{-gamma t/2} R(t) d0
+    sigma(t) = e^{-gamma t} R(t) sigma0 R^T(t) + (1 - e^{-gamma t}) sigma_inf
+
+    The decay and the rotation take libm's exp, cos, sin and sqrt of each
+    time, not numpy's vector versions, which round differently, so a row
+    does not depend on the rest of the grid; sigma(t) is symmetrized as
+    ``GaussianState`` does it.  Row i is ``evolve_closed_form`` at
+    ``t_grid[i]``, bit for bit.
+    """
+    d_t, sigma_t = _moments(state, channel, t_grid)
+    return d_t, 0.5 * sigma_t + 0.5 * sigma_t.transpose(0, 2, 1)
 
 
 def evolve_closed_form(
     state: GaussianState, channel: ThermalChannel, t: float
 ) -> GaussianState:
-    """Exact state at time t under the constant single-mode thermal channel.
-
-    d(t) = e^{-gamma t/2} R(t) d0
-    sigma(t) = e^{-gamma t} R(t) sigma0 R^T(t) + (1 - e^{-gamma t}) sigma_inf
-    """
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    decay = math.exp(-channel.gamma * t)
-    rot = _rotation(channel.omega_prime, t)
-    d_t = math.sqrt(decay) * rot @ state.d
-    sigma_t = decay * (rot @ state.sigma @ rot.T) + (1.0 - decay) * channel.sigma_inf
-    return GaussianState(d=d_t, sigma=sigma_t)
+    """Exact state at time t: ``closed_form_moments`` at one time."""
+    d_t, sigma_t = _moments(state, channel, [t])
+    return GaussianState(d=d_t[0], sigma=sigma_t[0])
 
 
 def fixed_point_residual(channel: ThermalChannel) -> float:

@@ -376,10 +376,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The most cells of a float table that is written cell by cell, one
-# chunk of ``_repr``: below it, importing the kernel costs more than the
-# ``repr`` of every cell (a 500-point trajectory has 2 500).
-SMALL_TABLE_CELLS = 8192
+# The most cells of a float table that is written cell by cell: below it,
+# importing the kernel costs more than the ``repr`` of every cell (a
+# 500-point trajectory has 2 500; the two meet near 16 400, measured in
+# fresh CLI processes).
+SMALL_TABLE_CELLS = 16384
 
 
 def _write(run: Run, file) -> None:

@@ -202,3 +202,19 @@ def test_oracle_on_a_one_point_grid_returns_the_initial_moments():
     assert np.abs(traj.covariance[0] - exact.sigma).max() < 1e-9
     assert traj.purity[0] == pytest.approx(1.0, abs=1e-9)
     assert traj.occupation[0] == pytest.approx(state0.occupation, abs=1e-9)
+
+
+@pytest.mark.parametrize("live", [(), (0,), (3,)])
+def test_oracle_steps_no_live_diagonal_or_a_single_one(live):
+    # a diagonal that is zero at the start is never exponentiated, and stays zero
+    rho0 = np.zeros((21, 21), dtype=complex)
+    for k in live:
+        rho0[k, 0] = rho0[0, k] = 0.5 if k else 1.0
+    traj = lindblad_step_integrate(rho0, 0.5, 1.2, 0.2, np.linspace(0.0, 2.0, 5))
+    assert traj.final_rho.shape == (21, 21)
+    off = np.subtract.outer(np.arange(21), np.arange(21))
+    dead = ~np.isin(np.abs(off), live)
+    assert not traj.final_rho[dead].any()
+    assert np.all(np.isfinite(traj.purity))
+    if not live:
+        assert not traj.purity.any() and not traj.occupation.any()

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies
 from phonodec.decoherence import metric_trajectory, purity_minimum_time
 from phonodec.gaussian import KAPPA, OMEGA, state_from_params
 from phonodec.lyapunov import (
+    closed_form_moments,
     evolve_closed_form,
     evolve_numeric,
     fixed_point_residual,
@@ -234,3 +235,37 @@ def test_thermal_diffusion_is_positive_semidefinite_and_stationary(
     assert np.array_equal(ch.d, ch.d.T)
     assert np.linalg.eigvalsh(ch.d).min() >= 0.0
     assert fixed_point_residual(ch) <= 1e-15 * np.abs(ch.d).max()
+
+
+TIMES = strategies.floats(0.0, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=strategies.floats(1e-3, 1.0),
+    r=strategies.floats(0.0, 5.0),
+    psi=strategies.floats(0.0, 2.0 * math.pi),
+    d=strategies.tuples(strategies.floats(-1e3, 1e3), strategies.floats(-1e3, 1e3)),
+    gamma=strategies.one_of(strategies.just(0.0), decades(-6.0, 3.0)),
+    n_thermal=strategies.one_of(strategies.just(0.0), decades(-6.0, 6.0)),
+    omega_prime=strategies.floats(-1e5, 1e5),
+    times=strategies.lists(TIMES, min_size=1, max_size=8).map(lambda ts: [0.0, *ts]),
+)
+def test_closed_form_rows_are_the_one_point_solution_bit_for_bit(
+    mu, r, psi, d, gamma, n_thermal, omega_prime, times
+):
+    # a row depends on its own time alone, whatever the rest of the grid
+    state = state_from_params(mu, r, psi, d=np.array(d))
+    channel = thermal_channel(gamma, n_thermal, omega_prime)
+    d_t, sigma_t = closed_form_moments(state, channel, times)
+    assert d_t.shape == (len(times), 2) and sigma_t.shape == (len(times), 2, 2)
+    for i, t in enumerate(times):
+        one = evolve_closed_form(state, channel, t)
+        assert d_t[i].tobytes() == one.d.tobytes()
+        assert sigma_t[i].tobytes() == one.sigma.tobytes()
+
+
+def test_closed_form_grid_rejects_a_negative_time():
+    ch = thermal_channel(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        closed_form_moments(VACUUM, ch, [0.0, 1.0, -0.1])

@@ -8,7 +8,8 @@ mu_inf - 1 and in 1 - e^{-2 r0} / mu0.  The program is run end to end
 (``run_trajectory`` over fig1 with overrides) over a grid of mode
 frequencies from 1e4 rad/s down to the floor, at T = 0, 0.5 and 50 nK, for
 a pure and a mixed state and for squeezings from 0 to 10; under an explicit
-rate down to the floor; and over fig1 itself at 500 and 200 000 points.
+rate down to the floor, and at squeezings whose cosh 2r0 nears the float
+range; and over fig1 itself at 500 and 200 000 points.
 
 Bounds: mu and the occupation within 1e-15 relative; tau within 1e-15
 absolute; t_min and t_tau0 within 1e-13 relative, t_tau0 exactly 0.0 for a
@@ -120,6 +121,33 @@ def test_an_explicit_rate_near_the_frequency_floor_is_within_rounding_of_the_ref
         "gamma_explicit_per_s": 0.5,
         "mode_frequency_rad_per_s": omega,
         "time_points": 9,
+    })
+    assert_near_reference(tool, run)
+
+
+# cosh 2r0 is 1.5e307 at r0 = 354, 9.0e307 at 354.88 and 5.1e303 at 350
+# (where n_th is 1.3e12), and the purity's cross term 2 rho c e cosh 2r0
+# would leave the float range
+LARGE_SQUEEZINGS = {
+    "r0_354": {"initial_squeezing": 354.0},
+    "r0_354.88": {"initial_squeezing": 354.88, "time_points": 9},
+    "r0_350_mixed": {
+        "initial_squeezing": 350.0,
+        "initial_purity": 0.01,
+        "mode_frequency_rad_per_s": 1e-8,
+        "time_points": 9,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SQUEEZINGS))
+def test_a_squeezing_near_the_float_range_is_within_rounding_of_the_reference(tool, name):
+    run = trajectory({
+        "temperature_K": 1.0e-7,
+        "mode_frequency_rad_per_s": 1.0e3,
+        "rate_source": "explicit",
+        "gamma_explicit_per_s": 1.0,
+        **LARGE_SQUEEZINGS[name],
     })
     assert_near_reference(tool, run)
 

@@ -105,11 +105,15 @@ def coherent(alpha: complex, n_cut: int) -> np.ndarray:
 
 
 def oracle_case(name: str):
-    """(rho0, omega, gamma1, gamma2): verify's squeezed vacuum, and a coherent
-    state whose displacement is not zero."""
+    """(rho0, omega, gamma1, gamma2): verify's squeezed vacuum, whose odd
+    diagonals are zero, a coherent state whose displacement is not zero, and
+    a thermal state (occupation 0.6), whose main diagonal alone is not zero."""
     if name == "squeezed":
         amplitudes = squeezed_vacuum_fock(0.5, 40)
         return np.outer(amplitudes, amplitudes).astype(complex), 0.5, 1.2, 0.2
+    if name == "thermal":
+        weights = (1.0 / 1.6) * (0.6 / 1.6) ** np.arange(41)
+        return np.diag(weights).astype(complex), 1.0, 0.9, 0.3
     amplitudes = coherent(0.8 + 0.3j, 40)
     return np.outer(amplitudes, amplitudes.conj()), 2.0, 0.7, 0.1
 
@@ -129,6 +133,12 @@ ORACLE_SHA256 = {
         "covariance": "26a93fb408c9878f9ae205df7b9b3b6a7b353c3a36146955342ca09e8dbe0203",
         "occupation": "e7b4ac1049a9375f8d6beac6d23fd24921438a9f85b56bb31dea968192af263a",
         "final_rho": "d04ddfd86e8d4d611044c89de157078c3d54850ef3cbe1dbb964badc1b3b4155",
+    },
+    "thermal": {
+        "displacement": "86d2cf5b090f43ee54d8f7c1dcf746a853951191457ff6dac96269a9d24860b9",
+        "covariance": "c50eadbff018c26a9e652af5c724d88f2d219c604403b67616d262ff9e9b9133",
+        "occupation": "759104abff8185ac867fc10891822e265f168f00b9c3414d657c0c05a7709f9f",
+        "final_rho": "a078898be0e4a5f51f50e3d77e1c949520b470d6356bc090b413a2ec4fc662e3",
     },
 }
 
